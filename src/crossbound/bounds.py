@@ -13,22 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter
+from .errors import DomainViolation, InvalidParameter, MonotonicityViolation
 from .mgf import MgfBound
 from .optimize import minimize_tail_exponent, solve_slope_root
-
-INEQUALITY_IDS = (
-    "gen_line_upper", "gen_line_lower",
-    "vee_upper", "vee_lower",
-    "eta_ray_upper", "eta_ray_lower",
-    "eta_vee_upper", "eta_vee_lower",
-    "azuma_upper", "azuma_lower", "azuma_two_sided",
-    "bennett_cbb", "bernstein_cbb", "chernoff_sub",
-    "expfam_upper", "expfam_lower",
-    "poisson_upper", "poisson_lower",
-    "supermartingale_sup", "doob_exp",
-)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -123,7 +110,7 @@ def optimized_line_bound(phi: MgfBound, gamma: float, v_tau: float,
     _check_positive(gamma=gamma, v_tau=v_tau)
     opt = minimize_tail_exponent(phi, gamma, side=side, tol=tol)
     exponent = v_tau * opt.value
-    return _report(_side_id("gen_line", side), exponent, opt.s_opt, opt.slope,
+    return _report(_side_id("opt_line", side), exponent, opt.s_opt, opt.slope,
                    {"gamma": gamma, "v_tau": v_tau, "location": opt.location,
                     **phi.describe()})
 
@@ -146,7 +133,7 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
         root = solve_slope_root(phi, gamma, side=side, tol=tol)
         params["s_star"] = root.s_root
         params["restricted"] = True
-    except Exception:
+    except MonotonicityViolation:
         params["restricted"] = False
     exponent = v_tau * opt.value
     return _report(ineq, exponent, opt.s_opt, opt.slope, params)
@@ -203,7 +190,7 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
         root = solve_slope_root(phi, gamma, side=side, tol=tol)
         s_star = root.s_root
         params["restricted"] = True
-    except Exception:
+    except MonotonicityViolation:
         s_star = _sup_feasible(phi, gamma, side)
         params["restricted"] = False
     params["s_star"] = s_star

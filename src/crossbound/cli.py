@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -21,19 +20,9 @@ from .errors import ConfigError, CrossboundError
 from .mgf import make_phi, phi_kind_from_dict
 from .presets import PRESETS
 from .sim import generate, spec_from_dict
-from .validate import SCHEMA_VERSION, ValidationReport
+from .validate import SCHEMA_VERSION, ValidationReport, fmt17
 
 OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
-
-
-def fmt17(x) -> str:
-    """Round-trip-safe numeric formatting (17 significant digits)."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +190,12 @@ def _cmd_validate(args) -> int:
     if cfg.get("seed") is None:
         raise ConfigError("missing required key 'seed' (mandatory for validate)")
     preset = PRESETS[name]
-    paths = int(cfg.get("paths") or preset.default_paths)
-    reports = preset.runner(paths=paths, seed=int(cfg["seed"]),
-                            alpha=float(cfg.get("alpha") or 0.01),
-                            threads=(int(cfg["threads"])
-                                     if cfg.get("threads") is not None else None))
+    paths = cfg.get("paths")
+    alpha, threads = cfg.get("alpha"), cfg.get("threads")
+    reports = preset.runner(
+        paths=preset.default_paths if paths is None else int(paths),
+        seed=int(cfg["seed"]), alpha=0.01 if alpha is None else float(alpha),
+        threads=None if threads is None else int(threads))
     out_dir = FsPath(cfg.get("out") or os.environ.get(OUTPUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}_report.csv"

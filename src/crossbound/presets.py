@@ -14,17 +14,15 @@ Three suites ship with the package:
 
 from __future__ import annotations
 
-import math
-import os
+import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from . import bounds as B
+from .errors import InvalidParameter
 from .mgf import (
     Bennett,
     Gaussian,
@@ -42,19 +40,18 @@ from .sim import (
     PoissonCounting,
     TwoPointIncrements,
     UniformIncrements,
-    path_rng,
+    path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
 )
 from .stopping import ContinuityRegion, RegionPair
 from .validate import (
     EventSpec,
-    ValidationReport,
-    clopper_pearson,
+    clopper_pearson,  # noqa: F401  (likewise)
     halving_allowance,
     sweep,
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Preset:
     name: str
     description: str
@@ -269,54 +266,10 @@ def run_theorem9_all(paths: int = 50_000, seed: int = 0, alpha: float = 0.01,
 # ---------------------------------------------------------------------------
 
 
-def _drifted_max_counts(n_paths, seed, dt, horizon, levels, horizon_checks,
-                        coarse, threads):
-    """Crossing counts of sup(W_t - t/2) >= level per horizon prefix.
-
-    Returns (fine_counts, coarse_counts) with shape (levels, horizons); the
-    coarse view keeps every second grid point of the same paths (a 2 dt grid
-    on common random numbers) and is exact for the paired halving allowance.
-    """
-    n = int(round(horizon / dt))
-    t = np.arange(n + 1) * dt
-    drift = -0.5 * t
-    cols = [int(round(T / dt)) for T in horizon_checks]
-    ccols = [c // 2 for c in cols]
-    sqdt = math.sqrt(dt)
-    levels = np.asarray(levels, dtype=np.float64)
-
-    rows = max(8, int(3_000_000 // (n + 1)))
-    jobs = [np.arange(s, min(s + rows, n_paths))
-            for s in range(0, n_paths, rows)]
-
-    def work(indices):
-        k = indices.size
-        X = np.empty((k, n + 1))
-        X[:, 0] = 0.0
-        for row, idx in enumerate(indices):
-            rng = path_rng(seed, int(idx))
-            np.cumsum(rng.standard_normal(n) * sqdt, out=X[row, 1:])
-        X += drift
-        fine = np.zeros((levels.size, len(cols)), dtype=np.int64)
-        crs = np.zeros_like(fine)
-        for j, c in enumerate(cols):
-            m = X[:, :c + 1].max(axis=1)
-            fine[:, j] = (m[None, :] >= levels[:, None]).sum(axis=1)
-        if coarse:
-            for j, c in enumerate(ccols):
-                m = X[:, : 2 * c + 1 : 2].max(axis=1)
-                crs[:, j] = (m[None, :] >= levels[:, None]).sum(axis=1)
-        return fine, crs
-
-    n_workers = threads if threads is not None else (os.cpu_count() or 1)
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(work, jobs))
-    else:
-        parts = [work(ix) for ix in jobs]
-    fine = np.sum([p[0] for p in parts], axis=0)
-    crs = np.sum([p[1] for p in parts], axis=0)
-    return fine, crs
+def _exp_brownian(dt: float, horizon: float) -> ExpSupermartingale:
+    """Y_t = exp(W_t - t/2); sweep counts sup Y >= g as max(W - t/2) >= log g."""
+    return ExpSupermartingale(Brownian(dt=dt, horizon=horizon), s=1.0,
+                              phi=make_phi(Gaussian(1.0)))
 
 
 def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
@@ -324,16 +277,20 @@ def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
                                threads: Optional[int] = None,
                                max_doublings: int = 3):
     """Double the horizon until the paired crossing-probability change from T
-    to 2T is below half the main run's CI width for every gamma."""
+    to 2T is below half the main run's CI width for every gamma; the T
+    crossings are a prefix event on the same 2T pilot paths."""
+    if paths <= 0:
+        raise InvalidParameter("paths must be positive")
     z = float(_scipy_stats.norm.ppf(1.0 - alpha / 2.0))
-    levels = [math.log(g) for g in gammas]
     T = t0
     for _ in range(max_doublings):
-        fine, _ = _drifted_max_counts(pilot_paths, seed + 911, dt, 2 * T,
-                                      levels, [T, 2 * T], coarse=False,
-                                      threads=threads)
-        p_t = fine[:, 0] / pilot_paths
-        deltas = (fine[:, 1] - fine[:, 0]) / pilot_paths
+        events = [EventSpec(kind="sup_level", gamma=g, steps=steps)
+                  for steps in (int(round(T / dt)), None) for g in gammas]
+        reps = sweep(_exp_brownian(dt, 2 * T), events, pilot_paths,
+                     seed=seed + 911, alpha=alpha, threads=threads)
+        k = np.array([r.n_crossed for r in reps]).reshape(2, len(gammas))
+        p_t = k[0] / pilot_paths
+        deltas = (k[1] - k[0]) / pilot_paths
         half_width = z * np.sqrt(np.maximum(p_t * (1 - p_t), 1e-12) / paths)
         if np.all(deltas < half_width):
             return T
@@ -349,36 +306,31 @@ def run_expexact_brownian(paths: int = 200_000, seed: int = 0,
 
     The grid supremum under-counts continuous crossings; the report carries a
     dt-halving grid allowance (Richardson-extrapolated from the paired 2dt
-    coarsening of the same paths, sqrt(dt) bias order) and the verdict-style
-    flags used by the acceptance suite.
+    coarsening of the same paths, a stride-2 event, sqrt(dt) bias order) and
+    the verdict-style flags used by the acceptance suite.
     """
     t_start = time.perf_counter()
     T = choose_horizon_by_doubling(gammas, paths, seed, dt=dt, t0=t0,
                                    alpha=alpha, pilot_paths=pilot_paths,
                                    threads=threads)
-    levels = [math.log(g) for g in gammas]
-    fine, crs = _drifted_max_counts(paths, seed, dt, T, levels, [T],
-                                    coarse=True, threads=threads)
+    events = [EventSpec(kind="sup_level", gamma=g, bound=1.0 / g,
+                        label=f"expexact_g{g:g}", stride=stride)
+              for stride in (1, 2) for g in gammas]
+    reps = sweep(_exp_brownian(dt, T), events, paths, seed=seed, alpha=alpha,
+                 threads=threads)
     elapsed = time.perf_counter() - t_start
     out = []
-    for j, g in enumerate(gammas):
-        k = int(fine[j, 0])
-        p_hat = k / paths
-        p_coarse = int(crs[j, 0]) / paths
-        allowance = halving_allowance(p_hat, p_coarse)
-        lo, hi = clopper_pearson(k, paths, alpha)
-        bound = 1.0 / g
-        verdict = "violated" if lo > bound else "holds"
-        out.append(ValidationReport(
-            label=f"expexact_g{g:g}", n_paths=paths, n_crossed=k, p_hat=p_hat,
-            ci_lo=lo, ci_hi=hi, bound=bound, verdict=verdict,
-            truncation_fraction=1.0 - p_hat, runtime_seconds=elapsed,
-            alpha=alpha, seed=seed,
+    for fine, coarse in zip(reps, reps[len(gammas):]):
+        allowance = halving_allowance(fine.p_hat, coarse.p_hat)
+        out.append(dataclasses.replace(
+            fine, verdict="violated" if fine.ci_lo > fine.bound else "holds",
+            runtime_seconds=elapsed,
             extra={
-                "horizon": T, "dt": dt, "p_coarse": p_coarse,
+                "horizon": T, "dt": dt, "p_coarse": coarse.p_hat,
                 "grid_allowance": allowance,
-                "contains_inverse_gamma": bool(lo <= bound <= hi + allowance),
-                "abs_error": abs(p_hat - bound),
+                "contains_inverse_gamma": bool(
+                    fine.ci_lo <= fine.bound <= fine.ci_hi + allowance),
+                "abs_error": abs(fine.p_hat - fine.bound),
                 "exact": True,
             }))
     return out

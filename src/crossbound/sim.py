@@ -212,11 +212,6 @@ def validate_spec(spec: ProcessSpec):
 # --- canonical increment draws (shared by single-path and batched drivers) --
 
 
-def brownian_increments(spec: Brownian, rng: np.random.Generator) -> np.ndarray:
-    n = int(round(spec.horizon / spec.dt))
-    return rng.standard_normal(n) * math.sqrt(spec.dt)
-
-
 def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(spec.n)
     inc = np.where(u < spec.p_move / 2.0, 1.0,
@@ -261,21 +256,6 @@ def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
 
 
 def _generate_with_rng(spec: ProcessSpec, rng: np.random.Generator) -> Path:
-    if isinstance(spec, IidSum):
-        inc = _draw_increments(spec.dist, rng, spec.n)
-        values = np.concatenate([[0.0], np.cumsum(inc)])
-        t, v = uniform_grid(spec)
-        return Path(times=t, values=values, vproxy=v)
-    if isinstance(spec, LazyWalk):
-        inc = walk_increments(spec, rng)
-        values = np.concatenate([[0.0], np.cumsum(inc)])
-        t, v = uniform_grid(spec)
-        return Path(times=t, values=values, vproxy=v)
-    if isinstance(spec, Brownian):
-        inc = brownian_increments(spec, rng)
-        values = np.concatenate([[0.0], np.cumsum(inc)])
-        t, v = uniform_grid(spec)
-        return Path(times=t, values=values, vproxy=v)
     if isinstance(spec, PoissonCounting):
         jumps = poisson_jump_times(spec, rng)
         jumps = jumps[(jumps > 0.0) & (jumps < spec.horizon)]
@@ -288,7 +268,9 @@ def _generate_with_rng(spec: ProcessSpec, rng: np.random.Generator) -> Path:
     if isinstance(spec, ExpSupermartingale):
         base = _generate_with_rng(spec.base, rng)
         return transform_exp_martingale(base, spec.s, spec.phi)
-    raise InvalidSpec(f"unknown process spec {spec!r}")
+    t, v = uniform_grid(spec)
+    values = np.concatenate([[0.0], np.cumsum(_grid_increments(spec, rng))])
+    return Path(times=t, values=values, vproxy=v)
 
 
 def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
@@ -303,6 +285,19 @@ def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
                 interpolation=path.interpolation)
 
 
+def _grid_increments(spec: ProcessSpec,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One path's increments on a shared uniform grid, in canonical order."""
+    if isinstance(spec, IidSum):
+        return _draw_increments(spec.dist, rng, spec.n)
+    if isinstance(spec, LazyWalk):
+        return walk_increments(spec, rng)
+    if isinstance(spec, Brownian):
+        n = int(round(spec.horizon / spec.dt))
+        return rng.standard_normal(n) * math.sqrt(spec.dt)
+    raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
+
+
 def increments_matrix(spec: ProcessSpec, seed: int,
                       indices: np.ndarray) -> np.ndarray:
     """Increment rows for a batch of paths on a shared uniform grid.
@@ -312,21 +307,31 @@ def increments_matrix(spec: ProcessSpec, seed: int,
     """
     if isinstance(spec, ExpSupermartingale):
         return increments_matrix(spec.base, seed, indices)
-    if isinstance(spec, IidSum):
-        draw = lambda rng: _draw_increments(spec.dist, rng, spec.n)
-        n = spec.n
-    elif isinstance(spec, LazyWalk):
-        draw = lambda rng: walk_increments(spec, rng)
-        n = spec.n
-    elif isinstance(spec, Brownian):
-        draw = lambda rng: brownian_increments(spec, rng)
-        n = int(round(spec.horizon / spec.dt))
-    else:
-        raise InvalidSpec(f"{type(spec).__name__} has no uniform-grid batches")
-    out = np.empty((len(indices), n), dtype=np.float64)
+    out = np.empty((len(indices), uniform_grid(spec)[0].size - 1))
     for row, idx in enumerate(indices):
-        out[row] = draw(path_rng(seed, int(idx)))
+        out[row] = _grid_increments(spec, path_rng(seed, int(idx)))
     return out
+
+
+def path_blocks(spec: ProcessSpec, seed: int, indices):
+    """Yield (X, V) blocks of a base process (not an ExpSupermartingale):
+    row i of X is generate(spec, seed, indices[i]).values and V the variance
+    proxy of X's columns.  A shared uniform grid gives one (len(indices),
+    n + 1) block; Poisson paths come one (1, m) block each, on their own grid.
+    """
+    if isinstance(spec, PoissonCounting):
+        for idx in indices:
+            path = _generate_with_rng(spec, path_rng(seed, int(idx)))
+            yield path.values[None, :], path.vproxy
+        return
+    _, V = uniform_grid(spec)
+    X = np.empty((len(indices), V.size))
+    X[:, 0] = 0.0
+    for row, idx in enumerate(indices):
+        # a 1-D cumsum straight into the row needs no (k, n) increment matrix
+        np.cumsum(_grid_increments(spec, path_rng(seed, int(idx))),
+                  out=X[row, 1:])
+    yield X, V
 
 
 # ---------------------------------------------------------------------------

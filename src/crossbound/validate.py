@@ -27,8 +27,9 @@ from .sim import (
     LazyWalk,
     PoissonCounting,
     ProcessSpec,
-    generate,
-    increments_matrix,
+    generate,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
+    increments_matrix,  # noqa: F401  (likewise)
+    path_blocks,
     uniform_grid,
     validate_spec,
 )
@@ -37,6 +38,15 @@ from .stopping import RegionPair, _with_horizon, verify_optional_stopping
 SCHEMA_VERSION = "1"
 
 EVENT_KINDS = ("line", "vee", "eta_ray", "sup_level", "stopping")
+# Elements per simulated chunk, and per block of rows in a row reduction:
+# together they bound the memory a chunk holds beyond its path matrix.
+_CHUNK_ELEMENTS = 3_000_000
+_REDUCE_ELEMENTS = 262_144
+
+
+def fmt17(x) -> str:
+    """Round-trip-safe numeric formatting (17 significant digits)."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 def clopper_pearson(k: int, n: int, alpha: float) -> tuple:
@@ -61,6 +71,10 @@ class EventSpec:
     be two_sided for the absolute-value envelope), "vee" (eta + gamma
     (V_tau v V_t)), "eta_ray" (eta + gamma V_t), "sup_level" (sup Y_t >= gamma)
     and "stopping" (delegates to the optional-stopping harness).
+
+    On a uniform grid a crossing event may see part of each path: its first
+    ``steps`` grid steps (None: all), and with stride=2 only every second
+    grid point of those, the 2 dt subgrid of the same paths.
     """
 
     kind: str
@@ -73,6 +87,8 @@ class EventSpec:
     label: str = ""
     pair: Optional[RegionPair] = None
     stopping_kind: str = "martingale"
+    steps: Optional[int] = None
+    stride: int = 1
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
@@ -83,6 +99,10 @@ class EventSpec:
             raise InvalidParameter("two_sided applies to line events only")
         if self.kind == "stopping" and self.pair is None:
             raise InvalidParameter("stopping events need a RegionPair")
+        if self.stride not in (1, 2):
+            raise InvalidParameter(f"stride must be 1 or 2, got {self.stride}")
+        if self.kind == "stopping" and (self.steps, self.stride) != (None, 1):
+            raise InvalidParameter("steps/stride apply to crossing events only")
 
 
 @dataclass(frozen=True)
@@ -112,7 +132,6 @@ class ValidationReport:
                 "bound,verdict,truncation_fraction,runtime_seconds,alpha,seed")
 
     def csv_row(self) -> str:
-        from .cli import fmt17  # local import to avoid a cycle at module load
         return ",".join([
             SCHEMA_VERSION, self.label, str(self.n_paths), str(self.n_crossed),
             fmt17(self.p_hat), fmt17(self.ci_lo), fmt17(self.ci_hi),
@@ -140,7 +159,8 @@ class _RowStats:
     """Cached row statistics max/min of X -+ b V over column ranges.
 
     Events sharing a slope reuse one pass over the chunk, which dominates the
-    evaluation cost for long grids.
+    evaluation cost for long grids.  X -+ b V is formed a block of rows at a
+    time, so the pass needs no temporary the size of the chunk.
     """
 
     def __init__(self, X: np.ndarray, V: np.ndarray):
@@ -153,15 +173,17 @@ class _RowStats:
         got = self._cache.get(key)
         if got is not None:
             return got
-        sl = slice(lo, hi)
-        Xs = self.X[:, sl] if self.X.ndim == 2 else self.X[sl][None, :]
-        Vs = self.V[sl]
-        if op == "max":
-            F = Xs - b * Vs if b != 0.0 else Xs
-            out = F.max(axis=1)
+        Xs = self.X[:, lo:hi]
+        reduce = np.maximum if op == "max" else np.minimum
+        if b == 0.0:
+            out = reduce.reduce(Xs, axis=1)
         else:
-            F = Xs + b * Vs if b != 0.0 else Xs
-            out = F.min(axis=1)
+            shift = (-b if op == "max" else b) * self.V[lo:hi]
+            out = np.empty(Xs.shape[0])
+            rows = max(1, _REDUCE_ELEMENTS // shift.size)
+            for r in range(0, out.size, rows):
+                reduce.reduce(Xs[r:r + rows] + shift, axis=1,
+                              out=out[r:r + rows])
         self._cache[key] = out
         return out
 
@@ -206,33 +228,18 @@ def _event_rows(event: EventSpec, st: _RowStats,
     raise InvalidParameter(f"cannot evaluate event kind {event.kind!r} here")
 
 
-def _transform_of(spec: ProcessSpec) -> Optional[tuple]:
-    if isinstance(spec, ExpSupermartingale):
-        return spec.s, float(np.asarray(spec.phi.phi(spec.s)))
-    return None
-
-
-def _count_uniform_chunk(spec, events, seed, indices, transform):
-    base = spec.base if isinstance(spec, ExpSupermartingale) else spec
-    inc = increments_matrix(base, seed, indices)
-    k, n = inc.shape
-    X = np.empty((k, n + 1))
-    X[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=X[:, 1:])
-    _, V = uniform_grid(base)
-    st = _RowStats(X, V)
-    return np.array([int(_event_rows(ev, st, transform).sum()) for ev in events])
-
-
-def _count_poisson_chunk(spec, events, seed, indices, transform):
-    base = spec.base if isinstance(spec, ExpSupermartingale) else spec
+def _count_chunk(base, events, seed, indices, transform) -> np.ndarray:
+    """Crossing counts per event over the paths ``indices`` of the base
+    process; transform = (s, phi(s)) for an exponential supermartingale."""
     counts = np.zeros(len(events), dtype=np.int64)
-    for idx in indices:
-        path = generate(base, seed, int(idx))
-        st = _RowStats(path.values[None, :], path.vproxy)
+    for X, V in path_blocks(base, seed, indices):
+        views = {}
         for j, ev in enumerate(events):
-            if bool(_event_rows(ev, st, transform)[0]):
-                counts[j] += 1
+            key = (ev.steps, ev.stride)
+            if key not in views:
+                stop = None if ev.steps is None else ev.steps + 1
+                views[key] = _RowStats(X[:, :stop:ev.stride], V[:stop:ev.stride])
+            counts[j] += int(_event_rows(ev, views[key], transform).sum())
     return counts
 
 
@@ -243,13 +250,19 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     """Estimate every event on one shared set of simulated paths.
 
     Identical (spec, seed) always reproduces identical p_hat values whether
-    events are estimated together or one at a time.
+    events are estimated together or one at a time, and whatever the thread
+    count (None: one per CPU; at least 1) and chunk size.
     """
     if not events:
         return []
     validate_spec(spec)
     if n_paths <= 0:
         raise InvalidParameter("n_paths must be positive")
+    if not (0 < alpha < 1):
+        raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
+    n_workers = (os.cpu_count() or 1) if threads is None else threads
+    if n_workers < 1:
+        raise InvalidParameter(f"threads must be at least 1, got {threads}")
     if horizon is not None:
         spec = _with_horizon(spec, horizon)
     t0 = time.perf_counter()
@@ -257,25 +270,27 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     out = []
     crossing = [ev for ev in events if ev.kind != "stopping"]
     if crossing:
-        transform = _transform_of(spec)
-        base = spec.base if isinstance(spec, ExpSupermartingale) else spec
+        base, transform = spec, None
+        if isinstance(spec, ExpSupermartingale):
+            base = spec.base
+            transform = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
         if isinstance(base, PoissonCounting):
-            worker = _count_poisson_chunk
-            chunk = chunk_size or 2048
+            n_cols, chunk = None, chunk_size or 2048
         else:
-            _, V = uniform_grid(base)
-            worker = _count_uniform_chunk
-            chunk = chunk_size or max(16, min(8192, int(4_000_000 // V.size)))
-        starts = list(range(0, n_paths, chunk))
-        jobs = [np.arange(s, min(s + chunk, n_paths)) for s in starts]
-        n_workers = threads if threads is not None else (os.cpu_count() or 1)
+            n_cols = uniform_grid(base)[1].size
+            chunk = chunk_size or max(16, min(8192, _CHUNK_ELEMENTS // n_cols))
+        if any((ev.steps, ev.stride) != (None, 1) and (n_cols is None or not (
+                ev.steps is None or 0 < ev.steps < n_cols)) for ev in crossing):
+            raise InvalidParameter("steps/stride events need a uniform grid "
+                                   "and 1 <= steps <= its number of steps")
+        jobs = [np.arange(s, min(s + chunk, n_paths))
+                for s in range(0, n_paths, chunk)]
+        work = lambda ix: _count_chunk(base, crossing, seed, ix, transform)
         if n_workers > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                parts = list(pool.map(
-                    lambda ix: worker(spec, crossing, seed, ix, transform), jobs))
+                counts = np.sum(list(pool.map(work, jobs)), axis=0)
         else:
-            parts = [worker(spec, crossing, seed, ix, transform) for ix in jobs]
-        counts = np.sum(parts, axis=0)
+            counts = np.sum([work(ix) for ix in jobs], axis=0)
 
     elapsed = time.perf_counter() - t0
     ci = 0

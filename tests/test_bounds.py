@@ -9,6 +9,8 @@ from crossbound import (
     ExpFamily,
     Gaussian,
     InvalidParameter,
+    MonotonicityViolation,
+    NotUnimodal,
     PoissonCentered,
     azuma_bound,
     bernoulli_family,
@@ -113,6 +115,33 @@ class TestEtaBound:
     def test_negative_eta_rejected(self):
         with pytest.raises(InvalidParameter):
             eta_bound(PHI_G, gamma=1.0, eta=-0.5, variant="ray")
+
+
+class TestSlopeRootFailures:
+    CALLS = [
+        lambda: vee_bound(PHI_G, gamma=2.0, v_tau=1.0),
+        lambda: eta_bound(PHI_G, gamma=2.0, eta=1.0, variant="ray"),
+        lambda: eta_bound(PHI_G, gamma=2.0, eta=1.0, v_tau=1.0, variant="vee"),
+    ]
+
+    @staticmethod
+    def _failing_root(monkeypatch, exc):
+        def solve_slope_root(*args, **kwargs):
+            raise exc("probe")
+        monkeypatch.setattr("crossbound.bounds.solve_slope_root",
+                            solve_slope_root)
+
+    @pytest.mark.parametrize("call", CALLS, ids=["vee", "eta_ray", "eta_vee"])
+    def test_monotonicity_violation_falls_back_unrestricted(self, monkeypatch,
+                                                             call):
+        self._failing_root(monkeypatch, MonotonicityViolation)
+        assert call().params["restricted"] is False
+
+    @pytest.mark.parametrize("call", CALLS, ids=["vee", "eta_ray", "eta_vee"])
+    def test_other_errors_propagate(self, monkeypatch, call):
+        self._failing_root(monkeypatch, NotUnimodal)
+        with pytest.raises(NotUnimodal):
+            call()
 
 
 class TestAzuma:

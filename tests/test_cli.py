@@ -39,8 +39,9 @@ class TestBoundCommand:
                                "--gamma", "2", "--vtau", "1",
                                "--phi", '{"kind": "gaussian", "v": 1.0}')
         assert code == 0
-        assert float(out.strip().split(",")[2]) == pytest.approx(
-            math.exp(-2.0), rel=1e-10)
+        fields = out.strip().split(",")
+        assert fields[1] == "opt_line_upper"
+        assert float(fields[2]) == pytest.approx(math.exp(-2.0), rel=1e-10)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--ineq", "doob_exp",
@@ -166,6 +167,28 @@ class TestValidateCommand:
         header = out.splitlines()[0]
         assert header.startswith("schema_version,label")
 
+    @pytest.mark.parametrize("preset, flag, value", [
+        ("theorem9_all", "--alpha", "0"),
+        ("expexact_brownian", "--paths", "0"),
+        ("optional_stopping", "--threads", "0"),
+        ("theorem9_all", "--threads", "-1"),
+    ])
+    def test_bad_run_setting_exits_3_before_drawing(self, capsys, tmp_path,
+                                                    monkeypatch, preset, flag,
+                                                    value):
+        import crossbound.sim
+        import crossbound.stopping
+
+        def no_draws(seed, path_index):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(crossbound.sim, "path_rng", no_draws)
+        monkeypatch.setattr(crossbound.stopping, "path_rng", no_draws)
+        code, _, err = run_cli(capsys, "validate", "--preset", preset,
+                               "--seed", "1", flag, value,
+                               "--out", str(tmp_path))
+        assert code == 3
+        assert flag.lstrip("-") in err
 
     def test_violated_row_exits_1(self, capsys, tmp_path, monkeypatch):
         import crossbound.cli as cli_mod

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbound import (
     Brownian,
@@ -11,17 +13,19 @@ from crossbound import (
     IidSum,
     InvalidParameter,
     LazyWalk,
+    PoissonCounting,
     Uniform24,
     UniformIncrements,
     clopper_pearson,
     estimate_crossing,
+    generate,
     halving_allowance,
     make_phi,
     optimized_line_bound,
     sweep,
 )
-from crossbound.presets import walk_region_pair
-from crossbound.validate import EventSpec, _verdict
+from crossbound.presets import run_expexact_brownian, walk_region_pair
+from crossbound.validate import EventSpec, _event_rows, _RowStats, _verdict
 
 
 class TestClopperPearson:
@@ -77,6 +81,10 @@ class TestEventSpec:
             EventSpec(kind="vee", side="two_sided")
         with pytest.raises(InvalidParameter):
             EventSpec(kind="stopping")
+        with pytest.raises(InvalidParameter):
+            EventSpec(kind="line", stride=3)
+        with pytest.raises(InvalidParameter):
+            EventSpec(kind="stopping", pair=walk_region_pair(), stride=2)
 
 
 class TestEstimateCrossing:
@@ -154,6 +162,85 @@ class TestSweep:
         assert 0.0 <= rec["p_hat"] <= 1.0
         row = rep.csv_row()
         assert row.split(",")[1] == "v"
+
+
+    def test_prefix_and_stride_events_match_sliced_paths(self):
+        # 60 rows of 10 001 grid points: the full and stride-2 views both
+        # take more than one block of rows in the row reduction
+        spec = Brownian(dt=1e-3, horizon=10.0)
+        cases = [(steps, stride, side) for steps in (None, 9000, 3)
+                 for stride in (1, 2) for side in ("upper", "lower")]
+        events = [EventSpec(kind="line", side=side, gamma=1.5, v_tau=1.0,
+                            slope=0.2, steps=steps, stride=stride)
+                  for steps, stride, side in cases]
+        reps = sweep(spec, events, 60, seed=47, threads=1)
+        paths = [generate(spec, 47, i) for i in range(60)]
+        c = (1.5 - 0.2) * 1.0
+        for (steps, stride, side), rep in zip(cases, reps):
+            stop = None if steps is None else steps + 1
+            want = 0
+            for p in paths:
+                x, v = p.values[:stop:stride], p.vproxy[:stop:stride]
+                want += (bool((x - 0.2 * v).max() >= c) if side == "upper"
+                         else bool((x + 0.2 * v).min() <= -c))
+            assert rep.n_crossed == want, (steps, stride, side)
+        assert 0 < reps[0].n_crossed < 60
+
+    def test_steps_and_stride_need_a_uniform_grid(self):
+        ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, stride=2)
+        with pytest.raises(InvalidParameter):
+            sweep(PoissonCounting(1.0, 5.0), [ev], 10, seed=1)
+        for steps in (0, 51):
+            ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=steps)
+            with pytest.raises(InvalidParameter):
+                sweep(IidSum(UniformIncrements(), 50), [ev], 10, seed=1)
+
+    def test_poisson_sweep_matches_per_path_loop(self):
+        spec = PoissonCounting(lam=2.0, horizon=5.0, centered=True)
+        events = [EventSpec(kind="line", side="upper", gamma=1.0, v_tau=1.0,
+                            slope=0.5),
+                  EventSpec(kind="line", side="lower", gamma=0.5, v_tau=2.0,
+                            slope=0.3),
+                  EventSpec(kind="vee", side="upper", gamma=0.8, v_tau=2.0),
+                  EventSpec(kind="eta_ray", side="lower", gamma=0.4, eta=1.0)]
+        reps = sweep(spec, events, 300, seed=48, threads=2, chunk_size=50)
+        want = [0] * len(events)
+        for i in range(300):
+            path = generate(spec, 48, i)
+            stats = _RowStats(path.values[None, :], path.vproxy)
+            for j, ev in enumerate(events):
+                want[j] += bool(_event_rows(ev, stats, None)[0])
+        assert [r.n_crossed for r in reps] == want
+        assert all(0 < k < 300 for k in want)
+
+    @settings(max_examples=12, deadline=None)
+    @given(spec=st.sampled_from([IidSum(UniformIncrements(), 60),
+                                 PoissonCounting(1.5, 8.0, centered=True)]),
+           threads=st.sampled_from([1, 2]), chunk=st.integers(1, 90),
+           seed=st.integers(0, 2 ** 32))
+    def test_counts_do_not_depend_on_threads_or_chunks(self, spec, threads,
+                                                       chunk, seed):
+        events = [EventSpec(kind="line", side="two_sided", gamma=0.4,
+                            v_tau=5.0, slope=0.2),
+                  EventSpec(kind="vee", side="lower", gamma=0.3, v_tau=4.0)]
+        ref = sweep(spec, events, 150, seed=seed, threads=1)
+        got = sweep(spec, events, 150, seed=seed, threads=threads,
+                    chunk_size=chunk)
+        assert [r.n_crossed for r in got] == [r.n_crossed for r in ref]
+
+
+class TestExpexactBrownian:
+    @pytest.mark.parametrize("t0, fine, coarse, horizon", [
+        (30.0, [251, 190, 102], [243, 189, 101], 30.0),
+        (0.5, [216, 139, 47], [205, 136, 47], 2.0),   # doubles twice
+    ])
+    def test_counts_and_horizon_pinned(self, t0, fine, coarse, horizon):
+        # pinned to the counts of the dedicated kernel that sweep replaced
+        reps = run_expexact_brownian(paths=400, seed=5, dt=1e-2, t0=t0,
+                                     pilot_paths=40, threads=2)
+        assert [r.n_crossed for r in reps] == fine
+        assert [round(r.extra["p_coarse"] * 400) for r in reps] == coarse
+        assert {r.extra["horizon"] for r in reps} == {horizon}
 
 
 class TestHalvingAllowance:
