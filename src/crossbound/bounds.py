@@ -65,8 +65,8 @@ def _report(inequality, exponent, s_used, slope_used, params,
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
-        if not (value > 0.0):
-            raise DomainViolation(f"{name} must be positive, got {value}")
+        if not (0.0 < value < math.inf):
+            raise DomainViolation(f"{name} must be positive and finite, got {value}")
 
 
 def _side_id(base: str, side: str) -> str:
@@ -403,8 +403,9 @@ def supermartingale_sup_bound(mean0: float, c: float, gamma: float,
     gamma <= E[X_0]) when the caller asserts the continuous-martingale case."""
     if not (0.0 <= c <= mean0):
         raise InvalidParameter(f"need 0 <= c <= mean0, got c={c}, mean0={mean0}")
-    if not (gamma > c):
-        raise DomainViolation(f"gamma must exceed c, got gamma={gamma}, c={c}")
+    if not (c < gamma < math.inf):
+        raise DomainViolation(
+            f"gamma must be finite and exceed c, got gamma={gamma}, c={c}")
     raw = (mean0 - c) / (gamma - c)
     return BoundReport(
         inequality="supermartingale_sup", bound=_clamp(raw), raw=raw,

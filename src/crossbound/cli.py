@@ -30,10 +30,10 @@ OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 
 _BOUND_KEYS = {
-    "ineq", "gamma", "vtau", "eta", "s", "side", "lam", "tau", "b", "vm",
-    "phi", "theta", "m", "mean0", "c", "variant", "format",
+    "ineq", "gamma", "vtau", "eta", "s", "lam", "tau", "b", "vm", "phi",
+    "theta", "m", "mean0", "c", "format",
 }
-_VALIDATE_KEYS = {"preset", "paths", "seed", "alpha", "threads", "out", "format"}
+_VALIDATE_KEYS = {"preset", "paths", "seed", "alpha", "threads", "out"}
 _SIMULATE_KEYS = {"process", "paths", "seed", "out", "dt", "horizon", "lam",
                   "p", "n", "centered", "drift", "p_move", "dist"}
 
@@ -152,8 +152,8 @@ def _compute_bound(cfg: dict) -> B.BoundReport:
 
 def _cmd_bound(args) -> int:
     cfg = _merge_config("bound", args, [
-        "ineq", "gamma", "vtau", "eta", "s", "side", "lam", "tau", "b", "vm",
-        "phi", "theta", "m", "mean0", "c", "variant", "format"])
+        "ineq", "gamma", "vtau", "eta", "s", "lam", "tau", "b", "vm", "phi",
+        "theta", "m", "mean0", "c", "format"])
     if args.print_config:
         _print_config("bound", cfg)
         return 0
@@ -176,8 +176,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _merge_config("validate", args,
-                        ["preset", "paths", "seed", "alpha", "threads", "out",
-                         "format"])
+                        ["preset", "paths", "seed", "alpha", "threads", "out"])
     if args.print_config:
         _print_config("validate", cfg)
         return 0
@@ -202,7 +201,11 @@ def _cmd_validate(args) -> int:
     json_path = out_dir / f"{name}_report.json"
     lines = [ValidationReport.csv_header()]
     lines += [rep.csv_row() for rep in reports]
+    # Rewriting an existing file truncates it in place, which some
+    # filesystems make slow; a fresh file is cheap.
+    csv_path.unlink(missing_ok=True)
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    json_path.unlink(missing_ok=True)
     json_path.write_text(
         json.dumps([rep.to_dict() for rep in reports], indent=2, default=str),
         encoding="utf-8")
@@ -310,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         pb.add_argument(f"--{flag}", type=float)
     pb.add_argument("--lambda", dest="lam", type=float)
     pb.add_argument("--m", type=int)
-    pb.add_argument("--side", choices=["upper", "lower"])
-    pb.add_argument("--variant", choices=["ray", "vee"])
     pb.add_argument("--phi", help="phi kind as JSON, e.g. "
                                   '\'{"kind": "gaussian", "v": 1.0}\'')
     pb.add_argument("--format", choices=["csv", "json"])
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--alpha", type=float)
     pv.add_argument("--threads", type=int)
     pv.add_argument("--out")
-    pv.add_argument("--format", choices=["csv", "json"])
     pv.set_defaults(fn=_cmd_validate)
 
     ps = sub.add_parser("simulate", help="dump simulated paths to CSV")

@@ -60,18 +60,12 @@ IncrementDist = Union[BernoulliIncrements, UniformIncrements,
 
 def _draw_increments(dist: IncrementDist, rng: np.random.Generator,
                      n: int) -> np.ndarray:
-    if isinstance(dist, BernoulliIncrements):
-        return (rng.random(n) < dist.p).astype(np.float64) - dist.p
-    if isinstance(dist, UniformIncrements):
-        return rng.random(n) - 0.5
-    if isinstance(dist, TwoPointIncrements):
-        return np.where(rng.random(n) < dist.p_hi, dist.hi, dist.lo)
     if isinstance(dist, CustomIncrements):
         out = np.asarray(dist.sampler(rng, n), dtype=np.float64)
         if out.shape != (n,):
             raise InvalidSpec("custom sampler must return shape (n,)")
         return out
-    raise InvalidSpec(f"unknown increment distribution {dist!r}")
+    return increments_from_uniforms(dist, rng.random(n))
 
 
 def _validate_dist(dist: IncrementDist):
@@ -212,11 +206,29 @@ def validate_spec(spec: ProcessSpec):
 # --- canonical increment draws (shared by single-path and batched drivers) --
 
 
+def increments_from_uniforms(law, u: np.ndarray) -> np.ndarray:
+    """The canonical uniform -> increment map of a LazyWalk or of a Bernoulli,
+    Uniform or TwoPoint increment law, elementwise on u of any shape.
+
+    Every draw of these laws goes through here, one uniform per step, so a
+    (paths, steps) matrix of uniforms maps to the same increments as each
+    row drawn on its own.
+    """
+    if isinstance(law, LazyWalk):
+        half = law.p_move / 2.0
+        inc = np.where(u < half, 1.0, np.where(u >= 1.0 - half, -1.0, 0.0))
+        return inc + law.drift
+    if isinstance(law, BernoulliIncrements):
+        return (u < law.p).astype(np.float64) - law.p
+    if isinstance(law, UniformIncrements):
+        return u - 0.5
+    if isinstance(law, TwoPointIncrements):
+        return np.where(u < law.p_hi, law.hi, law.lo)
+    raise InvalidSpec(f"no uniform transform for {law!r}")
+
+
 def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(spec.n)
-    inc = np.where(u < spec.p_move / 2.0, 1.0,
-                   np.where(u >= 1.0 - spec.p_move / 2.0, -1.0, 0.0))
-    return inc + spec.drift
+    return increments_from_uniforms(spec, rng.random(spec.n))
 
 
 def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.ndarray:
@@ -340,26 +352,6 @@ def path_blocks(spec: ProcessSpec, seed: int, indices):
 
 _DIST_TAGS = {"bernoulli": BernoulliIncrements, "uniform": UniformIncrements,
               "two_point": TwoPointIncrements}
-
-
-def spec_to_dict(spec: ProcessSpec) -> dict:
-    if isinstance(spec, IidSum):
-        for tag, cls in _DIST_TAGS.items():
-            if isinstance(spec.dist, cls):
-                rec = {"dist": tag}
-                for name in cls.__dataclass_fields__:
-                    rec[name] = getattr(spec.dist, name)
-                return {"process": "iid_sum", "n": spec.n, **rec}
-        raise InvalidSpec("custom increment samplers are not serializable")
-    if isinstance(spec, LazyWalk):
-        return {"process": "lazy_walk", "p_move": spec.p_move, "n": spec.n,
-                "drift": spec.drift}
-    if isinstance(spec, PoissonCounting):
-        return {"process": "poisson", "lam": spec.lam, "horizon": spec.horizon,
-                "centered": spec.centered}
-    if isinstance(spec, Brownian):
-        return {"process": "brownian", "dt": spec.dt, "horizon": spec.horizon}
-    raise InvalidSpec(f"{type(spec).__name__} is not serializable")
 
 
 def spec_from_dict(rec: dict) -> ProcessSpec:

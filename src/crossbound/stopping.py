@@ -19,6 +19,7 @@ import numpy as np
 from .errors import EmptyPath, InvalidParameter, InvalidSpec
 from .sim import (
     Brownian,
+    CustomIncrements,
     ExpSupermartingale,
     IidSum,
     LazyWalk,
@@ -27,11 +28,17 @@ from .sim import (
     ProcessSpec,
     _draw_increments,
     generate,
+    increments_from_uniforms,
     path_rng,
-    walk_increments,
+    walk_increments,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
 )
 
 TRUNCATION_WARN_FRACTION = 0.01
+# The early-exit harvest draws HARVEST_BLOCK steps at a time for a group of
+# HARVEST_ROWS paths; a 128 x 128 block keeps the block matrix and each of
+# its temporaries at 16k elements (128 KB), so peak memory does not grow.
+HARVEST_ROWS = 128
+HARVEST_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,6 @@ class ContinuityRegion:
 
     def upper_at(self, t):
         return self.upper[self._idx(np.asarray(t, dtype=np.float64))]
-
-    def interval_at(self, t):
-        return self.lower_at(t), self.upper_at(t)
 
 
 @dataclass(frozen=True)
@@ -215,10 +219,6 @@ class OsReport:
         return dataclasses.asdict(self)
 
 
-def _walk_like(spec: ProcessSpec) -> bool:
-    return isinstance(spec, (IidSum, LazyWalk))
-
-
 def _with_horizon(spec: ProcessSpec, horizon) -> ProcessSpec:
     if isinstance(spec, (IidSum, LazyWalk)):
         return dataclasses.replace(spec, n=int(horizon))
@@ -230,49 +230,63 @@ def _with_horizon(spec: ProcessSpec, horizon) -> ProcessSpec:
 
 
 def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
-    """Per-path block simulation with early exit; identical streams to generate()."""
+    """First exits of a walk-like spec from two constant regions, with early
+    exit, for HARVEST_ROWS paths at a time.
+
+    Path i draws the stream of generate(spec, seed, i), HARVEST_BLOCK steps
+    per block, and only while its outer exit is pending.  Each block is
+    summed as x + cumsum(block), so a value can differ in the last bits from
+    generate's single cumsum past the first block.
+    """
     lo1 = float(pair.inner.lower[0]); up1 = float(pair.inner.upper[0])
     lo2 = float(pair.outer.lower[0]); up2 = float(pair.outer.upper[0])
-    block = 128
-    v1 = np.empty(n_paths); v2 = np.empty(n_paths)
-    t1 = np.empty(n_paths); t2 = np.empty(n_paths)
-    if isinstance(spec, LazyWalk):
-        draw = lambda rng, m: walk_increments(dataclasses.replace(spec, n=m), rng)
-    else:
-        draw = lambda rng, m: _draw_increments(spec.dist, rng, m)
+    law = spec if isinstance(spec, LazyWalk) else spec.dist
+    custom = isinstance(law, CustomIncrements)
     horizon = int(horizon)
-    for i in range(n_paths):
-        rng = path_rng(seed, i)
-        x = 0.0
-        done1 = False
+    # t = 0 tie: a region that already excludes X_0 = 0 stops at tau = 0
+    inside1 = lo1 < 0.0 < up1
+    inside2 = lo2 < 0.0 < up2
+    t1 = np.full(n_paths, math.inf if inside1 else 0.0); v1 = np.zeros(n_paths)
+    t2 = np.full(n_paths, math.inf if inside2 else 0.0); v2 = np.zeros(n_paths)
+    rows = HARVEST_ROWS
+    buf = np.empty((rows, HARVEST_BLOCK))
+    for g0 in range(0, n_paths, rows):
+        rngs = [path_rng(seed, i) for i in range(g0, min(g0 + rows, n_paths))]
+        k = len(rngs)
+        x = np.zeros(k)
+        open1 = np.full(k, inside1)
+        live = np.arange(k if inside2 else 0)
         step = 0
-        r1 = r2 = None
-        # t = 0 tie: already outside yields tau = 0 with X_0 = 0
-        if x <= lo1 or x >= up1:
-            r1 = (0.0, 0.0); done1 = True
-        if x <= lo2 or x >= up2:
-            r2 = (0.0, 0.0)
-        while r2 is None and step < horizon:
-            m = min(block, horizon - step)
-            cum = x + np.cumsum(draw(rng, m))
-            if not done1:
+        while live.size and step < horizon:
+            m = min(HARVEST_BLOCK, horizon - step)
+            blk = buf[:live.size, :m]
+            for r, j in enumerate(live):
+                if custom:
+                    blk[r] = _draw_increments(law, rngs[j], m)
+                else:
+                    rngs[j].random(out=blk[r])
+            cum = np.cumsum(blk if custom else increments_from_uniforms(law, blk),
+                            axis=1)
+            cum += x[live, None]
+            at = np.arange(live.size)
+            if open1[live].any():
                 out1 = (cum <= lo1) | (cum >= up1)
-                j = int(np.argmax(out1))
-                if out1[j]:
-                    r1 = (float(step + j + 1), float(cum[j]))
-                    done1 = True
+                j1 = out1.argmax(axis=1)
+                hit = out1[at, j1] & open1[live]
+                t1[g0 + live[hit]] = step + j1[hit] + 1
+                v1[g0 + live[hit]] = cum[at[hit], j1[hit]]
+                open1[live[hit]] = False
             out2 = (cum <= lo2) | (cum >= up2)
-            j = int(np.argmax(out2))
-            if out2[j]:
-                r2 = (float(step + j + 1), float(cum[j]))
-            x = float(cum[-1])
+            j2 = out2.argmax(axis=1)
+            hit = out2[at, j2]
+            t2[g0 + live[hit]] = step + j2[hit] + 1
+            v2[g0 + live[hit]] = cum[at[hit], j2[hit]]
+            x[live] = cum[:, -1]
+            live = live[~hit]
             step += m
-        if r2 is None:
-            r2 = (math.inf, x)
-        if r1 is None:
-            r1 = (math.inf, x)
-        t1[i], v1[i] = r1
-        t2[i], v2[i] = r2
+        # truncated: the terminal value stands in for X_tau
+        v2[g0 + live] = x[live]
+        v1[g0 + np.flatnonzero(open1)] = x[open1]
     return t1, v1, t2, v2
 
 
@@ -292,7 +306,8 @@ def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
     if n_paths <= 1:
         raise InvalidParameter("need at least 2 paths")
     spec = _with_horizon(spec, horizon)
-    if _walk_like(spec) and pair.inner.is_constant and pair.outer.is_constant:
+    if (isinstance(spec, (IidSum, LazyWalk)) and pair.inner.is_constant
+            and pair.outer.is_constant):
         t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed)
     else:
         t1 = np.empty(n_paths); v1 = np.empty(n_paths)

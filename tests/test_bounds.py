@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbound import (
     CbbExp,
@@ -315,3 +317,42 @@ class TestIdentitiesAndMonotonicity:
         for r in reports:
             assert 0.0 <= r.bound <= 1.0
             assert r.raw >= r.bound - 1e-15
+
+
+# Every evaluator as a function of gamma alone, on both sides where it has two.
+GAMMA_EVALUATORS = [
+    lambda g, side: line_bound(PHI_G, 0.5, g, 1.0, side=side),
+    lambda g, side: optimized_line_bound(PHI_G, g, 1.0, side=side),
+    lambda g, side: vee_bound(PHI_G, g, 1.0, side=side),
+    lambda g, side: eta_bound(PHI_G, g, 1.0, side=side, variant="ray"),
+    lambda g, side: eta_bound(PHI_G, g, 1.0, v_tau=1.0, side=side,
+                              variant="vee"),
+    lambda g, side: azuma_bound(g, 1.0, kind=side),
+    lambda g, side: azuma_bound(g, 1.0, kind="two_sided"),
+    lambda g, side: cbb_bounds(g, 1.0, 1.0, which="bennett"),
+    lambda g, side: cbb_bounds(g, 1.0, 1.0, which="bernstein"),
+    lambda g, side: cbb_bounds(g, 1.0, 1.0, which="chernoff_sub"),
+    lambda g, side: expfam_bound(bernoulli_family(), 0.3, g, 5, side=side),
+    lambda g, side: poisson_bounds(1.0, g, 1.0, side=side),
+    lambda g, side: supermartingale_sup_bound(1.0, 0.0, g),
+    lambda g, side: doob_exp_bound(g, PHI_G),
+]
+
+
+class TestNonFiniteGamma:
+    @settings(max_examples=60, deadline=None)
+    @given(evaluator=st.sampled_from(GAMMA_EVALUATORS),
+           gamma=st.sampled_from([math.inf, math.nan]),
+           side=st.sampled_from(["upper", "lower"]))
+    def test_every_evaluator_raises(self, evaluator, gamma, side):
+        with pytest.raises(DomainViolation):
+            evaluator(gamma, side)
+
+    @pytest.mark.parametrize("call", [
+        lambda: azuma_bound(1.0, math.inf),
+        lambda: poisson_bounds(math.nan, 1.0, 1.0),
+        lambda: cbb_bounds(1.0, 1.0, math.inf),
+    ])
+    def test_other_non_finite_parameters_raise(self, call):
+        with pytest.raises(DomainViolation):
+            call()

@@ -63,6 +63,13 @@ class TestBoundCommand:
         assert code == 3
         assert "gamma" in err
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_exit_3(self, capsys, gamma):
+        code, out, err = run_cli(capsys, "bound", "--ineq", "azuma_upper",
+                                 "--gamma", gamma, "--vtau", "1")
+        assert code == 3 and out == ""
+        assert "gamma" in err
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, capsys, tmp_path):
@@ -82,6 +89,35 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "bound", "--config", str(cfg))
         assert code == 2
         assert "gammma" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--preset", "optional_stopping", "--seed", "1",
+         "--format", "json"],
+        ["bound", "--ineq", "azuma_upper", "--gamma", "2", "--vtau", "1",
+         "--side", "upper"],
+        ["bound", "--ineq", "eta_ray_upper", "--gamma", "2", "--eta", "1",
+         "--phi", '{"kind": "gaussian", "v": 1.0}', "--variant", "ray"],
+    ])
+    def test_removed_flags_exit_2(self, capsys, argv):
+        # side and variant come from --ineq; validate always writes CSV and JSON
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("validate", "format", "json"),
+        ("bound", "side", "upper"),
+        ("bound", "variant", "ray"),
+    ])
+    def test_removed_config_keys_exit_2(self, capsys, tmp_path, command, key,
+                                        value):
+        cfg = tmp_path / "cfg.json"
+        base = ({"preset": "optional_stopping", "seed": 1} if command == "validate"
+                else {"ineq": "azuma_upper", "gamma": 2.0, "vtau": 1.0})
+        cfg.write_text(json.dumps({"command": command, **base, key: value}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert repr(key) in err
 
     def test_print_config_roundtrip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "bound", "--ineq", "azuma_upper",
@@ -155,11 +191,13 @@ class TestValidateCommand:
         assert code == 2 and "nope" in err
 
     def test_small_run_writes_reports(self, capsys, tmp_path):
+        stale = tmp_path / "optional_stopping_report.csv"
+        stale.write_text("stale\n" * 1000)
         code, out, _ = run_cli(capsys, "validate", "--preset",
                                "optional_stopping", "--paths", "2000",
                                "--seed", "7", "--out", str(tmp_path))
         assert code == 0
-        assert (tmp_path / "optional_stopping_report.csv").exists()
+        assert stale.read_text() == out
         recs = json.loads(
             (tmp_path / "optional_stopping_report.json").read_text())
         assert {r["label"] for r in recs} == {"walk_martingale",

@@ -1,24 +1,34 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbound import (
+    BernoulliIncrements,
     Brownian,
     ContinuityRegion,
+    CustomIncrements,
     EmptyPath,
     ExpSupermartingale,
     Gaussian,
+    IidSum,
     InvalidParameter,
     LazyWalk,
     Path,
     RegionPair,
+    TwoPointIncrements,
+    UniformIncrements,
     crossing_indicator,
     first_exit,
     generate,
     make_phi,
+    stopping,
     verify_optional_stopping,
 )
+from crossbound.sim import _draw_increments, path_rng, walk_increments
 
 PAIR_3_5 = RegionPair(inner=ContinuityRegion.constant(-3.0, 3.0, envelope=5.0),
                       outer=ContinuityRegion.constant(-5.0, 5.0, envelope=5.0))
@@ -170,3 +180,115 @@ class TestOptionalStopping:
         with pytest.raises(InvalidParameter):
             verify_optional_stopping(LazyWalk(1.0, 10), PAIR_3_5, 10, 10, 1,
                                      kind="submartingale")
+
+
+def _serial_harvest(spec, pair, n_paths, horizon, seed):
+    """Reference: the one-path-at-a-time early-exit loop that the grouped
+    harvest replaced, kept as it was."""
+    lo1 = float(pair.inner.lower[0]); up1 = float(pair.inner.upper[0])
+    lo2 = float(pair.outer.lower[0]); up2 = float(pair.outer.upper[0])
+    block = 128
+    v1 = np.empty(n_paths); v2 = np.empty(n_paths)
+    t1 = np.empty(n_paths); t2 = np.empty(n_paths)
+    if isinstance(spec, LazyWalk):
+        draw = lambda rng, m: walk_increments(dataclasses.replace(spec, n=m), rng)
+    else:
+        draw = lambda rng, m: _draw_increments(spec.dist, rng, m)
+    horizon = int(horizon)
+    for i in range(n_paths):
+        rng = path_rng(seed, i)
+        x = 0.0
+        done1 = False
+        step = 0
+        r1 = r2 = None
+        if x <= lo1 or x >= up1:
+            r1 = (0.0, 0.0); done1 = True
+        if x <= lo2 or x >= up2:
+            r2 = (0.0, 0.0)
+        while r2 is None and step < horizon:
+            m = min(block, horizon - step)
+            cum = x + np.cumsum(draw(rng, m))
+            if not done1:
+                out1 = (cum <= lo1) | (cum >= up1)
+                j = int(np.argmax(out1))
+                if out1[j]:
+                    r1 = (float(step + j + 1), float(cum[j]))
+                    done1 = True
+            out2 = (cum <= lo2) | (cum >= up2)
+            j = int(np.argmax(out2))
+            if out2[j]:
+                r2 = (float(step + j + 1), float(cum[j]))
+            x = float(cum[-1])
+            step += m
+        if r2 is None:
+            r2 = (math.inf, x)
+        if r1 is None:
+            r1 = (math.inf, x)
+        t1[i], v1[i] = r1
+        t2[i], v2[i] = r2
+    return t1, v1, t2, v2
+
+
+def _pair(lo1, up1, lo2, up2):
+    env = max(abs(lo2), abs(up2))
+    return RegionPair(inner=ContinuityRegion.constant(lo1, up1, envelope=env),
+                      outer=ContinuityRegion.constant(lo2, up2, envelope=env))
+
+
+def _normal_half(rng, n):
+    return 0.5 * rng.standard_normal(n)
+
+
+PAIR_1_2 = _pair(-1.0, 1.0, -2.0, 2.0)
+HARVEST_CASES = [
+    (LazyWalk(1.0, 300), PAIR_3_5),
+    (LazyWalk(1.0, 300, drift=-0.1), PAIR_3_5),
+    (LazyWalk(1.0, 300, drift=-0.1), _pair(-5.0, 5.0, -15.0, 15.0)),
+    (LazyWalk(0.6, 300), PAIR_3_5),
+    (IidSum(BernoulliIncrements(0.3), 300), PAIR_1_2),
+    (IidSum(UniformIncrements(), 300), PAIR_3_5),
+    (IidSum(TwoPointIncrements(hi=1.0, lo=-0.5, p_hi=1.0 / 3.0), 300), PAIR_1_2),
+    (IidSum(CustomIncrements(_normal_half), 300), PAIR_1_2),
+    (LazyWalk(1.0, 300), _pair(0.0, 3.0, -5.0, 5.0)),   # X_0 on the inner boundary
+    (LazyWalk(1.0, 300), _pair(-3.0, 0.0, -3.0, 0.0)),  # ... and on the outer one
+]
+
+
+class TestHarvest:
+    @pytest.mark.parametrize("horizon", [300, 20])
+    @pytest.mark.parametrize("spec,pair", HARVEST_CASES)
+    def test_matches_serial_loop(self, spec, pair, horizon):
+        got = stopping._harvest_exits_blockwise(spec, pair, 300, horizon, 77)
+        want = _serial_harvest(spec, pair, 300, horizon, 77)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_truncation_and_ties_covered(self):
+        # horizon 20 truncates some paths; at horizon 300 some paths exit in
+        # the third, partial block and some are truncated after it
+        t1, _, t2, _ = stopping._harvest_exits_blockwise(
+            LazyWalk(1.0, 300), PAIR_3_5, 300, 20, 77)
+        assert np.isinf(t2).any() and np.isfinite(t2).any()
+        for spec, pair in HARVEST_CASES[2], HARVEST_CASES[5]:
+            t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300,
+                                                             300, 77)
+            assert np.any(np.isfinite(t2) & (t2 > 256)) and np.isinf(t2).any()
+        t1, _, t2, _ = stopping._harvest_exits_blockwise(
+            *HARVEST_CASES[-2], 300, 300, 77)
+        assert np.all(t1 == 0.0) and np.all(t2 > 0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=st.sampled_from(HARVEST_CASES), rows=st.integers(1, 200),
+           n_paths=st.integers(2, 260), horizon=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32))
+    def test_does_not_depend_on_group_size(self, case, rows, n_paths, horizon,
+                                           seed):
+        spec, pair = case
+        want = stopping._harvest_exits_blockwise(spec, pair, n_paths, horizon,
+                                                 seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stopping, "HARVEST_ROWS", rows)
+            got = stopping._harvest_exits_blockwise(spec, pair, n_paths,
+                                                    horizon, seed)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
