@@ -16,7 +16,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import bounds as B
-from .errors import ConfigError, CrossboundError
+from .errors import ConfigError, CrossboundError, InvalidParameter
 from .mgf import make_phi, phi_kind_from_dict
 from .presets import PRESETS
 from .sim import generate, spec_from_dict
@@ -267,7 +267,9 @@ def _cmd_simulate(args) -> int:
     if cfg.get("seed") is None:
         raise ConfigError("missing required key 'seed'")
     spec = _spec_from_cfg(cfg)
-    n_paths = int(cfg.get("paths") or 1)
+    n_paths = 1 if cfg.get("paths") is None else int(cfg["paths"])
+    if n_paths < 1:
+        raise InvalidParameter(f"paths must be at least 1, got {n_paths}")
     seed = int(cfg["seed"])
     out = cfg.get("out")
     if out is None:

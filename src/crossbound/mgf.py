@@ -333,17 +333,17 @@ def check_phi_validity(phi: MgfBound, grid: Sequence[float]) -> DiagnosticReport
         if v < -1e-12 * (1.0 + abs(v)):
             out.append(PhiViolation("nonnegative", float(s), f"phi({s}) = {v!r}"))
 
-    n = grid.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            mid = 0.5 * (grid[i] + grid[j])
-            fm = float(np.asarray(phi.phi(mid)))
-            avg = 0.5 * (vals[i] + vals[j])
-            if fm > avg + CONVEXITY_SLACK * (1.0 + abs(fm)):
-                out.append(PhiViolation(
-                    "convexity", float(mid),
-                    f"phi(mid)={fm!r} > chord {avg!r} for [{grid[i]}, {grid[j]}]",
-                ))
+    # every pair i < j in one phi call, in row-major (i, j) order
+    i, j = np.triu_indices(grid.size, k=1)
+    mid = 0.5 * (grid[i] + grid[j])
+    fm = np.asarray(phi.phi(mid), dtype=float)
+    avg = 0.5 * (vals[i] + vals[j])
+    for q in np.flatnonzero(fm > avg + CONVEXITY_SLACK * (1.0 + np.abs(fm))):
+        out.append(PhiViolation(
+            "convexity", float(mid[q]),
+            f"phi(mid)={float(fm[q])!r} > chord {avg[q]!r} "
+            f"for [{grid[i[q]]}, {grid[j[q]]}]",
+        ))
 
     if phi.phi_deriv is not None:
         for s in grid:

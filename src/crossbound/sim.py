@@ -175,6 +175,103 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     )
 
 
+# numpy's SeedSequence hash (pool size 4) and the PCG64 seeding step
+# (O'Neill 2014, pcg_setseq_128_srandom_r), restated so that path_streams
+# can seed a block of paths in one vectorized pass.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STREAM_SLICE = 1024     # indices hashed per vectorized pass
+
+
+def _seed_words(n: int) -> list:
+    """The little-endian uint32 words SeedSequence takes from an int."""
+    words = []
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words or [0]
+
+
+def _pcg64_states(seed_words: list, idx: np.ndarray) -> list:
+    """(state, inc) of default_rng(SeedSequence((seed, i))) for each uint32
+    index i, where seed_words are the seed's words.
+
+    Each hash step works alike on Python ints (words shared by every row)
+    and on uint32 arrays (one entry per row).  At most 3 entropy words fit
+    the pool of 4, so SeedSequence's mixing of surplus words never runs.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    words = seed_words + [idx]
+    pool = [hashmix(words[i] if i < len(words) else 0)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = ((_MIX_MULT_L * pool[dst] & _MASK32)
+                         - (_MIX_MULT_R * hashmix(pool[src]) & _MASK32)) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, np.uint64): 8 words, each pair one little-endian uint64
+    const = _INIT_B
+    out = []
+    for j in range(8):
+        value = pool[j % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        out.append((value ^ value >> 16).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (out[2 * q] | out[2 * q + 1] << 32).tolist() for q in range(4))
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        # state = 0, inc = 2 seq + 1; step; state += seed; step
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def path_streams(seed: int, indices, gens: list):
+    """Yield, for each i in indices in order, a generator whose stream is
+    path_rng(seed, i)'s, bit for bit.
+
+    The PCG64 states of up to _STREAM_SLICE indices are computed in one
+    vectorized pass of the SeedSequence hash, and each is set into the next
+    generator of ``gens`` in turn, so a yielded generator is re-stated once
+    len(gens) more have been yielded.  An index the hash does not cover
+    (2**32 or more, or negative) gets path_rng(seed, i) itself.
+    """
+    words = _seed_words(int(seed) & (2 ** 64 - 1))
+    turn = 0
+    for s0 in range(0, len(indices), _STREAM_SLICE):
+        part = [int(i) for i in indices[s0:s0 + _STREAM_SLICE]]
+        idx = np.array([i for i in part if 0 <= i <= _MASK32], dtype=np.uint32)
+        states = iter(_pcg64_states(words, idx))
+        for i in part:
+            if not 0 <= i <= _MASK32:
+                yield path_rng(seed, i)
+                continue
+            state, inc = next(states)
+            gen = gens[turn % len(gens)]
+            turn += 1
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+            yield gen
+
+
 def validate_spec(spec: ProcessSpec):
     if isinstance(spec, IidSum):
         _validate_dist(spec.dist)
@@ -320,8 +417,9 @@ def increments_matrix(spec: ProcessSpec, seed: int,
     if isinstance(spec, ExpSupermartingale):
         return increments_matrix(spec.base, seed, indices)
     out = np.empty((len(indices), uniform_grid(spec)[0].size - 1))
-    for row, idx in enumerate(indices):
-        out[row] = _grid_increments(spec, path_rng(seed, int(idx)))
+    streams = path_streams(seed, indices, [np.random.default_rng(0)])
+    for row, rng in enumerate(streams):
+        out[row] = _grid_increments(spec, rng)
     return out
 
 
@@ -331,18 +429,19 @@ def path_blocks(spec: ProcessSpec, seed: int, indices):
     proxy of X's columns.  A shared uniform grid gives one (len(indices),
     n + 1) block; Poisson paths come one (1, m) block each, on their own grid.
     """
+    # one generator per call, re-stated per row: threads share no state
+    streams = path_streams(seed, indices, [np.random.default_rng(0)])
     if isinstance(spec, PoissonCounting):
-        for idx in indices:
-            path = _generate_with_rng(spec, path_rng(seed, int(idx)))
+        for rng in streams:
+            path = _generate_with_rng(spec, rng)
             yield path.values[None, :], path.vproxy
         return
     _, V = uniform_grid(spec)
     X = np.empty((len(indices), V.size))
     X[:, 0] = 0.0
-    for row, idx in enumerate(indices):
+    for row, rng in enumerate(streams):
         # a 1-D cumsum straight into the row needs no (k, n) increment matrix
-        np.cumsum(_grid_increments(spec, path_rng(seed, int(idx))),
-                  out=X[row, 1:])
+        np.cumsum(_grid_increments(spec, rng), out=X[row, 1:])
     yield X, V
 
 

@@ -9,6 +9,7 @@ the first grid time with X_t <= L(t) or X_t >= U(t).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,8 +30,10 @@ from .sim import (
     _draw_increments,
     generate,
     increments_from_uniforms,
-    path_rng,
-    walk_increments,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
+    path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
+    path_streams,
+    validate_spec,
+    walk_increments,  # noqa: F401  (likewise)
 )
 
 TRUNCATION_WARN_FRACTION = 0.01
@@ -250,8 +253,12 @@ def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
     t2 = np.full(n_paths, math.inf if inside2 else 0.0); v2 = np.zeros(n_paths)
     rows = HARVEST_ROWS
     buf = np.empty((rows, HARVEST_BLOCK))
+    # one pool of generators per call, re-stated for each group of rows
+    streams = path_streams(seed, range(n_paths),
+                           [np.random.default_rng(0)
+                            for _ in range(min(rows, n_paths))])
     for g0 in range(0, n_paths, rows):
-        rngs = [path_rng(seed, i) for i in range(g0, min(g0 + rows, n_paths))]
+        rngs = list(itertools.islice(streams, rows))
         k = len(rngs)
         x = np.zeros(k)
         open1 = np.full(k, inside1)
@@ -306,6 +313,7 @@ def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
     if n_paths <= 1:
         raise InvalidParameter("need at least 2 paths")
     spec = _with_horizon(spec, horizon)
+    validate_spec(spec)
     if (isinstance(spec, (IidSum, LazyWalk)) and pair.inner.is_constant
             and pair.outer.is_constant):
         t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed)

@@ -176,6 +176,16 @@ class TestSimulateCommand:
                                "--dt", "0.25", "--horizon", "1")
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("paths", ["0", "-1"])
+    @pytest.mark.parametrize("to_dir", [True, False])
+    def test_nonpositive_paths_exit_3(self, capsys, tmp_path, paths, to_dir):
+        out = ("--out", str(tmp_path)) if to_dir else ()
+        code, stdout, err = run_cli(capsys, "simulate", "--process", "brownian",
+                                    "--dt", "0.5", "--horizon", "1", "--seed",
+                                    "1", "--paths", paths, *out)
+        assert code == 3 and "paths" in err and stdout == ""
+        assert not list(tmp_path.iterdir())
+
 
 class TestValidateCommand:
     def test_preset_required_and_seed_required(self, capsys):
@@ -217,11 +227,12 @@ class TestValidateCommand:
         import crossbound.sim
         import crossbound.stopping
 
-        def no_draws(seed, path_index):
+        def no_draws(*args):
             raise AssertionError("a path was drawn")
 
-        monkeypatch.setattr(crossbound.sim, "path_rng", no_draws)
-        monkeypatch.setattr(crossbound.stopping, "path_rng", no_draws)
+        for module in (crossbound.sim, crossbound.stopping):
+            monkeypatch.setattr(module, "path_rng", no_draws)
+            monkeypatch.setattr(module, "path_streams", no_draws)
         code, _, err = run_cli(capsys, "validate", "--preset", preset,
                                "--seed", "1", flag, value,
                                "--out", str(tmp_path))

@@ -19,6 +19,7 @@ from crossbound import (
     phi_kind_from_dict,
     phi_kind_to_dict,
 )
+from crossbound.mgf import PhiViolation
 
 ALL_KINDS = [
     Gaussian(1.0), Gaussian(0.25), Bennett(1.0, 1.0), Bennett(2.0, 0.5),
@@ -96,6 +97,35 @@ def test_validity_flags_convexity():
                           a=2.0, b=2.0))
     report = check_phi_validity(phi, [-1.5, -0.5, 0.5, 1.5])
     assert any(v.check == "convexity" for v in report.violations)
+
+
+def _pairwise_convexity(phi, grid):
+    """Reference: the scalar midpoint loop over every pair i < j."""
+    grid = np.asarray(sorted(grid), dtype=float)
+    vals = np.asarray(phi.phi(grid), dtype=float)
+    out = []
+    for i in range(grid.size):
+        for j in range(i + 1, grid.size):
+            mid = 0.5 * (grid[i] + grid[j])
+            fm = float(np.asarray(phi.phi(mid)))
+            avg = 0.5 * (vals[i] + vals[j])
+            if fm > avg + 1e-12 * (1.0 + abs(fm)):
+                out.append(PhiViolation(
+                    "convexity", float(mid),
+                    f"phi(mid)={fm!r} > chord {avg!r} for [{grid[i]}, {grid[j]}]"))
+    return out
+
+
+@pytest.mark.parametrize("phi", [
+    make_phi(Custom(phi=lambda s: np.abs(s) - 0.2 * np.square(s), a=2.0, b=2.0)),
+    make_phi(Custom(phi=lambda s: np.sin(3.0 * np.asarray(s)) ** 2, a=3.0, b=3.0)),
+    make_phi(Bennett(1.0, 1.0)),
+], ids=["concave_arms", "wavy", "bennett"])
+def test_convexity_violations_match_pairwise_loop(phi):
+    grid = [1.9 - 3.8 * i / 29 for i in range(30)]
+    got = [v for v in check_phi_validity(phi, grid).violations
+           if v.check == "convexity"]
+    assert got == _pairwise_convexity(phi, grid)
 
 
 def test_validity_grid_outside_domain():

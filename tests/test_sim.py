@@ -1,7 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbound import (
     BernoulliIncrements,
@@ -23,7 +26,13 @@ from crossbound import (
     make_phi,
     transform_exp_martingale,
 )
-from crossbound.sim import increments_matrix, uniform_grid
+from crossbound.sim import (
+    increments_matrix,
+    path_blocks,
+    path_rng,
+    path_streams,
+    uniform_grid,
+)
 
 
 class TestPathInvariants:
@@ -73,6 +82,97 @@ class TestDeterminism:
             path = generate(spec, seed=9, path_index=i)
             rebuilt = np.concatenate([[0.0], np.cumsum(mat[i])])
             assert np.array_equal(path.values, rebuilt)
+
+
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, -7, 2 ** 64 + 5]
+STREAM_INDICES = list(range(301)) + [2 ** 31, 2 ** 32 - 1]
+
+
+def _assert_streams_match(seed, indices, draw, gens):
+    """Each stream from path_streams has path_rng's state and draws."""
+    n = 0
+    for i, rng in zip(indices, path_streams(seed, indices, gens)):
+        ref = path_rng(seed, i)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(draw(rng), draw(ref))
+        n += 1
+    assert n == len(indices)
+
+
+class TestPathStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_equal_to_path_rng(self, seed):
+        gens = [np.random.default_rng(0)]
+        _assert_streams_match(seed, STREAM_INDICES, lambda r: r.random(1000),
+                              gens)
+        _assert_streams_match(seed, np.array(STREAM_INDICES),
+                              lambda r: r.standard_normal(1000), gens)
+
+    def test_pool_generators_are_used_in_turn(self):
+        gens = [np.random.default_rng(0) for _ in range(3)]
+        got = list(path_streams(5, range(3), gens))
+        assert [id(g) for g in got] == [id(g) for g in gens]
+        # all three stay valid together while no further stream is taken
+        for i, rng in enumerate(got):
+            assert np.array_equal(rng.random(50), path_rng(5, i).random(50))
+
+    def test_uncovered_indices_fall_back_to_path_rng(self, monkeypatch):
+        import crossbound.sim as sim
+
+        calls = []
+
+        def counting_path_rng(seed, i):
+            calls.append(i)
+            return path_rng(seed, i)
+
+        monkeypatch.setattr(sim, "path_rng", counting_path_rng)
+        gens = [np.random.default_rng(0)]
+        indices = [3, 2 ** 32, 4, 2 ** 40 + 1]
+        got = list(path_streams(11, indices, gens))
+        assert calls == [2 ** 32, 2 ** 40 + 1]
+        assert got[1] is not gens[0] and got[3] is not gens[0]
+        for i, rng in zip(indices[1::2], got[1::2]):
+            assert np.array_equal(rng.random(100), path_rng(11, i).random(100))
+        with pytest.raises(InvalidParameter):
+            list(path_streams(11, [1, -1], gens))
+
+    def test_longer_than_one_hashed_slice(self):
+        indices = range(2500)
+        gens = [np.random.default_rng(0)]
+        for i, rng in zip(indices, path_streams(2 ** 40 + 3, indices, gens)):
+            assert rng.bit_generator.state == \
+                path_rng(2 ** 40 + 3, i).bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(-2 ** 70, 2 ** 70),
+           indices=st.lists(st.integers(0, 2 ** 33), min_size=1, max_size=20),
+           pool=st.integers(1, 4))
+    def test_equal_to_path_rng_property(self, seed, indices, pool):
+        gens = [np.random.default_rng(0) for _ in range(pool)]
+        _assert_streams_match(seed, indices, lambda r: r.random(20), gens)
+        _assert_streams_match(seed, indices, lambda r: r.standard_normal(20),
+                              gens)
+
+
+class TestPathBlocks:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spec", [
+        IidSum(TwoPointIncrements(hi=1.0, lo=-0.5, p_hi=1.0 / 3.0), 40),
+        LazyWalk(0.8, 40, drift=0.1),
+        Brownian(0.05, 2.0),
+        PoissonCounting(1.5, 6.0, centered=True),
+    ], ids=lambda s: type(s).__name__)
+    def test_rows_equal_generate(self, spec, threads):
+        chunks = [np.arange(s, min(s + 7, 30)) for s in range(0, 30, 7)]
+        work = lambda ix: [(X.copy(), V) for X, V in path_blocks(spec, 3, ix)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = [b for chunk in pool.map(work, chunks) for b in chunk]
+        rows = [(x, V) for X, V in blocks for x in X]
+        assert len(rows) == 30
+        for i, (x, v) in enumerate(rows):
+            path = generate(spec, 3, i)
+            assert np.array_equal(x, path.values)
+            assert np.array_equal(v, path.vproxy)
 
 
 class TestIidSum:

@@ -16,6 +16,7 @@ from crossbound import (
     Gaussian,
     IidSum,
     InvalidParameter,
+    InvalidSpec,
     LazyWalk,
     Path,
     RegionPair,
@@ -28,6 +29,7 @@ from crossbound import (
     stopping,
     verify_optional_stopping,
 )
+from crossbound.presets import walk_region_pair
 from crossbound.sim import _draw_increments, path_rng, walk_increments
 
 PAIR_3_5 = RegionPair(inner=ContinuityRegion.constant(-3.0, 3.0, envelope=5.0),
@@ -175,6 +177,21 @@ class TestOptionalStopping:
         with pytest.warns(UserWarning, match="truncation"):
             verify_optional_stopping(LazyWalk(1.0, 30), tight, n_paths=500,
                                      horizon=30, seed=20)
+
+    @pytest.mark.parametrize("spec, horizon", [
+        (LazyWalk(p_move=1.5, n=100), 100),
+        (LazyWalk(1.0, 100, drift=0.0), 0),
+        (IidSum(BernoulliIncrements(1.5), 100), 100),
+        (IidSum(TwoPointIncrements(hi=-1.0, lo=1.0, p_hi=0.5), 100), 100),
+    ])
+    def test_invalid_spec_raises_before_drawing(self, monkeypatch, spec,
+                                                horizon):
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(stopping, "path_streams", no_draws)
+        with pytest.raises(InvalidSpec):
+            verify_optional_stopping(spec, walk_region_pair(), 200, horizon, 1)
 
     def test_kind_validated(self):
         with pytest.raises(InvalidParameter):
