@@ -49,7 +49,6 @@ from .mgf import (
 from .optimize import (
     OptResult,
     SlopeRoot,
-    golden_or_bisect_min,
     minimize_tail_exponent,
     solve_slope_root,
 )

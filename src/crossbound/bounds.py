@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainViolation, InvalidParameter, MonotonicityViolation
 from .mgf import MgfBound
-from .optimize import minimize_tail_exponent, solve_slope_root
+from .optimize import (_bisect, _side_objective, minimize_tail_exponent,
+                       solve_slope_root)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -141,24 +142,17 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
 
 def _sup_feasible(phi: MgfBound, gamma: float, side: str) -> float:
     """sup {s : phi(+-s) <= gamma s} without the monotonicity assumption."""
-    g = (lambda s: float(np.asarray(phi.phi(s)))) if side == "upper" else (
-        lambda s: float(np.asarray(phi.phi(-s))))
-    radius = phi.b if side == "upper" else phi.a
+    g, radius = _side_objective(phi, side)
     hi_probe = radius * (1.0 - 2.0 ** -40) if math.isfinite(radius) else 1e9
     pts = np.geomspace(1e-12, hi_probe, 400)
-    feas = np.array([g(float(s)) <= gamma * s for s in pts])
+    feas = g(pts) <= gamma * pts
     if not feas.any():
         return 0.0
     i = int(np.nonzero(feas)[0][-1])
     if i == pts.size - 1:
         return float(pts[-1]) if math.isfinite(radius) else math.inf
-    lo, hi = float(pts[i]), float(pts[i + 1])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= gamma * mid:
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(lambda s: not float(g(s)) <= gamma * s,
+                    float(pts[i]), float(pts[i + 1]), steps=100)
     return lo
 
 

@@ -29,20 +29,16 @@ OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
 # config handling
 # ---------------------------------------------------------------------------
 
-_BOUND_KEYS = {
-    "ineq", "gamma", "vtau", "eta", "s", "lam", "tau", "b", "vm", "phi",
-    "theta", "m", "mean0", "c", "format",
-}
-_VALIDATE_KEYS = {"preset", "paths", "seed", "alpha", "threads", "out"}
-_SIMULATE_KEYS = {"process", "paths", "seed", "out", "dt", "horizon", "lam",
-                  "p", "n", "centered", "drift", "p_move", "dist"}
-
-_COMMAND_KEYS = {"bound": _BOUND_KEYS, "validate": _VALIDATE_KEYS,
-                 "simulate": _SIMULATE_KEYS}
+_NOT_CONFIG_KEYS = {"help", "config", "print_config"}
 
 
-def _merge_config(command: str, args: argparse.Namespace,
-                  flag_names) -> dict:
+def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
+    """The config keys of a subcommand: the dests of its flags."""
+    return frozenset(a.dest for a in parser._actions
+                     if a.dest not in _NOT_CONFIG_KEYS)
+
+
+def _merge_config(command: str, args: argparse.Namespace) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         try:
@@ -56,12 +52,11 @@ def _merge_config(command: str, args: argparse.Namespace,
         if file_cmd != command:
             raise ConfigError(
                 f"config file is for command {file_cmd!r}, not {command!r}")
-        allowed = _COMMAND_KEYS[command]
         for key in raw:
-            if key not in allowed:
+            if key not in args.config_keys:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
         cfg.update(raw)
-    for name in flag_names:
+    for name in args.config_keys:
         val = getattr(args, name, None)
         if val is not None:
             cfg[name] = val
@@ -151,9 +146,7 @@ def _compute_bound(cfg: dict) -> B.BoundReport:
 
 
 def _cmd_bound(args) -> int:
-    cfg = _merge_config("bound", args, [
-        "ineq", "gamma", "vtau", "eta", "s", "lam", "tau", "b", "vm", "phi",
-        "theta", "m", "mean0", "c", "format"])
+    cfg = _merge_config("bound", args)
     if args.print_config:
         _print_config("bound", cfg)
         return 0
@@ -175,8 +168,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _merge_config("validate", args,
-                        ["preset", "paths", "seed", "alpha", "threads", "out"])
+    cfg = _merge_config("validate", args)
     if args.print_config:
         _print_config("validate", cfg)
         return 0
@@ -258,9 +250,7 @@ def _path_csv(path) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _merge_config("simulate", args,
-                        ["process", "paths", "seed", "out", "dt", "horizon",
-                         "lam", "p", "n", "centered", "drift", "p_move", "dist"])
+    cfg = _merge_config("simulate", args)
     if args.print_config:
         _print_config("simulate", cfg)
         return 0
@@ -318,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--phi", help="phi kind as JSON, e.g. "
                                   '\'{"kind": "gaussian", "v": 1.0}\'')
     pb.add_argument("--format", choices=["csv", "json"])
-    pb.set_defaults(fn=_cmd_bound)
+    pb.set_defaults(fn=_cmd_bound, config_keys=_config_keys(pb))
 
     pv = sub.add_parser("validate", help="run a named validation suite")
     pv.add_argument("--config")
@@ -329,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--alpha", type=float)
     pv.add_argument("--threads", type=int)
     pv.add_argument("--out")
-    pv.set_defaults(fn=_cmd_validate)
+    pv.set_defaults(fn=_cmd_validate, config_keys=_config_keys(pv))
 
     ps = sub.add_parser("simulate", help="dump simulated paths to CSV")
     ps.add_argument("--config")
@@ -347,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--drift", type=float)
     ps.add_argument("--p-move", dest="p_move", type=float)
     ps.add_argument("--dist", choices=["uniform", "bernoulli"])
-    ps.set_defaults(fn=_cmd_simulate)
+    ps.set_defaults(fn=_cmd_simulate, config_keys=_config_keys(ps))
 
     pp = sub.add_parser("presets", help="inspect shipped validation presets")
     pp.add_argument("action", choices=["list"])

@@ -22,7 +22,8 @@ class MonotonicityViolation(CrossboundError):
 
 
 class NotUnimodal(CrossboundError):
-    """The scalar minimizer detected a lower value outside its bracket."""
+    """phi(+-s) - gamma s is not convex where the minimizer looked: h' keeps
+    one sign over the probe bracket, or h on the bracket has a second valley."""
 
 
 class InvalidSpec(CrossboundError):

@@ -2,7 +2,8 @@
 
 The two consumers are the tail-exponent infimum  inf_{s in (0, R)} phi(+-s) - gamma s
 and the largest usable s on a side, i.e. the domain edge or the root of
-phi(+-s)/s = gamma.
+phi(+-s)/s = gamma.  Each probe grid is one array call of phi; the minimizer
+and the root then come from one shared bisection.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .mgf import MgfBound
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _S_CAP = 1e9  # doubling limit for unbounded domains
 
 
@@ -53,63 +53,40 @@ class SlopeRoot:
     empty: bool = False
 
 
-def _side_objective(phi: MgfBound, side: str) -> Tuple[Callable[[float], float], float]:
+def _side_objective(phi: MgfBound, side: str) -> Tuple[Callable, float]:
+    """phi(+-s) as an array function of s > 0, and the domain radius on the side."""
     if side == "upper":
-        return (lambda s: float(np.asarray(phi.phi(s)))), phi.b
+        return (lambda s: np.asarray(phi.phi(s), dtype=float)), phi.b
     if side == "lower":
         if not phi.lower_tail_supported:
             raise UnsupportedSide(
                 f"{phi.label} is defined for upper-tail use only"
             )
-        return (lambda s: float(np.asarray(phi.phi(-s)))), phi.a
+        return (lambda s: np.asarray(phi.phi(np.negative(s)), dtype=float)), phi.a
     raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def golden_or_bisect_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> Tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi].
-
-    Returns (x, f(x)) with |x - argmin| <= tol.  A coarse probe pass afterward
-    raises NotUnimodal if an interior point beats the returned minimum, which
-    is best-effort detection only.
-    """
-    if not lo < hi:
-        raise InvalidParameter(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise InvalidParameter("tol must be positive")
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+def _bisect(above: Callable[[float], bool], lo: float, hi: float,
+            done: Callable[[float, float], bool] = lambda a, b: False,
+            steps: int = 200) -> Tuple[float, float]:
+    """Halve [lo, hi] toward the switch of a monotone predicate, keeping
+    above(lo) false and above(hi) true, until done(lo, hi) or steps run out."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    x, fx = (x1, f1) if f1 <= f2 else (x2, f2)
-    probes = np.linspace(lo, hi, 33)[1:-1]
-    fvals = [f(float(p)) for p in probes]
-    best = min(fvals)
-    if best < fx - 1e-9 * (1.0 + abs(fx)):
-        raise NotUnimodal(
-            f"probe found f={best!r} below returned minimum {fx!r}"
-        )
-    return x, fx
+            lo = mid
+        if done(lo, hi):
+            break
+    return lo, hi
 
 
-def _refine_by_derivative(phi: MgfBound, gamma: float, side: str,
-                          s0: float, lo: float, hi: float) -> float:
-    """Polish a convex minimizer by bisecting h'(s) = +-phi'(+-s) - gamma.
-
-    Golden section resolves the argmin only to ~sqrt(eps); bisection on the
-    monotone derivative recovers full precision.  Converges to the left edge
-    of a flat-bottom zero set, i.e. the smallest minimizer.
-    """
+def _derivative_root(phi: MgfBound, gamma: float, side: str,
+                     lo: float, hi: float) -> float:
+    """Smallest minimizer of the convex h(s) = phi(+-s) - gamma s in [lo, hi],
+    by bisection of h'(s) = +-phi'(+-s) - gamma (central differences when phi
+    has no derivative).  Raises NotUnimodal unless h'(lo) < 0 <= h'(hi)."""
     sign = 1.0 if side == "upper" else -1.0
     if phi.phi_deriv is not None:
         dh = lambda s: sign * float(np.asarray(phi.phi_deriv(sign * s))) - gamma
@@ -117,87 +94,59 @@ def _refine_by_derivative(phi: MgfBound, gamma: float, side: str,
         def dh(s, _p=phi.phi):
             step = 6e-6 * (1.0 + abs(s))
             return (float(np.asarray(_p(sign * (s + step)))) -
-                    float(np.asarray(_p(sign * (s - step))))) / (2.0 * step) * sign - gamma
-    w = 1e-7 * (1.0 + abs(s0))
-    a = max(lo, s0 - w)
-    b = min(hi, s0 + w)
-    for _ in range(60):
-        if dh(a) < 0.0:
-            break
-        w *= 4.0
-        a = max(lo, s0 - w)
-        if a == lo:
-            break
-    for _ in range(60):
-        if dh(b) > 0.0:
-            break
-        w *= 4.0
-        b = min(hi, s0 + w)
-        if b == hi:
-            break
-    if not (dh(a) < 0.0 <= dh(b)):
-        return s0
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if dh(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-15 * max(1.0, a):
-            break
-    return 0.5 * (a + b)
+                    float(np.asarray(_p(sign * (s - step))))) / (2.0 * step) - gamma
+    if not dh(lo) < 0.0 <= dh(hi):
+        raise NotUnimodal(
+            f"h' does not change sign on [{lo:g}, {hi:g}] on the {side} side")
+    lo, hi = _bisect(lambda s: not dh(s) < 0.0, lo, hi,
+                     lambda a, b: b - a <= 1e-15 * max(1.0, a))
+    return 0.5 * (lo + hi)
 
 
-def _limit_ratio_at_edge(g: Callable[[float], float], radius: float) -> float:
-    """Richardson-extrapolated lim_{s -> radius-} g(s)/s on s = radius (1 - 2^-k)."""
-    ks = np.arange(20, 45)
-    vals = []
-    for k in ks:
-        s = radius * (1.0 - 2.0 ** -float(k))
-        vals.append(g(s) / s)
-    r_prev, r_last = vals[-2], vals[-1]
-    return r_last + (r_last - r_prev)
+def _limit_ratio_at_edge(g: Callable, radius: float) -> float:
+    """Richardson-extrapolated lim_{s -> radius-} g(s)/s from s = radius (1 - 2^-k),
+    k = 43, 44."""
+    s = radius * (1.0 - 2.0 ** -np.array([43.0, 44.0]))
+    r_prev, r_last = g(s) / s
+    return float(r_last + (r_last - r_prev))
 
 
-def _limit_ratio_at_infinity(g: Callable[[float], float]) -> float:
-    """lim_{s -> inf} g(s)/s estimated along doubling s (may be +inf)."""
+def _limit_ratio_at_infinity(g: Callable) -> float:
+    """lim_{s -> inf} g(s)/s read along s = 2^k, k <= 40 (may be +inf)."""
+    s = 2.0 ** np.arange(41)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 1.0
-        prev = g(s) / s
-        while s < 1e12:
-            s *= 2.0
-            cur = g(s) / s
-            if abs(cur - prev) <= 1e-12 * (1.0 + abs(cur)):
-                return cur
-            prev = cur
-        return prev
+        r = g(s) / s
+        settled = np.abs(np.diff(r)) <= 1e-12 * (1.0 + np.abs(r[1:]))
+    return float(r[1:][settled][0] if settled.any() else r[-1])
 
 
-def _limit_value_at_infinity(h: Callable[[float], float]) -> float:
-    """Asymptote of a decreasing objective along doubling s, or -inf when it
-    keeps falling without leveling off."""
+def _limit_value_at_infinity(h: Callable) -> float:
+    """Asymptote of a decreasing objective along s = 2^k, k <= 50, or -inf when
+    it keeps falling without leveling off."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 1.0
-        prev = h(s)
-        while s < 1e15:
-            s *= 2.0
-            cur = h(s)
-            if not math.isfinite(cur):
-                return -math.inf if cur == -math.inf else prev
-            if abs(cur - prev) <= 1e-10 * (1.0 + abs(cur)):
-                return cur
-            prev = cur
+        v = h(2.0 ** np.arange(51))
+        stop = ~np.isfinite(v[1:]) | (
+            np.abs(np.diff(v)) <= 1e-10 * (1.0 + np.abs(v[1:])))
+    if not stop.any():
         return -math.inf
+    k = int(np.argmax(stop)) + 1
+    if math.isfinite(v[k]):
+        return float(v[k])
+    return -math.inf if v[k] == -math.inf else float(v[k - 1])
 
 
 def minimize_tail_exponent(
     phi: MgfBound, gamma: float, side: str = "upper", tol: float = 1e-10
 ) -> OptResult:
-    """Minimize phi(+-s) - gamma s over the open interval (0, domain radius).
+    """Minimize h(s) = phi(+-s) - gamma s over the open interval (0, domain radius).
 
-    Returns the interior minimizer when one exists; otherwise marks a boundary
-    infimum and reports the edge limit of phi(s)/s found by extrapolation, or
-    the origin signal when phi(s) >= gamma s throughout the probe grid.
+    One array call probes h on a log-spaced grid.  Its first minimum brackets
+    the minimizer, which one bisection of h'(s) = +-phi'(+-s) - gamma then
+    pins down; h on 31 points of the bracket plus s* must form a single
+    valley, or NotUnimodal is raised.  Returns the interior minimizer when
+    one exists; otherwise marks a boundary infimum and reports the edge limit
+    of phi(s)/s found by extrapolation, or the origin signal when
+    phi(s) >= gamma s throughout the probe grid.
     """
     if not (gamma > 0.0):
         raise DomainViolation(f"gamma must be positive, got {gamma}")
@@ -207,31 +156,35 @@ def minimize_tail_exponent(
     h = lambda s: g(s) - gamma * s
 
     finite = math.isfinite(radius)
-    # Decrease probe: log-spaced grid plus the small-s heuristic point used to
-    # proxy the "phi < gamma |s| near 0" hypothesis.
+    # Decrease probe: log-spaced grid (on a finite domain also radius (1 - 2^-k)
+    # up to k = 49) plus the small-s heuristic point used to proxy the
+    # "phi < gamma |s| near 0" hypothesis.
     s_heur = 1e-6 * min(1.0, radius if finite else 1.0)
     if finite:
         probes = np.unique(np.concatenate([
             np.geomspace(radius * 1e-9, radius * 0.5, 40),
-            radius * (1.0 - 2.0 ** -np.arange(1, 31, dtype=float)),
+            radius * (1.0 - 2.0 ** -np.arange(1, 50, dtype=float)),
             [s_heur],
         ]))
     else:
         probes = np.unique(np.concatenate([np.geomspace(1e-9, _S_CAP, 80),
                                            [s_heur]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        hv = np.array([h(float(s)) for s in probes])
+        gv = g(probes)
+        hv = gv - gamma * probes
     hv = np.where(np.isnan(hv), np.inf, hv)
     if np.all(hv >= -1e-13 * (1.0 + np.abs(hv))):
-        slope0 = g(s_heur) / s_heur
+        slope0 = float(gv[np.searchsorted(probes, s_heur)]) / s_heur
         return OptResult(s_opt=0.0, value=0.0, slope=slope0,
                          attained=False, location="origin", side=side)
 
+    i = int(np.argmin(hv))
     if not finite:
         # Convex objective with a decrease: double until the slope turns up.
-        s = max(1.0, float(probes[int(np.argmin(hv))]))
-        while h(2.0 * s) <= h(s):
-            s *= 2.0
+        s = max(1.0, float(probes[i]))
+        hs = float(h(s))
+        while (h2 := float(h(2.0 * s))) <= hs:
+            s, hs = 2.0 * s, h2
             if s > _S_CAP:
                 slope_limit = _limit_ratio_at_infinity(g)
                 value = _limit_value_at_infinity(h)
@@ -239,37 +192,37 @@ def minimize_tail_exponent(
                                  slope=slope_limit, attained=False,
                                  location="boundary", side=side)
         lo_b, hi_b = 0.0, 2.0 * s
+    elif i == probes.size - 1:
+        # The argmin hugs the edge: the infimum is at the boundary.
+        slope_limit = _limit_ratio_at_edge(g, radius)
+        value = radius * (slope_limit - gamma)
+        return OptResult(s_opt=radius, value=min(value, 0.0),
+                         slope=slope_limit, attained=False,
+                         location="boundary", side=side)
     else:
-        # Refine toward the edge; if the argmin hugs it for three rounds the
-        # infimum is at the boundary.
-        edge_round = 0
-        kmax = 30
-        grid = probes  # already sorted and unique
-        gv = hv
-        while True:
-            i = int(np.argmin(gv))
-            if i < grid.size - 1:
-                break
-            edge_round += 1
-            if edge_round >= 3:
-                slope_limit = _limit_ratio_at_edge(g, radius)
-                value = radius * (slope_limit - gamma)
-                return OptResult(s_opt=radius, value=min(value, 0.0),
-                                 slope=slope_limit, attained=False,
-                                 location="boundary", side=side)
-            kmax += 10
-            extra = radius * (1.0 - 2.0 ** -np.arange(kmax - 10, kmax, dtype=float))
-            grid = np.concatenate([grid, extra])
-            gv = np.concatenate([gv, [h(float(s)) for s in extra]])
-        lo_b = grid[i - 1] if i > 0 else 0.0
-        hi_b = grid[i + 1]
+        # argmin takes the first minimum, so on a convex h the neighbours
+        # give h'(lo) < 0 <= h'(hi).
+        lo_b = float(probes[i - 1]) if i > 0 else 0.0
+        hi_b = float(probes[i + 1])
 
     lo_b = max(lo_b, tol * 1e-3)
-    s_opt, value = golden_or_bisect_min(h, lo_b, hi_b, tol=max(tol, 1e-10))
-    s_opt = _refine_by_derivative(phi, gamma, side, s_opt, lo_b, hi_b)
-    value = h(s_opt)
-    return OptResult(s_opt=s_opt, value=min(value, 0.0), slope=g(s_opt) / s_opt,
-                     attained=True, location="interior", side=side)
+    s_opt = _derivative_root(phi, gamma, side, lo_b, hi_b)
+    pts = np.append(np.linspace(lo_b, hi_b, 33)[1:-1], s_opt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gp = g(pts)
+    order = np.argsort(pts)
+    y = (gp - gamma * pts)[order]
+    d = np.diff(y)
+    slack = 1e-9 * (1.0 + np.abs(y[1:]))
+    rise = np.flatnonzero(d > slack)
+    if rise.size and np.any(d[rise[0]:] < -slack[rise[0]:]):
+        raise NotUnimodal(
+            f"phi(s) - gamma s has more than one valley on [{lo_b:g}, {hi_b:g}] "
+            f"on the {side} side")
+    g_opt = float(gp[-1])
+    return OptResult(s_opt=s_opt, value=min(g_opt - gamma * s_opt, 0.0),
+                     slope=g_opt / s_opt, attained=True, location="interior",
+                     side=side)
 
 
 def solve_slope_root(
@@ -284,13 +237,13 @@ def solve_slope_root(
     if not (gamma > 0.0):
         raise DomainViolation(f"gamma must be positive, got {gamma}")
     g, radius = _side_objective(phi, side)
-    r = lambda s: g(s) / s
+    r = lambda s: float(g(s)) / s
 
     finite = math.isfinite(radius)
     hi_probe = radius * (1.0 - 2.0 ** -40) if finite else 1e9
     pts = np.geomspace(max(1e-12, hi_probe * 1e-12), hi_probe, 60)
     with np.errstate(over="ignore", invalid="ignore"):
-        rv = np.array([r(float(s)) for s in pts])
+        rv = g(pts) / pts
     keep = np.isfinite(rv)
     pts, rv = pts[keep], rv[keep]
     drops = np.nonzero(np.diff(rv) < -1e-9 * (1.0 + np.abs(rv[1:])))[0]
@@ -307,22 +260,16 @@ def solve_slope_root(
         while r(hi) <= gamma:  # push the bracket into the unchecked sliver
             hi = radius - (radius - hi) / 2.0
     else:
-        hi = 1.0
+        doubling = 2.0 ** np.arange(40)
         with np.errstate(over="ignore", invalid="ignore"):
-            while r(hi) <= gamma:
-                hi *= 2.0
-                if hi > 1e12:
-                    return SlopeRoot(s_root=math.inf, side=side, is_boundary=True)
+            above = ~(g(doubling) / doubling <= gamma)
+        if not above.any():
+            return SlopeRoot(s_root=math.inf, side=side, is_boundary=True)
+        hi = float(doubling[np.argmax(above)])
     lo = min(1e-9, hi * 1e-9)
     if r(lo) >= gamma:
         # phi(s)/s already above gamma arbitrarily close to 0: empty side set.
         return SlopeRoot(s_root=0.0, side=side, is_boundary=False, empty=True)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if r(mid) > gamma:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, lo):
-            break
+    lo, hi = _bisect(lambda s: r(s) > gamma, lo, hi,
+                     lambda a, b: b - a <= tol * max(1.0, a))
     return SlopeRoot(s_root=0.5 * (lo + hi), side=side, is_boundary=False)

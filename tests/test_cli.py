@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from crossbound.cli import main
+from crossbound.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +129,30 @@ class TestConfigHandling:
                                 "--print-config")
         assert code == 0
         assert json.loads(out) == json.loads(out2)
+
+
+def _flag_dests(command):
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return [a.dest for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "config",
+                                                   "print_config")]
+
+
+@pytest.mark.parametrize("command", ["bound", "validate", "simulate"])
+def test_every_flag_is_a_config_key(capsys, tmp_path, command):
+    dests = _flag_dests(command)
+    assert dests
+    rec = {"command": command, **{d: f"value-{d}" for d in dests}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(rec))
+    code, out, _ = run_cli(capsys, command, "--config", str(cfg),
+                           "--print-config")
+    assert code == 0 and json.loads(out) == rec
+    for key in ("config", "print_config", "not_a_flag"):
+        cfg.write_text(json.dumps({**rec, key: 1}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg),
+                                 "--print-config")
+        assert code == 2 and out == "" and repr(key) in err
 
 
 class TestSimulateCommand:

@@ -112,7 +112,8 @@ def _pairwise_convexity(phi, grid):
             if fm > avg + 1e-12 * (1.0 + abs(fm)):
                 out.append(PhiViolation(
                     "convexity", float(mid),
-                    f"phi(mid)={fm!r} > chord {avg!r} for [{grid[i]}, {grid[j]}]"))
+                    f"phi(mid)={fm!r} > chord {float(avg)!r} "
+                    f"for [{grid[i]}, {grid[j]}]"))
     return out
 
 
@@ -139,6 +140,22 @@ def test_validity_flags_bad_derivative():
                           phi_deriv=lambda s: 2.5 * np.asarray(s), a=3.0, b=3.0))
     report = check_phi_validity(phi, [0.5, 1.0])
     assert any(v.check == "derivative" for v in report.violations)
+    # s +- 1e-6 (1 + |s|) leaves the domain at the edge points: not checked
+    edge = 3.0 - 1e-6
+    report = check_phi_validity(phi, [-edge, -1.0, 0.0, 0.5, 1.0, edge])
+    assert [v.s for v in report.violations if v.check == "derivative"] == [
+        -1.0, 0.5, 1.0]
+
+
+def test_validity_details_print_plain_floats():
+    phi = make_phi(Custom(phi=lambda s: np.sin(np.asarray(s)),
+                          phi_deriv=lambda s: 2.0 * np.cos(np.asarray(s)),
+                          label="sin"))
+    report = check_phi_validity(phi, [-1.0, -0.5, 0.5, 1.0])
+    assert {v.check for v in report.violations} == {
+        "nonnegative", "convexity", "derivative"}
+    for v in report.violations:
+        assert "np.float64" not in v.detail, v.detail
 
 
 def test_kind_serialization_roundtrip():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbound import (
     Bennett,
@@ -16,9 +18,12 @@ from crossbound import (
     PoissonCentered,
     Uniform24,
     UnsupportedSide,
-    golden_or_bisect_min,
+    azuma_bound,
+    cbb_bounds,
     make_phi,
     minimize_tail_exponent,
+    optimized_line_bound,
+    poisson_bounds,
     solve_slope_root,
 )
 
@@ -26,24 +31,72 @@ from crossbound import (
 CBB_ROOT_G1 = 1.2564312086261697
 
 
-class TestGoldenMin:
-    def test_quadratic_vertex(self):
-        x, fx = golden_or_bisect_min(lambda s: (s - 1.0) ** 2, 0.0, 3.0, tol=1e-8)
-        assert x == pytest.approx(1.0, abs=1e-7)
-        assert fx == pytest.approx(0.0, abs=1e-12)
+CATALOG = (Gaussian(1.0), Bennett(1.0, 2.0), HoeffdingBernoulli(0.3),
+           Uniform24(), PoissonCentered(1.0), CbbExp(1.0), Bernstein(1.0))
+GAMMAS = st.floats(0.05, 5.0)
+VS = st.floats(0.2, 20.0)
 
-    def test_calculus_oracle(self):
-        x, fx = golden_or_bisect_min(lambda s: s * s / 2.0 - 2.0 * s, 0.0, 10.0)
-        assert x == pytest.approx(2.0, abs=1e-6)
-        assert fx == pytest.approx(-2.0, abs=1e-12)
 
-    def test_exp_root(self):
-        x, _ = golden_or_bisect_min(lambda s: math.exp(s) - 1.0 - 2.0 * s, 0.0, 5.0)
-        assert x == pytest.approx(math.log(2.0), abs=1e-6)
+def _rel(a, b):
+    return abs(a - b) / abs(a)
 
-    def test_not_unimodal_detected(self):
-        with pytest.raises(NotUnimodal):
-            golden_or_bisect_min(lambda s: math.cos(3.0 * s) - 0.3 * s, 0.0, 4.0)
+
+class TestMinimizerShape:
+    def test_wavy_phi_not_unimodal(self):
+        phi = make_phi(Custom(
+            phi=lambda s: 1.0 - np.cos(3.0 * np.asarray(s)) + 0.05 * np.square(s)))
+        for side in ("upper", "lower"):
+            with pytest.raises(NotUnimodal):
+                minimize_tail_exponent(phi, 1.0, side=side)
+
+    def test_kinked_convex_phi_without_derivative(self):
+        phi = make_phi(Custom(phi=lambda s: 2.0 * np.maximum(0.0, np.abs(s) - 1.0)))
+        for side in ("upper", "lower"):
+            r = minimize_tail_exponent(phi, 0.5, side=side)
+            assert r.location == "interior"
+            assert r.s_opt == pytest.approx(1.0, abs=1e-5)
+            assert r.value == pytest.approx(-0.5, abs=1e-5)
+
+    def test_finite_difference_derivative_on_lower_side(self):
+        # no phi_deriv: h' comes from central differences of phi(-s)
+        phi = make_phi(Custom(phi=lambda s: np.expm1(np.asarray(s)) - s))
+        r = minimize_tail_exponent(phi, 0.5, side="lower")
+        assert r.s_opt == pytest.approx(math.log(2.0), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMAS, v=VS)
+    def test_azuma_is_optimized_gaussian(self, gamma, v):
+        a = azuma_bound(gamma * v, v).raw
+        o = optimized_line_bound(make_phi(Gaussian(1.0)), gamma, v).raw
+        assert _rel(a, o) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMAS, v=VS, b=st.floats(0.25, 4.0))
+    def test_bennett_is_optimized_cbb_exp(self, gamma, v, b):
+        a = cbb_bounds(gamma, v, b, which="bennett").raw
+        o = optimized_line_bound(make_phi(CbbExp(b)), gamma, v).raw
+        assert _rel(a, o) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMAS, v=VS, lam=st.floats(0.25, 4.0))
+    def test_poisson_is_optimized_poisson_centered(self, gamma, v, lam):
+        a = poisson_bounds(lam, gamma, v).raw
+        o = optimized_line_bound(make_phi(PoissonCentered(lam)), gamma, v).raw
+        assert _rel(a, o) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMAS, kind=st.sampled_from(CATALOG),
+           side=st.sampled_from(("upper", "lower")))
+    def test_interior_optimum_is_stationary(self, gamma, kind, side):
+        phi = make_phi(kind)
+        if side == "lower" and not phi.lower_tail_supported:
+            return
+        r = minimize_tail_exponent(phi, gamma, side=side)
+        if r.location != "interior":
+            return
+        sign = 1.0 if side == "upper" else -1.0
+        slope = sign * float(np.asarray(phi.phi_deriv(sign * r.s_opt)))
+        assert abs(slope - gamma) <= 1e-9 * (1.0 + gamma)
 
 
 class TestMinimizeTailExponent:
