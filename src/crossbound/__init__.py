@@ -73,7 +73,6 @@ from .stopping import (
     OsReport,
     RegionPair,
     StopResult,
-    crossing_indicator,
     first_exit,
     region_from_dict,
     region_pair_from_dict,
@@ -84,8 +83,8 @@ from .validate import (
     EventSpec,
     ValidationReport,
     clopper_pearson,
-    estimate_crossing,
     halving_allowance,
+    stopping_row,
     sweep,
 )
 

@@ -120,9 +120,11 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
               side: str = "upper", tol: float = 1e-10) -> BoundReport:
     """Bound for crossing the envelope gamma (V_tau v V_t).
 
-    Uses the infimum over (0, b*) (resp. (0, a*)) when phi(s)/|s| is monotone;
-    otherwise falls back to the unrestricted infimum and flags it.  An empty
-    feasible set {s : phi(+-s) <= gamma s} yields a vacuous bound of 1.
+    The infimum of phi(+-s) - gamma s over (0, b*) (resp. (0, a*)), with b*
+    = sup {s : phi(+-s) <= gamma s}, is the unrestricted one: phi is convex
+    with phi(0) = 0, so the minimizer, where the exponent is negative, lies
+    in (0, b*].  A nonnegative infimum (empty feasible set) yields a
+    vacuous bound of 1.
     """
     _check_positive(gamma=gamma, v_tau=v_tau)
     ineq = _side_id("vee", side)
@@ -130,12 +132,6 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
     opt = minimize_tail_exponent(phi, gamma, side=side, tol=tol)
     if opt.value >= 0.0:
         return _report(ineq, 0.0, None, None, params, vacuous=True)
-    try:
-        root = solve_slope_root(phi, gamma, side=side, tol=tol)
-        params["s_star"] = root.s_root
-        params["restricted"] = True
-    except MonotonicityViolation:
-        params["restricted"] = False
     exponent = v_tau * opt.value
     return _report(ineq, exponent, opt.s_opt, opt.slope, params)
 

@@ -45,8 +45,10 @@ from .sim import (
 from .stopping import ContinuityRegion, RegionPair
 from .validate import (
     EventSpec,
+    _check_run,
     clopper_pearson,  # noqa: F401  (likewise)
     halving_allowance,
+    stopping_row,
     sweep,
 )
 
@@ -349,17 +351,16 @@ def walk_region_pair() -> RegionPair:
 def run_optional_stopping(paths: int = 100_000, seed: int = 0,
                           alpha: float = 0.01, threads: Optional[int] = None,
                           horizon: int = 10_000) -> list:
+    """One stopping row per walk; the harvest is serial, and threads is
+    checked like every preset's."""
+    _check_run(paths, alpha, threads)
     pair = walk_region_pair()
-    rows = []
-    for label, drift, skind in (("walk_martingale", 0.0, "martingale"),
-                                ("walk_supermartingale", -0.1, "supermartingale")):
-        spec = LazyWalk(p_move=1.0, n=horizon, drift=drift)
-        ev = EventSpec(kind="stopping", pair=pair, stopping_kind=skind,
-                       label=label)
-        rep = sweep(spec, [ev], n_paths=paths, horizon=horizon, seed=seed,
-                    alpha=alpha, threads=threads)[0]
-        rows.append(rep)
-    return rows
+    return [stopping_row(LazyWalk(p_move=1.0, n=horizon, drift=drift), pair,
+                         paths, horizon, seed, kind=kind, label=label,
+                         alpha=alpha)
+            for label, drift, kind in (
+                ("walk_martingale", 0.0, "martingale"),
+                ("walk_supermartingale", -0.1, "supermartingale"))]
 
 
 PRESETS = {

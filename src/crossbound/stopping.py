@@ -28,10 +28,11 @@ from .sim import (
     PoissonCounting,
     ProcessSpec,
     _draw_increments,
-    generate,
     increments_from_uniforms,
+    path_blocks,
     path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     path_streams,
+    uniform_grid,
     validate_spec,
     walk_increments,  # noqa: F401  (likewise)
 )
@@ -87,13 +88,10 @@ class ContinuityRegion:
         return cls(breakpoints=np.array([0.0]), lower=np.array([float(lower)]),
                    upper=np.array([float(upper)]), envelope=envelope)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.breakpoints.size == 1
-
     def _idx(self, t: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                       0, self.breakpoints.size - 1)
+        # breakpoints[0] = 0, so only t < 0 needs the floor
+        return np.maximum(np.searchsorted(self.breakpoints, t, side="right") - 1,
+                          0)
 
     def lower_at(self, t):
         return self.lower[self._idx(np.asarray(t, dtype=np.float64))]
@@ -177,25 +175,6 @@ def first_exit(path: Path, region: ContinuityRegion) -> StopResult:
                       truncated=True, index=None)
 
 
-def crossing_indicator(path: Path, boundary, direction: str = "up") -> bool:
-    """True iff some grid point has X_t >= boundary(t) (up) or <= (down).
-
-    ``boundary`` is a callable of t or an array aligned with the path grid;
-    comparisons are closed, matching ">= 0" crossing events.
-    """
-    if direction not in ("up", "down"):
-        raise InvalidParameter(f"direction must be 'up' or 'down', got {direction!r}")
-    if callable(boundary):
-        b = np.asarray(boundary(path.times), dtype=np.float64)
-    else:
-        b = np.asarray(boundary, dtype=np.float64)
-        if b.shape != path.times.shape:
-            raise InvalidParameter("boundary array must match the path grid")
-    if direction == "up":
-        return bool(np.any(path.values >= b))
-    return bool(np.any(path.values <= b))
-
-
 # ---------------------------------------------------------------------------
 # Optional-stopping harness
 # ---------------------------------------------------------------------------
@@ -232,68 +211,112 @@ def _with_horizon(spec: ProcessSpec, horizon) -> ProcessSpec:
     raise InvalidSpec(f"cannot set a horizon on {type(spec).__name__}")
 
 
-def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
-    """First exits of a walk-like spec from two constant regions, with early
-    exit, for HARVEST_ROWS paths at a time.
+def _block_draws(base):
+    """(fill, increments) for a uniform-grid base process: fill(rng, row)
+    draws the next row.size steps of the path's stream into row, in
+    generate's order, and increments maps a block of such rows to steps."""
+    if isinstance(base, Brownian):
+        scale = math.sqrt(base.dt)
+        return (lambda rng, row: rng.standard_normal(out=row),
+                lambda blk: blk * scale)
+    law = base if isinstance(base, LazyWalk) else base.dist
+    if isinstance(law, CustomIncrements):
+        def fill(rng, row):
+            row[:] = _draw_increments(law, rng, row.size)
+        return fill, lambda blk: blk
+    return (lambda rng, row: rng.random(out=row),
+            lambda blk: increments_from_uniforms(law, blk))
 
-    Path i draws the stream of generate(spec, seed, i), HARVEST_BLOCK steps
-    per block, and only while its outer exit is pending.  Each block is
-    summed as x + cumsum(block), so a value can differ in the last bits from
-    generate's single cumsum past the first block.
+
+def _first_out(vals, t, region):
+    """Per row of vals (one column per grid time in t): the first column
+    outside the region, and whether there is one."""
+    out = (vals <= region.lower_at(t)) | (vals >= region.upper_at(t))
+    j = out.argmax(axis=1)
+    return j, out[np.arange(j.size), j]
+
+
+def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
+    """First exits of every path from both regions of ``pair``, with early
+    exit.  The regions test X, or exp(s X - phi(s) V) for an
+    ExpSupermartingale over X.
+
+    On a uniform grid the paths go HARVEST_ROWS at a time: path i draws the
+    stream of generate(spec, seed, i), HARVEST_BLOCK steps per block and
+    only while its outer exit is pending.  Each block is summed as
+    x + cumsum(block), so a value can differ in the last bits from
+    generate's single cumsum past the first block.  Poisson paths are read
+    whole, one row at a time, from path_blocks.  Every block goes through
+    the same exit search, against the region bounds at the block's times.
     """
-    lo1 = float(pair.inner.lower[0]); up1 = float(pair.inner.upper[0])
-    lo2 = float(pair.outer.lower[0]); up2 = float(pair.outer.upper[0])
-    law = spec if isinstance(spec, LazyWalk) else spec.dist
-    custom = isinstance(law, CustomIncrements)
-    horizon = int(horizon)
-    # t = 0 tie: a region that already excludes X_0 = 0 stops at tau = 0
-    inside1 = lo1 < 0.0 < up1
-    inside2 = lo2 < 0.0 < up2
-    t1 = np.full(n_paths, math.inf if inside1 else 0.0); v1 = np.zeros(n_paths)
-    t2 = np.full(n_paths, math.inf if inside2 else 0.0); v2 = np.zeros(n_paths)
-    rows = HARVEST_ROWS
-    buf = np.empty((rows, HARVEST_BLOCK))
-    # one pool of generators per call, re-stated for each group of rows
-    streams = path_streams(seed, range(n_paths),
-                           [np.random.default_rng(0)
-                            for _ in range(min(rows, n_paths))])
-    for g0 in range(0, n_paths, rows):
-        rngs = list(itertools.islice(streams, rows))
-        k = len(rngs)
-        x = np.zeros(k)
-        open1 = np.full(k, inside1)
-        live = np.arange(k if inside2 else 0)
-        step = 0
-        while live.size and step < horizon:
-            m = min(HARVEST_BLOCK, horizon - step)
-            blk = buf[:live.size, :m]
-            for r, j in enumerate(live):
-                if custom:
-                    blk[r] = _draw_increments(law, rngs[j], m)
-                else:
-                    rngs[j].random(out=blk[r])
-            cum = np.cumsum(blk if custom else increments_from_uniforms(law, blk),
-                            axis=1)
-            cum += x[live, None]
-            at = np.arange(live.size)
-            if open1[live].any():
-                out1 = (cum <= lo1) | (cum >= up1)
-                j1 = out1.argmax(axis=1)
-                hit = out1[at, j1] & open1[live]
-                t1[g0 + live[hit]] = step + j1[hit] + 1
-                v1[g0 + live[hit]] = cum[at[hit], j1[hit]]
-                open1[live[hit]] = False
-            out2 = (cum <= lo2) | (cum >= up2)
-            j2 = out2.argmax(axis=1)
-            hit = out2[at, j2]
-            t2[g0 + live[hit]] = step + j2[hit] + 1
-            v2[g0 + live[hit]] = cum[at[hit], j2[hit]]
-            x[live] = cum[:, -1]
-            live = live[~hit]
-            step += m
-        # truncated: the terminal value stands in for X_tau
-        v2[g0 + live] = x[live]
-        v1[g0 + np.flatnonzero(open1)] = x[open1]
+    spec = _with_horizon(spec, horizon)
+    base = spec
+    if isinstance(spec, ExpSupermartingale):
+        base = spec.base
+        s, ph = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
+        tested = lambda X, V: np.exp(s * X - ph * V)
+    else:
+        tested = lambda X, V: X
+    y0 = float(tested(0.0, 0.0))
+    # t = 0 tie: a region that already excludes the start stops at tau = 0
+    inside1 = pair.inner.lower_at(0.0) < y0 < pair.inner.upper_at(0.0)
+    inside2 = pair.outer.lower_at(0.0) < y0 < pair.outer.upper_at(0.0)
+    t1 = np.full(n_paths, math.inf if inside1 else 0.0)
+    t2 = np.full(n_paths, math.inf if inside2 else 0.0)
+    v1 = np.full(n_paths, y0); v2 = np.full(n_paths, y0)
+    last = np.full(n_paths, y0)          # value at the last time searched
+    open1 = np.full(n_paths, inside1)
+
+    def search(rows, t, vals):
+        """Record the exits in vals (paths ``rows``, grid times t); True
+        where the outer exit was found."""
+        pending = open1[rows]
+        if pending.any():
+            j, hit = _first_out(vals, t, pair.inner)
+            hit &= pending
+            t1[rows[hit]] = t[j[hit]]
+            v1[rows[hit]] = vals[hit, j[hit]]
+            open1[rows[hit]] = False
+        j, hit = _first_out(vals, t, pair.outer)
+        t2[rows[hit]] = t[j[hit]]
+        v2[rows[hit]] = vals[hit, j[hit]]
+        last[rows] = vals[:, -1]
+        return hit
+
+    todo = range(n_paths if inside2 else 0)
+    if isinstance(base, PoissonCounting):
+        for i, (X, V) in zip(todo, path_blocks(base, seed, todo)):
+            search(np.array([i]), V[1:], tested(X[:, 1:], V[1:]))
+    else:
+        times, V = uniform_grid(base)
+        n_steps = times.size - 1
+        fill, increments = _block_draws(base)
+        rows = HARVEST_ROWS
+        buf = np.empty((rows, HARVEST_BLOCK))
+        # one pool of generators per call, re-stated for each group of rows
+        streams = path_streams(seed, todo, [np.random.default_rng(0)
+                                            for _ in range(min(rows, n_paths))])
+        for g0 in todo[::rows]:
+            rngs = list(itertools.islice(streams, rows))
+            x = np.zeros(len(rngs))
+            live = np.arange(len(rngs))
+            step = 0
+            while live.size and step < n_steps:
+                m = min(HARVEST_BLOCK, n_steps - step)
+                blk = buf[:live.size, :m]
+                for r, j in enumerate(live):
+                    fill(rngs[j], blk[r])
+                cum = np.cumsum(increments(blk), axis=1)
+                cum += x[live, None]
+                x[live] = cum[:, -1]
+                cols = slice(step + 1, step + m + 1)
+                hit = search(g0 + live, times[cols], tested(cum, V[cols]))
+                live = live[~hit]
+                step += m
+    # truncated: the last value stands in for X_tau
+    trunc = np.isinf(t2)
+    v2[trunc] = last[trunc]
+    v1[open1] = last[open1]
     return t1, v1, t2, v2
 
 
@@ -312,21 +335,8 @@ def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
         raise InvalidParameter(f"kind must be martingale|supermartingale, got {kind!r}")
     if n_paths <= 1:
         raise InvalidParameter("need at least 2 paths")
-    spec = _with_horizon(spec, horizon)
-    validate_spec(spec)
-    if (isinstance(spec, (IidSum, LazyWalk)) and pair.inner.is_constant
-            and pair.outer.is_constant):
-        t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed)
-    else:
-        t1 = np.empty(n_paths); v1 = np.empty(n_paths)
-        t2 = np.empty(n_paths); v2 = np.empty(n_paths)
-        for i in range(n_paths):
-            path = generate(spec, seed, i)
-            r1 = first_exit(path, pair.inner)
-            r2 = first_exit(path, pair.outer)
-            t1[i], v1[i] = r1.tau, r1.value_at_stop
-            t2[i], v2[i] = r2.tau, r2.value_at_stop
-
+    validate_spec(_with_horizon(spec, horizon))
+    t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed)
     diff = v2 - v1
     n = n_paths
     rep = OsReport(

@@ -19,12 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .errors import DomainViolation, InvalidParameter, InvalidSpec
+from .errors import DomainViolation, InvalidParameter
 from .sim import (
-    Brownian,
     ExpSupermartingale,
-    IidSum,
-    LazyWalk,
     PoissonCounting,
     ProcessSpec,
     generate,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
@@ -37,7 +34,7 @@ from .stopping import RegionPair, _with_horizon, verify_optional_stopping
 
 SCHEMA_VERSION = "1"
 
-EVENT_KINDS = ("line", "vee", "eta_ray", "sup_level", "stopping")
+EVENT_KINDS = ("line", "vee", "eta_ray", "sup_level")
 # Elements per simulated chunk, and per block of rows in a row reduction:
 # together they bound the memory a chunk holds beyond its path matrix.
 _CHUNK_ELEMENTS = 3_000_000
@@ -69,10 +66,10 @@ class EventSpec:
 
     kinds: "line" (moving boundary gamma V_tau + slope (V_t - V_tau); side may
     be two_sided for the absolute-value envelope), "vee" (eta + gamma
-    (V_tau v V_t)), "eta_ray" (eta + gamma V_t), "sup_level" (sup Y_t >= gamma)
-    and "stopping" (delegates to the optional-stopping harness).
+    (V_tau v V_t)), "eta_ray" (eta + gamma V_t) and "sup_level"
+    (sup Y_t >= gamma).
 
-    On a uniform grid a crossing event may see part of each path: its first
+    On a uniform grid an event may see part of each path: its first
     ``steps`` grid steps (None: all), and with stride=2 only every second
     grid point of those, the 2 dt subgrid of the same paths.
     """
@@ -85,8 +82,6 @@ class EventSpec:
     eta: float = 0.0
     bound: float = math.nan
     label: str = ""
-    pair: Optional[RegionPair] = None
-    stopping_kind: str = "martingale"
     steps: Optional[int] = None
     stride: int = 1
 
@@ -97,12 +92,8 @@ class EventSpec:
             raise InvalidParameter(f"unknown side {self.side!r}")
         if self.side == "two_sided" and self.kind != "line":
             raise InvalidParameter("two_sided applies to line events only")
-        if self.kind == "stopping" and self.pair is None:
-            raise InvalidParameter("stopping events need a RegionPair")
         if self.stride not in (1, 2):
             raise InvalidParameter(f"stride must be 1 or 2, got {self.stride}")
-        if self.kind == "stopping" and (self.steps, self.stride) != (None, 1):
-            raise InvalidParameter("steps/stride apply to crossing events only")
 
 
 @dataclass(frozen=True)
@@ -256,60 +247,36 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     if not events:
         return []
     validate_spec(spec)
-    if n_paths <= 0:
-        raise InvalidParameter("n_paths must be positive")
-    if not (0 < alpha < 1):
-        raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
-    n_workers = (os.cpu_count() or 1) if threads is None else threads
-    if n_workers < 1:
-        raise InvalidParameter(f"threads must be at least 1, got {threads}")
+    n_workers = _check_run(n_paths, alpha, threads)
     if horizon is not None:
         spec = _with_horizon(spec, horizon)
     t0 = time.perf_counter()
 
-    out = []
-    crossing = [ev for ev in events if ev.kind != "stopping"]
-    if crossing:
-        base, transform = spec, None
-        if isinstance(spec, ExpSupermartingale):
-            base = spec.base
-            transform = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
-        if isinstance(base, PoissonCounting):
-            n_cols, chunk = None, chunk_size or 2048
-        else:
-            n_cols = uniform_grid(base)[1].size
-            chunk = chunk_size or max(16, min(8192, _CHUNK_ELEMENTS // n_cols))
-        if any((ev.steps, ev.stride) != (None, 1) and (n_cols is None or not (
-                ev.steps is None or 0 < ev.steps < n_cols)) for ev in crossing):
-            raise InvalidParameter("steps/stride events need a uniform grid "
-                                   "and 1 <= steps <= its number of steps")
-        jobs = [np.arange(s, min(s + chunk, n_paths))
-                for s in range(0, n_paths, chunk)]
-        work = lambda ix: _count_chunk(base, crossing, seed, ix, transform)
-        if n_workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                counts = np.sum(list(pool.map(work, jobs)), axis=0)
-        else:
-            counts = np.sum([work(ix) for ix in jobs], axis=0)
+    base, transform = spec, None
+    if isinstance(spec, ExpSupermartingale):
+        base = spec.base
+        transform = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
+    if isinstance(base, PoissonCounting):
+        n_cols, chunk = None, chunk_size or 2048
+    else:
+        n_cols = uniform_grid(base)[1].size
+        chunk = chunk_size or max(16, min(8192, _CHUNK_ELEMENTS // n_cols))
+    if any((ev.steps, ev.stride) != (None, 1) and (n_cols is None or not (
+            ev.steps is None or 0 < ev.steps < n_cols)) for ev in events):
+        raise InvalidParameter("steps/stride events need a uniform grid "
+                               "and 1 <= steps <= its number of steps")
+    jobs = [np.arange(s, min(s + chunk, n_paths))
+            for s in range(0, n_paths, chunk)]
+    work = lambda ix: _count_chunk(base, events, seed, ix, transform)
+    if n_workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            counts = np.sum(list(pool.map(work, jobs)), axis=0)
+    else:
+        counts = np.sum([work(ix) for ix in jobs], axis=0)
 
     elapsed = time.perf_counter() - t0
-    ci = 0
-    for ev in events:
-        if ev.kind == "stopping":
-            t1 = time.perf_counter()
-            rep = verify_optional_stopping(
-                spec, ev.pair, n_paths, horizon if horizon is not None else
-                _default_stop_horizon(spec), seed, kind=ev.stopping_kind)
-            k = int(round((1.0 - rep.truncated_outer) * n_paths))
-            lo, hi = clopper_pearson(k, n_paths, alpha)
-            out.append(ValidationReport(
-                label=ev.label or "stopping", n_paths=n_paths, n_crossed=k,
-                p_hat=k / n_paths, ci_lo=lo, ci_hi=hi, bound=math.nan,
-                verdict=rep.verdict, truncation_fraction=rep.truncated_outer,
-                runtime_seconds=time.perf_counter() - t1, alpha=alpha, seed=seed,
-                extra=rep.to_dict()))
-            continue
-        k = int(counts[ci]); ci += 1
+    out = []
+    for ev, k in zip(events, counts.tolist()):
         lo, hi = clopper_pearson(k, n_paths, alpha)
         p_hat = k / n_paths
         out.append(ValidationReport(
@@ -317,27 +284,46 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
             p_hat=p_hat, ci_lo=lo, ci_hi=hi, bound=ev.bound,
             verdict=_verdict(lo, hi, ev.bound),
             truncation_fraction=1.0 - p_hat,
-            runtime_seconds=elapsed / max(1, len(crossing)),
+            runtime_seconds=elapsed / len(events),
             alpha=alpha, seed=seed))
     return out
 
 
-def _default_stop_horizon(spec: ProcessSpec):
-    if isinstance(spec, (IidSum, LazyWalk)):
-        return spec.n
-    if isinstance(spec, (PoissonCounting, Brownian)):
-        return spec.horizon
-    if isinstance(spec, ExpSupermartingale):
-        return _default_stop_horizon(spec.base)
-    raise InvalidSpec(f"no default horizon for {type(spec).__name__}")
+def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1) -> int:
+    """Check the run settings before any path is drawn; return the worker
+    thread count (threads None: one per CPU)."""
+    if n_paths <= 0:
+        raise InvalidParameter("n_paths must be positive")
+    if not (0 < alpha < 1):
+        raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
+    n_workers = (os.cpu_count() or 1) if threads is None else threads
+    if n_workers < 1:
+        raise InvalidParameter(f"threads must be at least 1, got {threads}")
+    return n_workers
 
 
-def estimate_crossing(spec: ProcessSpec, event: EventSpec, n_paths: int,
-                      horizon=None, seed: int = 0, alpha: float = 0.01,
-                      threads: Optional[int] = None) -> ValidationReport:
-    """Estimate one crossing probability with its exact confidence interval."""
-    return sweep(spec, [event], n_paths, horizon=horizon, seed=seed,
-                 alpha=alpha, threads=threads)[0]
+def stopping_row(spec: ProcessSpec, pair: RegionPair, n_paths: int, horizon,
+                 seed: int, kind: str = "martingale", label: str = "stopping",
+                 alpha: float = 0.01) -> ValidationReport:
+    """One optional-stopping check as a report row.
+
+    n_crossed counts the paths that left the outer region within the
+    horizon; p_hat, ci_lo and ci_hi are their fraction and its
+    Clopper-Pearson interval, to which alone alpha applies.  The verdict is
+    verify_optional_stopping's fixed paired-SE rule, and extra is its
+    OsReport.
+    """
+    _check_run(n_paths, alpha)
+    t0 = time.perf_counter()
+    rep = verify_optional_stopping(spec, pair, n_paths, horizon, seed, kind=kind)
+    k = int(round((1.0 - rep.truncated_outer) * n_paths))
+    lo, hi = clopper_pearson(k, n_paths, alpha)
+    return ValidationReport(
+        label=label, n_paths=n_paths, n_crossed=k, p_hat=k / n_paths,
+        ci_lo=lo, ci_hi=hi, bound=math.nan, verdict=rep.verdict,
+        truncation_fraction=rep.truncated_outer,
+        runtime_seconds=time.perf_counter() - t0, alpha=alpha, seed=seed,
+        extra=rep.to_dict())
 
 
 def halving_allowance(p_fine: float, p_coarse: float) -> float:

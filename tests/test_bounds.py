@@ -78,7 +78,16 @@ class TestVeeBound:
     def test_matches_optimized_line(self):
         r = vee_bound(PHI_G, gamma=2.0, v_tau=1.0)
         assert r.bound == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert r.params["s_star"] == pytest.approx(4.0, rel=1e-8)
+
+    def test_needs_no_slope_root(self, monkeypatch):
+        # s_opt <= b* by convexity, so the restricted infimum needs no root
+        def solve_slope_root(*args, **kwargs):
+            raise AssertionError("slope root solved")
+        monkeypatch.setattr("crossbound.bounds.solve_slope_root",
+                            solve_slope_root)
+        r = vee_bound(PHI_G, gamma=2.0, v_tau=1.0, side="lower")
+        assert r.bound == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert r.s_used == pytest.approx(2.0, rel=1e-8)
 
     def test_vacuous_when_no_decrease(self):
         from crossbound import Custom
@@ -121,7 +130,6 @@ class TestEtaBound:
 
 class TestSlopeRootFailures:
     CALLS = [
-        lambda: vee_bound(PHI_G, gamma=2.0, v_tau=1.0),
         lambda: eta_bound(PHI_G, gamma=2.0, eta=1.0, variant="ray"),
         lambda: eta_bound(PHI_G, gamma=2.0, eta=1.0, v_tau=1.0, variant="vee"),
     ]
@@ -133,13 +141,13 @@ class TestSlopeRootFailures:
         monkeypatch.setattr("crossbound.bounds.solve_slope_root",
                             solve_slope_root)
 
-    @pytest.mark.parametrize("call", CALLS, ids=["vee", "eta_ray", "eta_vee"])
+    @pytest.mark.parametrize("call", CALLS, ids=["eta_ray", "eta_vee"])
     def test_monotonicity_violation_falls_back_unrestricted(self, monkeypatch,
                                                              call):
         self._failing_root(monkeypatch, MonotonicityViolation)
         assert call().params["restricted"] is False
 
-    @pytest.mark.parametrize("call", CALLS, ids=["vee", "eta_ray", "eta_vee"])
+    @pytest.mark.parametrize("call", CALLS, ids=["eta_ray", "eta_vee"])
     def test_other_errors_propagate(self, monkeypatch, call):
         self._failing_root(monkeypatch, NotUnimodal)
         with pytest.raises(NotUnimodal):

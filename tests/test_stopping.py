@@ -19,10 +19,11 @@ from crossbound import (
     InvalidSpec,
     LazyWalk,
     Path,
+    PoissonCentered,
+    PoissonCounting,
     RegionPair,
     TwoPointIncrements,
     UniformIncrements,
-    crossing_indicator,
     first_exit,
     generate,
     make_phi,
@@ -117,25 +118,6 @@ class TestFirstExit:
             first_exit(Path(times=np.array([]), values=np.array([]),
                             vproxy=np.array([])),
                        ContinuityRegion.constant(-1.0, 1.0))
-
-
-class TestCrossingIndicator:
-    def test_constant_below(self):
-        assert not crossing_indicator(_path([0.0, 0.0, 0.0]), lambda t: 1.0 + 0 * t)
-
-    def test_exact_hit_is_closed(self):
-        path = _path([0.0, 1.0, 0.0])
-        assert crossing_indicator(path, lambda t: np.full_like(t, 1.0))
-
-    def test_linear_path_hits_moving_boundary(self):
-        path = _path([0.0, 1.0, 2.0, 3.0])
-        assert crossing_indicator(path, lambda t: 0.5 + 0.0 * t)
-        assert not crossing_indicator(path, lambda t: 3.5 + 0.0 * t)
-        assert crossing_indicator(path, lambda t: 0.0 * t, direction="down")
-        assert not crossing_indicator(path, lambda t: -0.5 + 0.0 * t,
-                                      direction="down")
-        # boundary as an aligned array also works
-        assert crossing_indicator(path, np.array([0.5, 0.5, 0.5, 0.5]))
 
 
 class TestOptionalStopping:
@@ -256,6 +238,21 @@ def _normal_half(rng, n):
     return 0.5 * rng.standard_normal(n)
 
 
+def _pw_pair(time_scale=1.0, value_scale=1.0, shift=0.0):
+    """Piecewise-constant nested regions with breakpoints on both sides of
+    the first 128-step block (at unit scales)."""
+    def region(bp, lower, upper):
+        return ContinuityRegion(
+            breakpoints=time_scale * np.array(bp),
+            lower=shift + value_scale * np.array(lower),
+            upper=shift + value_scale * np.array(upper),
+            envelope=abs(shift) + 6.0 * value_scale)
+    return RegionPair(inner=region([0.0, 20.0, 150.0], [-3.0, -4.0, -2.0],
+                                   [3.0, 2.0, 4.0]),
+                      outer=region([0.0, 100.0, 200.0], [-5.0, -6.0, -4.0],
+                                   [5.0, 6.0, 4.5]))
+
+
 PAIR_1_2 = _pair(-1.0, 1.0, -2.0, 2.0)
 HARVEST_CASES = [
     (LazyWalk(1.0, 300), PAIR_3_5),
@@ -269,6 +266,84 @@ HARVEST_CASES = [
     (LazyWalk(1.0, 300), _pair(0.0, 3.0, -5.0, 5.0)),   # X_0 on the inner boundary
     (LazyWalk(1.0, 300), _pair(-3.0, 0.0, -3.0, 0.0)),  # ... and on the outer one
 ]
+
+
+def _generate_loop(spec, pair, n_paths, horizon, seed):
+    """Reference: the per-path generate + first_exit loop that the harvest
+    replaced for every other spec and region, kept as it was."""
+    spec = stopping._with_horizon(spec, horizon)
+    t1 = np.empty(n_paths); v1 = np.empty(n_paths)
+    t2 = np.empty(n_paths); v2 = np.empty(n_paths)
+    for i in range(n_paths):
+        path = generate(spec, seed, i)
+        r1 = first_exit(path, pair.inner)
+        r2 = first_exit(path, pair.outer)
+        t1[i], v1[i] = r1.tau, r1.value_at_stop
+        t2[i], v2[i] = r2.tau, r2.value_at_stop
+    return t1, v1, t2, v2
+
+
+PHI_G = make_phi(Gaussian(1.0))
+# (spec, pair, horizon): piecewise-constant regions on every kind of process
+ENGINE_CASES = [
+    (LazyWalk(1.0, 300), _pw_pair(1.0, 2.0), 300),
+    # bounds off the lattice k - 0.3 n of the values: on it, a value summed
+    # per block can tie a bound that generate's single cumsum misses
+    (IidSum(BernoulliIncrements(0.3), 300), _pw_pair(1.0, 1.23), 299),
+    (Brownian(dt=0.01, horizon=3.0), _pw_pair(0.01, 0.25), 3.0),
+    (ExpSupermartingale(Brownian(dt=0.01, horizon=3.0), s=1.0, phi=PHI_G),
+     _pw_pair(0.01, 0.2, shift=1.0), 3.0),
+    (ExpSupermartingale(LazyWalk(1.0, 300), s=0.05, phi=PHI_G),
+     _pw_pair(1.0, 0.2, shift=1.0), 300),
+    (PoissonCounting(lam=2.0, horizon=20.0, centered=True), _pw_pair(0.1), 20.0),
+    (PoissonCounting(lam=2.0, horizon=4.0),
+     _pw_pair(0.02, 2.0, shift=3.0), 4.0),
+    (ExpSupermartingale(PoissonCounting(lam=2.0, horizon=4.0, centered=True),
+                        s=0.5, phi=make_phi(PoissonCentered(2.0))),
+     _pw_pair(0.02, 0.15, shift=1.0), 4.0),
+]
+ENGINE_IDS = ["walk", "bernoulli", "brownian", "exp_brownian", "exp_walk",
+              "poisson_centered", "poisson", "exp_poisson"]
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("spec,pair,horizon", ENGINE_CASES, ids=ENGINE_IDS)
+    def test_matches_generate_loop(self, spec, pair, horizon):
+        got = stopping._harvest_exits_blockwise(spec, pair, 300, horizon, 78)
+        want = _generate_loop(spec, pair, 300, horizon, 78)
+        for g, w in zip(got[::2], want[::2]):
+            assert np.array_equal(g, w)
+        for g, w in zip(got[1::2], want[1::2]):
+            if isinstance(spec, PoissonCounting):    # read, not re-summed
+                assert np.array_equal(g, w)
+            else:
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec,pair,horizon", ENGINE_CASES, ids=ENGINE_IDS)
+    def test_cases_cover_exits_and_truncation(self, spec, pair, horizon):
+        # each case has paths that leave both regions, after the first block
+        # and after a breakpoint, and paths that never leave the outer one
+        t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300,
+                                                         horizon, 78)
+        late = pair.inner.breakpoints[1]
+        assert np.any(np.isfinite(t1) & (t1 >= late))
+        assert np.any(np.isfinite(t2) & (t2 > pair.outer.breakpoints[1]))
+        assert np.isinf(t2).any()
+        if not isinstance(spec, PoissonCounting):
+            assert np.any(np.isfinite(t2) & (t2 > horizon * 128 / 300))
+
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    def test_verify_reads_the_harvest(self, monkeypatch):
+        # no generate + first_exit fallback is left for any spec or region
+        monkeypatch.setattr(stopping, "first_exit", None)
+        monkeypatch.setattr(stopping, "generate", None, raising=False)
+        monkeypatch.setattr("crossbound.sim.generate", None)
+        for spec, pair, horizon in ENGINE_CASES:
+            rep = verify_optional_stopping(spec, pair, 50, horizon, 79)
+            t1, v1, t2, v2 = stopping._harvest_exits_blockwise(spec, pair, 50,
+                                                               horizon, 79)
+            assert rep.mean_inner == v1.mean() and rep.mean_outer == v2.mean()
+            assert rep.truncated_outer == np.isinf(t2).mean()
 
 
 class TestHarvest:
@@ -295,12 +370,15 @@ class TestHarvest:
         assert np.all(t1 == 0.0) and np.all(t2 > 0.0)
 
     @settings(max_examples=15, deadline=None)
-    @given(case=st.sampled_from(HARVEST_CASES), rows=st.integers(1, 200),
-           n_paths=st.integers(2, 260), horizon=st.integers(1, 300),
-           seed=st.integers(0, 2 ** 32))
-    def test_does_not_depend_on_group_size(self, case, rows, n_paths, horizon,
+    @given(case=st.sampled_from(
+               [(spec, pair, 1) for spec, pair in HARVEST_CASES]
+               + [(spec, pair, h / 300) for spec, pair, h in ENGINE_CASES]),
+           rows=st.integers(1, 200), n_paths=st.integers(2, 260),
+           steps=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_does_not_depend_on_group_size(self, case, rows, n_paths, steps,
                                            seed):
-        spec, pair = case
+        spec, pair, unit = case
+        horizon = steps * unit
         want = stopping._harvest_exits_blockwise(spec, pair, n_paths, horizon,
                                                  seed)
         with pytest.MonkeyPatch.context() as mp:

@@ -17,15 +17,25 @@ from crossbound import (
     Uniform24,
     UniformIncrements,
     clopper_pearson,
-    estimate_crossing,
     generate,
     halving_allowance,
     make_phi,
     optimized_line_bound,
     sweep,
 )
-from crossbound.presets import run_expexact_brownian, walk_region_pair
-from crossbound.validate import EventSpec, _event_rows, _RowStats, _verdict
+from crossbound import stopping
+from crossbound.presets import (
+    run_expexact_brownian,
+    run_optional_stopping,
+    walk_region_pair,
+)
+from crossbound.validate import (
+    EventSpec,
+    _event_rows,
+    _RowStats,
+    _verdict,
+    stopping_row,
+)
 
 
 class TestClopperPearson:
@@ -80,11 +90,9 @@ class TestEventSpec:
         with pytest.raises(InvalidParameter):
             EventSpec(kind="vee", side="two_sided")
         with pytest.raises(InvalidParameter):
-            EventSpec(kind="stopping")
+            EventSpec(kind="stopping")   # stopping_row builds those rows
         with pytest.raises(InvalidParameter):
             EventSpec(kind="line", stride=3)
-        with pytest.raises(InvalidParameter):
-            EventSpec(kind="stopping", pair=walk_region_pair(), stride=2)
 
 
 class TestEstimateCrossing:
@@ -92,7 +100,7 @@ class TestEstimateCrossing:
         phi = make_phi(Gaussian(1.0))
         spec = ExpSupermartingale(Brownian(dt=2e-3, horizon=15.0), 1.0, phi)
         ev = EventSpec(kind="sup_level", gamma=2.0, bound=0.5, label="doob")
-        rep = estimate_crossing(spec, ev, n_paths=20_000, seed=40)
+        rep = sweep(spec, [ev], n_paths=20_000, seed=40)[0]
         assert 0.45 <= rep.p_hat <= 0.51
         assert rep.verdict == "holds"
         assert rep.ci_lo <= rep.p_hat <= rep.ci_hi
@@ -104,18 +112,70 @@ class TestEstimateCrossing:
         assert bound == pytest.approx(math.exp(-60.0), rel=1e-9)
         ev = EventSpec(kind="vee", gamma=1.0, v_tau=10.0, bound=bound,
                        label="rare")
-        rep = estimate_crossing(IidSum(UniformIncrements(), 100), ev,
-                                n_paths=2000, seed=41)
+        rep = sweep(IidSum(UniformIncrements(), 100), [ev], n_paths=2000,
+                    seed=41)[0]
         assert rep.n_crossed == 0
         assert rep.verdict != "violated"
 
-    def test_stopping_event_delegates(self):
-        ev = EventSpec(kind="stopping", pair=walk_region_pair(),
-                       stopping_kind="martingale", label="os")
-        rep = estimate_crossing(LazyWalk(1.0, 500), ev, n_paths=4000,
-                                horizon=500, seed=42)
-        assert rep.verdict == "holds"
-        assert "mean_inner" in rep.extra
+
+class TestStoppingRow:
+    # run_optional_stopping(paths=4000, seed=42, horizon=500) as sweep's
+    # stopping branch built it, every field but bound (nan) and the runtime
+    PINNED = [
+        {"label": "walk_martingale", "n_paths": 4000, "n_crossed": 4000,
+         "p_hat": 1.0, "ci_lo": 0.998676297526376, "ci_hi": 1.0,
+         "verdict": "holds", "truncation_fraction": 0.0, "alpha": 0.01,
+         "seed": 42, "schema_version": "1",
+         "extra": {"n_paths": 4000, "mean_inner": -0.06,
+                   "se_inner": 0.04743060631705967, "mean_outer": 0.05,
+                   "se_outer": 0.07906287203506845, "mean_diff": 0.11,
+                   "se_diff": 0.06387875330484263, "truncated_inner": 0.0,
+                   "truncated_outer": 0.0, "kind": "martingale",
+                   "ci_multiple": 3.0, "verdict": "holds"}},
+        {"label": "walk_supermartingale", "n_paths": 4000, "n_crossed": 4000,
+         "p_hat": 1.0, "ci_lo": 0.998676297526376, "ci_hi": 1.0,
+         "verdict": "holds", "truncation_fraction": 0.0, "alpha": 0.01,
+         "seed": 42, "schema_version": "1",
+         "extra": {"n_paths": 4000, "mean_inner": -1.1985750000000004,
+                   "se_inner": 0.05109836472983519,
+                   "mean_outer": -2.639975000000001,
+                   "se_outer": 0.07479782619531558,
+                   "mean_diff": -1.4414000000000007,
+                   "se_diff": 0.05832317856812653, "truncated_inner": 0.0,
+                   "truncated_outer": 0.0, "kind": "supermartingale",
+                   "ci_multiple": 3.0, "verdict": "holds"}},
+    ]
+
+    def test_preset_rows_pinned(self):
+        rows = run_optional_stopping(paths=4000, seed=42, horizon=500)
+        assert len(rows) == len(self.PINNED)
+        for row, want in zip(rows, self.PINNED):
+            got = row.to_dict()
+            assert got.pop("runtime_seconds") >= 0.0
+            assert math.isnan(got.pop("bound"))
+            assert got == want
+
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    def test_counts_outer_exits(self):
+        row = stopping_row(LazyWalk(1.0, 30), walk_region_pair(), 500, 30,
+                           seed=3, label="short", alpha=0.05)
+        k = round(500 * (1.0 - row.extra["truncated_outer"]))
+        assert 0 < k < 500 and row.n_crossed == k and row.p_hat == k / 500
+        assert (row.ci_lo, row.ci_hi) == clopper_pearson(k, 500, 0.05)
+        assert row.label == "short" and row.alpha == 0.05
+
+    @pytest.mark.parametrize("n_paths, alpha, exc", [
+        (0, 0.01, InvalidParameter), (100, 0.0, DomainViolation),
+        (100, 1.5, DomainViolation)])
+    def test_bad_settings_raise_before_drawing(self, monkeypatch, n_paths,
+                                               alpha, exc):
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(stopping, "path_streams", no_draws)
+        with pytest.raises(exc):
+            stopping_row(LazyWalk(1.0, 100), walk_region_pair(), n_paths, 100,
+                         seed=1, alpha=alpha)
 
 
 class TestSweep:
@@ -139,7 +199,7 @@ class TestSweep:
                   EventSpec(kind="eta_ray", side="upper", gamma=0.2, eta=1.0,
                             bound=0.5, label="b")]
         batch = sweep(spec, events, 3000, seed=44)
-        singles = [estimate_crossing(spec, ev, 3000, seed=44) for ev in events]
+        singles = [sweep(spec, [ev], 3000, seed=44)[0] for ev in events]
         for b, s in zip(batch, singles):
             assert b.p_hat == s.p_hat
             assert b.n_crossed == s.n_crossed
