@@ -71,11 +71,6 @@ def _print_config(command: str, cfg: dict) -> None:
 # bound subcommand
 # ---------------------------------------------------------------------------
 
-_PHI_INEQS = {"gen_line_upper", "gen_line_lower", "opt_line_upper",
-              "opt_line_lower", "vee_upper", "vee_lower", "eta_ray_upper",
-              "eta_ray_lower", "eta_vee_upper", "eta_vee_lower", "doob_exp"}
-
-
 def _need(cfg: dict, *names):
     for name in names:
         if cfg.get(name) is None:
@@ -83,66 +78,66 @@ def _need(cfg: dict, *names):
     return [cfg[name] for name in names]
 
 
+def _bound_table() -> dict:
+    """Inequality id -> (evaluator, required config keys, fixed keywords).
+
+    A fixed keyword that is also a config key is a default the config may
+    override (vtau of the eta families, phi of doob_exp).
+    """
+    expfam = lambda m, **kw: B.expfam_bound(B.bernoulli_family(), m=int(m),
+                                            **kw)
+    table = {
+        "azuma_two_sided": (B.azuma_bound, ("gamma", "vtau"),
+                            {"kind": "two_sided"}),
+        "bennett_cbb": (B.cbb_bounds, ("gamma", "vm", "b"),
+                        {"which": "bennett"}),
+        "bernstein_cbb": (B.cbb_bounds, ("gamma", "vm", "b"),
+                          {"which": "bernstein"}),
+        "chernoff_sub": (B.cbb_bounds, ("gamma", "vm", "b"),
+                         {"which": "chernoff_sub"}),
+        "supermartingale_sup": (B.supermartingale_sup_bound,
+                                ("mean0", "c", "gamma"), {}),
+        "doob_exp": (B.doob_exp_bound, ("gamma",), {"phi": None}),
+    }
+    for side in ("upper", "lower"):
+        table.update({
+            f"gen_line_{side}": (B.line_bound, ("phi", "s", "gamma", "vtau"),
+                                 {"side": side}),
+            f"opt_line_{side}": (B.optimized_line_bound,
+                                 ("phi", "gamma", "vtau"), {"side": side}),
+            f"vee_{side}": (B.vee_bound, ("phi", "gamma", "vtau"),
+                            {"side": side}),
+            f"azuma_{side}": (B.azuma_bound, ("gamma", "vtau"), {"kind": side}),
+            f"expfam_{side}": (expfam, ("theta", "gamma", "m"), {"side": side}),
+            f"poisson_{side}": (B.poisson_bounds, ("lam", "gamma", "tau"),
+                                {"side": side}),
+        })
+        for variant in ("ray", "vee"):
+            table[f"eta_{variant}_{side}"] = (
+                B.eta_bound, ("phi", "gamma", "eta"),
+                {"side": side, "variant": variant, "vtau": 0.0})
+    return table
+
+
+_BOUNDS = _bound_table()
+# config key -> evaluator keyword, where the two differ
+_KEYWORDS = {"vtau": "v_tau", "vm": "v_m"}
+
+
 def _compute_bound(cfg: dict) -> B.BoundReport:
     (ineq,) = _need(cfg, "ineq")
-    phi = None
-    if ineq in _PHI_INEQS and cfg.get("phi") is not None:
+    if ineq not in _BOUNDS:
+        raise ConfigError(f"unknown inequality {ineq!r}")
+    fn, keys, fixed = _BOUNDS[ineq]
+    if "phi" in (*keys, *fixed) and cfg.get("phi") is not None:
         rec = cfg["phi"]
         if isinstance(rec, str):
             rec = json.loads(rec)
-        phi = make_phi(phi_kind_from_dict(rec))
-    if ineq in ("gen_line_upper", "gen_line_lower"):
-        if phi is None:
-            raise ConfigError("missing required key 'phi'")
-        side = "upper" if ineq.endswith("upper") else "lower"
-        s, gamma, vtau = _need(cfg, "s", "gamma", "vtau")
-        return B.line_bound(phi, s=s, gamma=gamma, v_tau=vtau, side=side)
-    if ineq in ("opt_line_upper", "opt_line_lower"):
-        if phi is None:
-            raise ConfigError("missing required key 'phi'")
-        side = "upper" if ineq.endswith("upper") else "lower"
-        gamma, vtau = _need(cfg, "gamma", "vtau")
-        return B.optimized_line_bound(phi, gamma=gamma, v_tau=vtau, side=side)
-    if ineq in ("vee_upper", "vee_lower"):
-        if phi is None:
-            raise ConfigError("missing required key 'phi'")
-        side = "upper" if ineq.endswith("upper") else "lower"
-        gamma, vtau = _need(cfg, "gamma", "vtau")
-        return B.vee_bound(phi, gamma=gamma, v_tau=vtau, side=side)
-    if ineq in ("eta_ray_upper", "eta_ray_lower", "eta_vee_upper", "eta_vee_lower"):
-        if phi is None:
-            raise ConfigError("missing required key 'phi'")
-        side = "upper" if ineq.endswith("upper") else "lower"
-        variant = "ray" if "ray" in ineq else "vee"
-        gamma, eta = _need(cfg, "gamma", "eta")
-        vtau = cfg.get("vtau", 0.0)
-        return B.eta_bound(phi, gamma=gamma, eta=eta, v_tau=vtau, side=side,
-                           variant=variant)
-    if ineq in ("azuma_upper", "azuma_lower", "azuma_two_sided"):
-        gamma, vtau = _need(cfg, "gamma", "vtau")
-        return B.azuma_bound(gamma=gamma, v_tau=vtau,
-                             kind=ineq.replace("azuma_", ""))
-    if ineq in ("bennett_cbb", "bernstein_cbb", "chernoff_sub"):
-        gamma, vm, b = _need(cfg, "gamma", "vm", "b")
-        which = {"bennett_cbb": "bennett", "bernstein_cbb": "bernstein",
-                 "chernoff_sub": "chernoff_sub"}[ineq]
-        return B.cbb_bounds(gamma=gamma, v_m=vm, b=b, which=which)
-    if ineq in ("expfam_upper", "expfam_lower"):
-        theta, gamma, m = _need(cfg, "theta", "gamma", "m")
-        side = "upper" if ineq.endswith("upper") else "lower"
-        return B.expfam_bound(B.bernoulli_family(), theta=theta, gamma=gamma,
-                              m=int(m), side=side)
-    if ineq in ("poisson_upper", "poisson_lower"):
-        lam, gamma, tau = _need(cfg, "lam", "gamma", "tau")
-        side = "upper" if ineq.endswith("upper") else "lower"
-        return B.poisson_bounds(lam=lam, gamma=gamma, tau=tau, side=side)
-    if ineq == "supermartingale_sup":
-        mean0, c, gamma = _need(cfg, "mean0", "c", "gamma")
-        return B.supermartingale_sup_bound(mean0=mean0, c=c, gamma=gamma)
-    if ineq == "doob_exp":
-        (gamma,) = _need(cfg, "gamma")
-        return B.doob_exp_bound(gamma=gamma, phi=phi)
-    raise ConfigError(f"unknown inequality {ineq!r}")
+        cfg = {**cfg, "phi": make_phi(phi_kind_from_dict(rec))}
+    kwargs = dict(fixed)
+    kwargs.update((key, cfg[key]) for key in fixed if cfg.get(key) is not None)
+    kwargs.update(zip(keys, _need(cfg, *keys)))
+    return fn(**{_KEYWORDS.get(k, k): v for k, v in kwargs.items()})
 
 
 def _cmd_bound(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -58,24 +58,14 @@ IncrementDist = Union[BernoulliIncrements, UniformIncrements,
                       TwoPointIncrements, CustomIncrements]
 
 
-def _draw_increments(dist: IncrementDist, rng: np.random.Generator,
-                     n: int) -> np.ndarray:
-    if isinstance(dist, CustomIncrements):
-        out = np.asarray(dist.sampler(rng, n), dtype=np.float64)
-        if out.shape != (n,):
-            raise InvalidSpec("custom sampler must return shape (n,)")
-        return out
-    return increments_from_uniforms(dist, rng.random(n))
-
-
 def _validate_dist(dist: IncrementDist):
     if isinstance(dist, BernoulliIncrements) and not (0.0 < dist.p < 1.0):
         raise InvalidSpec(f"Bernoulli p must lie in (0, 1), got {dist.p}")
     if isinstance(dist, TwoPointIncrements):
         if not (0.0 < dist.p_hi < 1.0):
             raise InvalidSpec(f"p_hi must lie in (0, 1), got {dist.p_hi}")
-        if not dist.lo < dist.hi:
-            raise InvalidSpec("need lo < hi for two-point increments")
+        if not -math.inf < dist.lo < dist.hi < math.inf:
+            raise InvalidSpec("need finite lo < hi for two-point increments")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +133,6 @@ class Path:
     times: np.ndarray
     values: np.ndarray
     vproxy: np.ndarray
-    interpolation: str = "step"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -159,8 +148,6 @@ class Path:
             raise InvalidParameter("values/vproxy must match the time grid")
         if vproxy.size > 1 and np.any(np.diff(vproxy) < 0.0):
             raise InvalidParameter("vproxy must be non-decreasing")
-        if self.interpolation not in ("step", "linear"):
-            raise InvalidParameter("interpolation must be 'step' or 'linear'")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "vproxy", vproxy)
@@ -282,12 +269,15 @@ def validate_spec(spec: ProcessSpec):
             raise InvalidSpec(f"p_move must lie in [0, 1], got {spec.p_move}")
         if spec.n <= 0:
             raise InvalidSpec(f"LazyWalk needs n >= 1, got {spec.n}")
+        if not math.isfinite(spec.drift):
+            raise InvalidSpec(f"LazyWalk drift must be finite, got {spec.drift}")
     elif isinstance(spec, PoissonCounting):
-        if spec.lam <= 0 or spec.horizon <= 0:
-            raise InvalidSpec("PoissonCounting needs lam > 0 and horizon > 0")
+        if not (0 < spec.lam < math.inf and 0 < spec.horizon < math.inf):
+            raise InvalidSpec(
+                "PoissonCounting needs finite lam > 0 and horizon > 0")
     elif isinstance(spec, Brownian):
-        if spec.dt <= 0 or spec.horizon <= 0:
-            raise InvalidSpec("Brownian needs dt > 0 and horizon > 0")
+        if not (0 < spec.dt < math.inf and 0 < spec.horizon < math.inf):
+            raise InvalidSpec("Brownian needs finite dt > 0 and horizon > 0")
         if spec.horizon < spec.dt:
             raise InvalidSpec("Brownian horizon must cover at least one step")
     elif isinstance(spec, ExpSupermartingale):
@@ -300,32 +290,61 @@ def validate_spec(spec: ProcessSpec):
         raise InvalidSpec(f"unknown process spec {spec!r}")
 
 
-# --- canonical increment draws (shared by single-path and batched drivers) --
+# --- step draws: every grid producer draws through step_draws -------------
 
 
-def increments_from_uniforms(law, u: np.ndarray) -> np.ndarray:
-    """The canonical uniform -> increment map of a LazyWalk or of a Bernoulli,
-    Uniform or TwoPoint increment law, elementwise on u of any shape.
+def step_draws(spec: ProcessSpec):
+    """(fill, steps) of a process on a shared uniform grid.
 
-    Every draw of these laws goes through here, one uniform per step, so a
-    (paths, steps) matrix of uniforms maps to the same increments as each
-    row drawn on its own.
+    fill(rng, row) draws the next row.size steps of a path's stream into
+    row, and steps(blk) maps rows of any shape elementwise to increments.
+    A step takes one normal (Brownian) or one uniform (walks and the
+    Bernoulli, Uniform and TwoPoint laws); a CustomIncrements sampler is
+    called once per fill.  So a path filled a block at a time consumes the
+    stream of one fill of the whole path, and a (paths, steps) matrix maps
+    to the same increments as each row on its own.
     """
+    if isinstance(spec, Brownian):
+        scale = math.sqrt(spec.dt)
+        return (lambda rng, row: rng.standard_normal(out=row),
+                lambda blk: blk * scale)
+    if not isinstance(spec, (IidSum, LazyWalk)):
+        raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
+    law = spec.dist if isinstance(spec, IidSum) else spec
+    if isinstance(law, CustomIncrements):
+        def fill(rng, row):
+            out = np.asarray(law.sampler(rng, row.size), dtype=np.float64)
+            if out.shape != row.shape:
+                raise InvalidSpec("custom sampler must return shape (n,)")
+            row[:] = out
+        return fill, lambda blk: blk
     if isinstance(law, LazyWalk):
         half = law.p_move / 2.0
-        inc = np.where(u < half, 1.0, np.where(u >= 1.0 - half, -1.0, 0.0))
-        return inc + law.drift
-    if isinstance(law, BernoulliIncrements):
-        return (u < law.p).astype(np.float64) - law.p
-    if isinstance(law, UniformIncrements):
-        return u - 0.5
-    if isinstance(law, TwoPointIncrements):
-        return np.where(u < law.p_hi, law.hi, law.lo)
-    raise InvalidSpec(f"no uniform transform for {law!r}")
+        steps = lambda u: np.where(u < half, 1.0, np.where(
+            u >= 1.0 - half, -1.0, 0.0)) + law.drift
+    elif isinstance(law, BernoulliIncrements):
+        steps = lambda u: (u < law.p).astype(np.float64) - law.p
+    elif isinstance(law, UniformIncrements):
+        steps = lambda u: u - 0.5
+    elif isinstance(law, TwoPointIncrements):
+        steps = lambda u: np.where(u < law.p_hi, law.hi, law.lo)
+    else:
+        raise InvalidSpec(f"unknown increment law {law!r}")
+    return (lambda rng, row: rng.random(out=row)), steps
+
+
+def _draw_path(draws, rng: np.random.Generator, row: np.ndarray) -> None:
+    """Sum one path's steps into row, the values X_1.. after X_0 = 0."""
+    fill, steps = draws
+    fill(rng, row)
+    np.cumsum(steps(row), out=row)
 
 
 def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
-    return increments_from_uniforms(spec, rng.random(spec.n))
+    fill, steps = step_draws(spec)
+    row = np.empty(spec.n)
+    fill(rng, row)
+    return steps(row)
 
 
 def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.ndarray:
@@ -378,7 +397,8 @@ def _generate_with_rng(spec: ProcessSpec, rng: np.random.Generator) -> Path:
         base = _generate_with_rng(spec.base, rng)
         return transform_exp_martingale(base, spec.s, spec.phi)
     t, v = uniform_grid(spec)
-    values = np.concatenate([[0.0], np.cumsum(_grid_increments(spec, rng))])
+    values = np.zeros(t.size)
+    _draw_path(step_draws(spec), rng, values[1:])
     return Path(times=t, values=values, vproxy=v)
 
 
@@ -390,21 +410,7 @@ def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
         )
     ph = float(np.asarray(phi.phi(s)))
     values = np.exp(s * path.values - ph * path.vproxy)
-    return Path(times=path.times, values=values, vproxy=path.vproxy,
-                interpolation=path.interpolation)
-
-
-def _grid_increments(spec: ProcessSpec,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One path's increments on a shared uniform grid, in canonical order."""
-    if isinstance(spec, IidSum):
-        return _draw_increments(spec.dist, rng, spec.n)
-    if isinstance(spec, LazyWalk):
-        return walk_increments(spec, rng)
-    if isinstance(spec, Brownian):
-        n = int(round(spec.horizon / spec.dt))
-        return rng.standard_normal(n) * math.sqrt(spec.dt)
-    raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
+    return Path(times=path.times, values=values, vproxy=path.vproxy)
 
 
 def increments_matrix(spec: ProcessSpec, seed: int,
@@ -416,11 +422,12 @@ def increments_matrix(spec: ProcessSpec, seed: int,
     """
     if isinstance(spec, ExpSupermartingale):
         return increments_matrix(spec.base, seed, indices)
+    fill, steps = step_draws(spec)
     out = np.empty((len(indices), uniform_grid(spec)[0].size - 1))
     streams = path_streams(seed, indices, [np.random.default_rng(0)])
     for row, rng in enumerate(streams):
-        out[row] = _grid_increments(spec, rng)
-    return out
+        fill(rng, out[row])
+    return steps(out)
 
 
 def path_blocks(spec: ProcessSpec, seed: int, indices):
@@ -437,11 +444,12 @@ def path_blocks(spec: ProcessSpec, seed: int, indices):
             yield path.values[None, :], path.vproxy
         return
     _, V = uniform_grid(spec)
+    draws = step_draws(spec)
     X = np.empty((len(indices), V.size))
     X[:, 0] = 0.0
     for row, rng in enumerate(streams):
-        # a 1-D cumsum straight into the row needs no (k, n) increment matrix
-        np.cumsum(_grid_increments(spec, rng), out=X[row, 1:])
+        # one row at a time: no (k, n) increment matrix
+        _draw_path(draws, rng, X[row, 1:])
     yield X, V
 
 

@@ -20,18 +20,16 @@ import numpy as np
 from .errors import EmptyPath, InvalidParameter, InvalidSpec
 from .sim import (
     Brownian,
-    CustomIncrements,
     ExpSupermartingale,
     IidSum,
     LazyWalk,
     Path,
     PoissonCounting,
     ProcessSpec,
-    _draw_increments,
-    increments_from_uniforms,
     path_blocks,
     path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     path_streams,
+    step_draws,
     uniform_grid,
     validate_spec,
     walk_increments,  # noqa: F401  (likewise)
@@ -202,6 +200,8 @@ class OsReport:
 
 
 def _with_horizon(spec: ProcessSpec, horizon) -> ProcessSpec:
+    if not math.isfinite(horizon):
+        raise InvalidSpec(f"horizon must be finite, got {horizon}")
     if isinstance(spec, (IidSum, LazyWalk)):
         return dataclasses.replace(spec, n=int(horizon))
     if isinstance(spec, (PoissonCounting, Brownian)):
@@ -209,23 +209,6 @@ def _with_horizon(spec: ProcessSpec, horizon) -> ProcessSpec:
     if isinstance(spec, ExpSupermartingale):
         return dataclasses.replace(spec, base=_with_horizon(spec.base, horizon))
     raise InvalidSpec(f"cannot set a horizon on {type(spec).__name__}")
-
-
-def _block_draws(base):
-    """(fill, increments) for a uniform-grid base process: fill(rng, row)
-    draws the next row.size steps of the path's stream into row, in
-    generate's order, and increments maps a block of such rows to steps."""
-    if isinstance(base, Brownian):
-        scale = math.sqrt(base.dt)
-        return (lambda rng, row: rng.standard_normal(out=row),
-                lambda blk: blk * scale)
-    law = base if isinstance(base, LazyWalk) else base.dist
-    if isinstance(law, CustomIncrements):
-        def fill(rng, row):
-            row[:] = _draw_increments(law, rng, row.size)
-        return fill, lambda blk: blk
-    return (lambda rng, row: rng.random(out=row),
-            lambda blk: increments_from_uniforms(law, blk))
 
 
 def _first_out(vals, t, region):
@@ -242,12 +225,14 @@ def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
     ExpSupermartingale over X.
 
     On a uniform grid the paths go HARVEST_ROWS at a time: path i draws the
-    stream of generate(spec, seed, i), HARVEST_BLOCK steps per block and
-    only while its outer exit is pending.  Each block is summed as
-    x + cumsum(block), so a value can differ in the last bits from
-    generate's single cumsum past the first block.  Poisson paths are read
-    whole, one row at a time, from path_blocks.  Every block goes through
-    the same exit search, against the region bounds at the block's times.
+    stream of generate(spec, seed, i) through sim.step_draws, HARVEST_BLOCK
+    steps per block and only while its outer exit is pending.  Column 0 of
+    a mapped block holds each row's running sum, so one cumsum along the
+    rows adds in generate's order and every value is generate's, bit for
+    bit.  Poisson
+    paths are read whole, one row at a time, from path_blocks.  Every block
+    goes through the same exit search, against the region bounds at the
+    block's times.
     """
     spec = _with_horizon(spec, horizon)
     base = spec
@@ -290,9 +275,11 @@ def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
     else:
         times, V = uniform_grid(base)
         n_steps = times.size - 1
-        fill, increments = _block_draws(base)
+        fill, steps = step_draws(base)
         rows = HARVEST_ROWS
-        buf = np.empty((rows, HARVEST_BLOCK))
+        # steps maps whole blocks, column 0 too, before that column takes
+        # each row's running sum: zeros keep what it maps there finite
+        buf = np.zeros((rows, HARVEST_BLOCK + 1))
         # one pool of generators per call, re-stated for each group of rows
         streams = path_streams(seed, todo, [np.random.default_rng(0)
                                             for _ in range(min(rows, n_paths))])
@@ -303,14 +290,16 @@ def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
             step = 0
             while live.size and step < n_steps:
                 m = min(HARVEST_BLOCK, n_steps - step)
-                blk = buf[:live.size, :m]
-                for r, j in enumerate(live):
-                    fill(rngs[j], blk[r])
-                cum = np.cumsum(increments(blk), axis=1)
-                cum += x[live, None]
+                blk = buf[:live.size, :m + 1]
+                for row, j in zip(blk[:, 1:], live.tolist()):
+                    fill(rngs[j], row)
+                cum = steps(blk)
+                cum[:, 0] = x[live]
+                np.cumsum(cum, axis=1, out=cum)
                 x[live] = cum[:, -1]
                 cols = slice(step + 1, step + m + 1)
-                hit = search(g0 + live, times[cols], tested(cum, V[cols]))
+                hit = search(g0 + live, times[cols],
+                             tested(cum[:, 1:], V[cols]))
                 live = live[~hit]
                 step += m
     # truncated: the last value stands in for X_tau

@@ -30,7 +30,7 @@ from .sim import (
     uniform_grid,
     validate_spec,
 )
-from .stopping import RegionPair, _with_horizon, verify_optional_stopping
+from .stopping import RegionPair, verify_optional_stopping
 
 SCHEMA_VERSION = "1"
 
@@ -235,7 +235,7 @@ def _count_chunk(base, events, seed, indices, transform) -> np.ndarray:
 
 
 def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
-          horizon=None, seed: int = 0, alpha: float = 0.01,
+          seed: int = 0, alpha: float = 0.01,
           threads: Optional[int] = None,
           chunk_size: Optional[int] = None) -> list:
     """Estimate every event on one shared set of simulated paths.
@@ -248,8 +248,6 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
         return []
     validate_spec(spec)
     n_workers = _check_run(n_paths, alpha, threads)
-    if horizon is not None:
-        spec = _with_horizon(spec, horizon)
     t0 = time.perf_counter()
 
     base, transform = spec, None

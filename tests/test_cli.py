@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from crossbound.cli import build_parser, main
+from crossbound import bounds as B
+from crossbound.cli import _BOUNDS, _compute_bound, build_parser, main
+from crossbound.mgf import Gaussian, make_phi
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,78 @@ class TestBoundCommand:
                                  "--gamma", gamma, "--vtau", "1")
         assert code == 3 and out == ""
         assert "gamma" in err
+
+
+PHI_REC = '{"kind": "gaussian", "v": 1.0}'
+_G = make_phi(Gaussian(1.0))
+
+
+def _sides(ineq, keys, call):
+    return {f"{ineq}_{side}": (keys, lambda side=side: call(side))
+            for side in ("upper", "lower")}
+
+
+# inequality id -> (required config keys, the direct evaluator call)
+BOUND_CASES = {
+    **_sides("gen_line", {"phi": PHI_REC, "s": 0.5, "gamma": 2.0, "vtau": 1.5},
+             lambda side: B.line_bound(_G, s=0.5, gamma=2.0, v_tau=1.5,
+                                       side=side)),
+    **_sides("opt_line", {"phi": PHI_REC, "gamma": 2.0, "vtau": 1.5},
+             lambda side: B.optimized_line_bound(_G, gamma=2.0, v_tau=1.5,
+                                                 side=side)),
+    **_sides("vee", {"phi": PHI_REC, "gamma": 2.0, "vtau": 1.5},
+             lambda side: B.vee_bound(_G, gamma=2.0, v_tau=1.5, side=side)),
+    **_sides("eta_ray", {"phi": PHI_REC, "gamma": 2.0, "eta": 0.5},
+             lambda side: B.eta_bound(_G, gamma=2.0, eta=0.5, v_tau=0.0,
+                                      side=side, variant="ray")),
+    **_sides("eta_vee", {"phi": PHI_REC, "gamma": 2.0, "eta": 0.5},
+             lambda side: B.eta_bound(_G, gamma=2.0, eta=0.5, v_tau=0.0,
+                                      side=side, variant="vee")),
+    **_sides("azuma", {"gamma": 2.0, "vtau": 1.5},
+             lambda side: B.azuma_bound(gamma=2.0, v_tau=1.5, kind=side)),
+    "azuma_two_sided": ({"gamma": 2.0, "vtau": 1.5}, lambda: B.azuma_bound(
+        gamma=2.0, v_tau=1.5, kind="two_sided")),
+    **{ineq: ({"gamma": 2.0, "vm": 1.5, "b": 1.0},
+              lambda which=which: B.cbb_bounds(gamma=2.0, v_m=1.5, b=1.0,
+                                               which=which))
+       for ineq, which in [("bennett_cbb", "bennett"),
+                           ("bernstein_cbb", "bernstein"),
+                           ("chernoff_sub", "chernoff_sub")]},
+    **_sides("expfam", {"theta": 0.3, "gamma": 0.2, "m": 5},
+             lambda side: B.expfam_bound(B.bernoulli_family(), theta=0.3,
+                                         gamma=0.2, m=5, side=side)),
+    **_sides("poisson", {"lam": 1.0, "gamma": 0.5, "tau": 2.0},
+             lambda side: B.poisson_bounds(lam=1.0, gamma=0.5, tau=2.0,
+                                           side=side)),
+    "supermartingale_sup": ({"mean0": 1.0, "c": 0.0, "gamma": 4.0},
+                            lambda: B.supermartingale_sup_bound(
+                                mean0=1.0, c=0.0, gamma=4.0)),
+    "doob_exp": ({"gamma": 4.0}, lambda: B.doob_exp_bound(gamma=4.0)),
+}
+
+
+@pytest.mark.parametrize("ineq", sorted(BOUND_CASES))
+def test_bound_table_matches_evaluators(capsys, ineq):
+    keys, call = BOUND_CASES[ineq]
+    assert _compute_bound({"ineq": ineq, **keys}) == call()
+    # each required key, left out in turn, exits 2 and is named
+    flags = {key: "--lambda" if key == "lam" else f"--{key}" for key in keys}
+    for missing in keys:
+        argv = [a for key, val in keys.items() if key != missing
+                for a in (flags[key], str(val))]
+        code, out, err = run_cli(capsys, "bound", "--ineq", ineq, *argv)
+        assert code == 2 and out == "" and repr(missing) in err
+
+
+def test_bound_table_covers_every_id():
+    assert sorted(_BOUNDS) == sorted(BOUND_CASES) and len(BOUND_CASES) == 22
+    # vtau stays optional for the eta families, and phi for doob_exp
+    phi = {"phi": PHI_REC}
+    assert _compute_bound({"ineq": "eta_vee_upper", "gamma": 2.0, "eta": 0.5,
+                           "vtau": 1.5, **phi}) == B.eta_bound(
+        _G, gamma=2.0, eta=0.5, v_tau=1.5, variant="vee")
+    assert _compute_bound({"ineq": "doob_exp", "gamma": 4.0, **phi}) == \
+        B.doob_exp_bound(gamma=4.0, phi=_G)
 
 
 class TestConfigHandling:
@@ -209,6 +283,17 @@ class TestSimulateCommand:
                                     "1", "--paths", paths, *out)
         assert code == 3 and "paths" in err and stdout == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("brownian", "--dt", "nan", "--horizon", "1"),
+        ("brownian", "--dt", "0.1", "--horizon", "inf"),
+        ("poisson", "--lambda", "nan", "--horizon", "1"),
+        ("lazy_walk", "--n", "5", "--drift", "nan"),
+    ], ids=["dt_nan", "horizon_inf", "lambda_nan", "drift_nan"])
+    def test_non_finite_parameter_exits_3(self, capsys, argv):
+        code, stdout, err = run_cli(capsys, "simulate", "--process", *argv,
+                                    "--seed", "3")
+        assert code == 3 and stdout == "" and "finite" in err
 
 
 class TestValidateCommand:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from crossbound import (
     BernoulliIncrements,
     Brownian,
+    CustomIncrements,
     DomainViolation,
     ExpSupermartingale,
     Gaussian,
@@ -25,14 +26,21 @@ from crossbound import (
     generate,
     make_phi,
     transform_exp_martingale,
+    verify_optional_stopping,
 )
+from crossbound.presets import walk_region_pair
 from crossbound.sim import (
     increments_matrix,
     path_blocks,
     path_rng,
     path_streams,
     uniform_grid,
+    validate_spec,
 )
+
+
+def _normal_half(rng, n):
+    return 0.5 * rng.standard_normal(n)
 
 
 class TestPathInvariants:
@@ -161,7 +169,9 @@ class TestPathBlocks:
         LazyWalk(0.8, 40, drift=0.1),
         Brownian(0.05, 2.0),
         PoissonCounting(1.5, 6.0, centered=True),
-    ], ids=lambda s: type(s).__name__)
+        IidSum(CustomIncrements(_normal_half), 40),
+    ], ids=["IidSum", "LazyWalk", "Brownian", "PoissonCounting",
+            "CustomIncrements"])
     def test_rows_equal_generate(self, spec, threads):
         chunks = [np.arange(s, min(s + 7, 30)) for s in range(0, 30, 7)]
         work = lambda ix: [(X.copy(), V) for X, V in path_blocks(spec, 3, ix)]
@@ -173,6 +183,64 @@ class TestPathBlocks:
             path = generate(spec, 3, i)
             assert np.array_equal(x, path.values)
             assert np.array_equal(v, path.vproxy)
+
+
+# generate(spec, seed=2012, path_index=4).values, recorded before every grid
+# producer drew through sim.step_draws: a change to every stream at once
+# (draw order, step map or summation) still fails here
+PHI_G = make_phi(Gaussian(1.0))
+PINNED_PATHS = {
+    "bernoulli": (IidSum(BernoulliIncrements(0.3), 6), [
+        0.0, -0.3, 0.39999999999999997, 0.09999999999999998,
+        0.7999999999999999, 0.49999999999999994, 0.19999999999999996]),
+    "uniform": (IidSum(UniformIncrements(), 6), [
+        0.0, 0.22878168934484444, -0.12922690972561535, 0.08439494718491225,
+        -0.4004206608474148, 0.0689388454270905, 0.2956421350884222]),
+    "two_point": (IidSum(TwoPointIncrements(hi=1.0, lo=-0.5, p_hi=1.0 / 3.0),
+                         6), [0.0, -0.5, 0.5, 0.0, 1.0, 0.5, 0.0]),
+    "custom": (IidSum(CustomIncrements(_normal_half), 6), [
+        0.0, -0.5871807286631439, -0.4360630597206321, 0.589866467859661,
+        0.4668295294646726, 0.5935496356682739, -0.11096626572931167]),
+    "lazy_walk": (LazyWalk(0.8, 6, drift=0.1), [
+        0.0, -0.9, 0.20000000000000007, -0.7, 0.40000000000000013,
+        -0.4999999999999999, -1.4]),
+    "brownian": (Brownian(0.1, 0.6), [
+        0.0, -0.3713657001465701, -0.2757904944358449, 0.37306431075900715,
+        0.29524891842661016, 0.3753937506149727, -0.070181228629622]),
+    "poisson": (PoissonCounting(1.5, 4.0, centered=True), [
+        0.0, -0.6934684624251113, 0.13195336632797705, 0.22320286054157013,
+        1.1848576488455502, -2.0]),
+    "exp_brownian": (ExpSupermartingale(Brownian(0.1, 0.6), s=1.0, phi=PHI_G), [
+        1.0, 0.6561501033392181, 0.686746195120862, 1.2499009532303091,
+        1.0999326145485977, 1.1335947188200184, 0.6906091611436709]),
+}
+
+
+class TestStepDraws:
+    @pytest.mark.parametrize("kind", list(PINNED_PATHS))
+    def test_generate_pinned(self, kind):
+        spec, values = PINNED_PATHS[kind]
+        assert generate(spec, seed=2012, path_index=4).values.tolist() == values
+
+    def test_poisson_pinned_times(self):
+        spec = PINNED_PATHS["poisson"][0]
+        assert generate(spec, seed=2012, path_index=4).times.tolist() == [
+            0.0, 1.1289789749500743, 1.2453644224480154, 1.8511980929722867,
+            1.8767615674362998, 4.0]
+
+    @pytest.mark.parametrize("produce", [
+        lambda spec: generate(spec, 3, 0),
+        lambda spec: list(path_blocks(spec, 3, range(4))),
+        lambda spec: verify_optional_stopping(spec, walk_region_pair(), 4,
+                                              spec.n, 3),
+    ], ids=["generate", "path_blocks", "verify_optional_stopping"])
+    @pytest.mark.parametrize("sampler", [
+        lambda rng, n: rng.standard_normal(n + 1),
+        lambda rng, n: rng.standard_normal((n, 1)),
+    ], ids=["long", "column"])
+    def test_wrong_shape_sampler_raises(self, produce, sampler):
+        with pytest.raises(InvalidSpec, match="shape"):
+            produce(IidSum(CustomIncrements(sampler), 300))
 
 
 class TestIidSum:
@@ -314,6 +382,23 @@ class TestValidation:
             generate(PoissonCounting(0.0, 1.0), seed=1)
         with pytest.raises(InvalidSpec):
             generate(Brownian(0.0, 1.0), seed=1)
+        # non-finite parameters, through validate_spec itself, so that a
+        # missing check fails here rather than hangs in a draw
+        two_point = lambda hi, lo: IidSum(TwoPointIncrements(hi, lo, 0.5), 5)
+        for spec in [
+                Brownian(math.nan, 1.0), Brownian(0.1, math.nan),
+                Brownian(math.inf, 1.0), Brownian(0.1, math.inf),
+                PoissonCounting(math.nan, 1.0), PoissonCounting(1.0, math.nan),
+                PoissonCounting(math.inf, 1.0), PoissonCounting(1.0, math.inf),
+                LazyWalk(1.0, 5, drift=math.nan),
+                LazyWalk(1.0, 5, drift=math.inf),
+                LazyWalk(1.0, 5, drift=-math.inf),
+                two_point(math.inf, -0.5), two_point(math.nan, -0.5),
+                two_point(1.0, -math.inf), two_point(1.0, math.nan),
+                ExpSupermartingale(PoissonCounting(1.0, math.inf), s=0.5,
+                                   phi=make_phi(PoissonCentered(1.0)))]:
+            with pytest.raises(InvalidSpec):
+                validate_spec(spec)
 
     def test_uniform_grid(self):
         t, v = uniform_grid(Brownian(0.25, 1.0))
