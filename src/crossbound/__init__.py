@@ -7,7 +7,6 @@ from .bounds import (
     azuma_bound,
     bernoulli_family,
     cbb_bounds,
-    chernoff_factor,
     doob_exp_bound,
     eta_bound,
     expfam_bound,
@@ -22,7 +21,6 @@ from .errors import (
     ConfigError,
     CrossboundError,
     DomainViolation,
-    EmptyPath,
     InvalidParameter,
     InvalidSpec,
     MonotonicityViolation,

@@ -105,11 +105,11 @@ def line_bound(phi: MgfBound, s: float, gamma: float, v_tau: float,
 
 
 def optimized_line_bound(phi: MgfBound, gamma: float, v_tau: float,
-                         side: str = "upper", tol: float = 1e-10) -> BoundReport:
+                         side: str = "upper") -> BoundReport:
     """Optimized line bound  inf_s [exp(phi(+-s) - gamma s)]^{V_tau}  with the
     continuation slope alpha(gamma) / beta(gamma) from the optimizer."""
     _check_positive(gamma=gamma, v_tau=v_tau)
-    opt = minimize_tail_exponent(phi, gamma, side=side, tol=tol)
+    opt = minimize_tail_exponent(phi, gamma, side=side)
     exponent = v_tau * opt.value
     return _report(_side_id("opt_line", side), exponent, opt.s_opt, opt.slope,
                    {"gamma": gamma, "v_tau": v_tau, "location": opt.location,
@@ -117,7 +117,7 @@ def optimized_line_bound(phi: MgfBound, gamma: float, v_tau: float,
 
 
 def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
-              side: str = "upper", tol: float = 1e-10) -> BoundReport:
+              side: str = "upper") -> BoundReport:
     """Bound for crossing the envelope gamma (V_tau v V_t).
 
     The infimum of phi(+-s) - gamma s over (0, b*) (resp. (0, a*)), with b*
@@ -129,7 +129,7 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
     _check_positive(gamma=gamma, v_tau=v_tau)
     ineq = _side_id("vee", side)
     params = {"gamma": gamma, "v_tau": v_tau, **phi.describe()}
-    opt = minimize_tail_exponent(phi, gamma, side=side, tol=tol)
+    opt = minimize_tail_exponent(phi, gamma, side=side)
     if opt.value >= 0.0:
         return _report(ineq, 0.0, None, None, params, vacuous=True)
     exponent = v_tau * opt.value
@@ -153,8 +153,7 @@ def _sup_feasible(phi: MgfBound, gamma: float, side: str) -> float:
 
 
 def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
-              side: str = "upper", variant: str = "ray",
-              tol: float = 1e-10) -> BoundReport:
+              side: str = "upper", variant: str = "ray") -> BoundReport:
     """Bounds for the shifted events with intercept eta.
 
     variant="ray":  inf_{s in feasible} e^{-eta s} = e^{-eta sup feasible};
@@ -172,12 +171,12 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
     if variant == "vee":
         params["v_tau"] = v_tau
 
-    opt = minimize_tail_exponent(phi, gamma, side=side, tol=tol)
+    opt = minimize_tail_exponent(phi, gamma, side=side)
     if opt.value >= 0.0:
         return _report(ineq, 0.0, None, None, params, vacuous=True)
 
     try:
-        root = solve_slope_root(phi, gamma, side=side, tol=tol)
+        root = solve_slope_root(phi, gamma, side=side)
         s_star = root.s_root
         params["restricted"] = True
     except MonotonicityViolation:
@@ -196,7 +195,7 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
     if v_tau == 0.0:
         exponent = -eta * s_star if math.isfinite(s_star) else -math.inf
         return _report(ineq, exponent, s_star, None, params)
-    shifted = minimize_tail_exponent(phi, gamma + eta / v_tau, side=side, tol=tol)
+    shifted = minimize_tail_exponent(phi, gamma + eta / v_tau, side=side)
     s_c = min(shifted.s_opt, s_star)
     if not math.isfinite(s_c):
         return _report(ineq, -math.inf, s_c, None, params)
@@ -310,11 +309,6 @@ def bernoulli_family() -> ExpFamily:
         v=lambda t: -math.log(1.0 - t),
         theta_lo=0.0, theta_hi=1.0, name="bernoulli",
     )
-
-
-def chernoff_factor(fam: ExpFamily, z: float, theta: float) -> float:
-    """Per-sample factor M(z, theta) = exp(u(theta) z - v(theta)) / exp(u(z) z - v(z))."""
-    return _exp(fam.v(z) - fam.v(theta) - z * (fam.u(z) - fam.u(theta)))
 
 
 def rho_line(fam: ExpFamily, z: float, theta: float, m: int, n: float) -> float:

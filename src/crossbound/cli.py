@@ -32,10 +32,11 @@ OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
 _NOT_CONFIG_KEYS = {"help", "config", "print_config"}
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
-    """The config keys of a subcommand: the dests of its flags."""
-    return frozenset(a.dest for a in parser._actions
-                     if a.dest not in _NOT_CONFIG_KEYS)
+def _config_keys(parser: argparse.ArgumentParser) -> dict:
+    """The config keys of a subcommand, the dests of its flags, each mapped to
+    its flag's type (None for a flag that takes its value as given)."""
+    return {a.dest: a.type for a in parser._actions
+            if a.dest not in _NOT_CONFIG_KEYS}
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
@@ -52,10 +53,15 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         if file_cmd != command:
             raise ConfigError(
                 f"config file is for command {file_cmd!r}, not {command!r}")
-        for key in raw:
+        for key, val in raw.items():
             if key not in args.config_keys:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
-        cfg.update(raw)
+            cast = args.config_keys[key]
+            try:
+                cfg[key] = val if cast is None or val is None else cast(val)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config key {key!r} must be "
+                                  f"{cast.__name__}, got {val!r}") from None
     for name in args.config_keys:
         val = getattr(args, name, None)
         if val is not None:
@@ -84,8 +90,7 @@ def _bound_table() -> dict:
     A fixed keyword that is also a config key is a default the config may
     override (vtau of the eta families, phi of doob_exp).
     """
-    expfam = lambda m, **kw: B.expfam_bound(B.bernoulli_family(), m=int(m),
-                                            **kw)
+    expfam = lambda **kw: B.expfam_bound(B.bernoulli_family(), **kw)
     table = {
         "azuma_two_sided": (B.azuma_bound, ("gamma", "vtau"),
                             {"kind": "two_sided"}),
@@ -167,21 +172,18 @@ def _cmd_validate(args) -> int:
     if args.print_config:
         _print_config("validate", cfg)
         return 0
-    name = cfg.get("preset")
-    if name is None:
-        raise ConfigError("missing required key 'preset'")
+    (name,) = _need(cfg, "preset")
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; see 'crossbound presets list'")
-    if cfg.get("seed") is None:
-        raise ConfigError("missing required key 'seed' (mandatory for validate)")
+    (seed,) = _need(cfg, "seed")
     preset = PRESETS[name]
     paths = cfg.get("paths")
     alpha, threads = cfg.get("alpha"), cfg.get("threads")
     reports = preset.runner(
-        paths=preset.default_paths if paths is None else int(paths),
-        seed=int(cfg["seed"]), alpha=0.01 if alpha is None else float(alpha),
-        threads=None if threads is None else int(threads))
+        paths=preset.default_paths if paths is None else paths,
+        seed=seed, alpha=0.01 if alpha is None else alpha,
+        threads=threads)
     out_dir = FsPath(cfg.get("out") or os.environ.get(OUTPUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}_report.csv"
@@ -208,33 +210,14 @@ def _cmd_validate(args) -> int:
 
 
 def _spec_from_cfg(cfg: dict):
-    proc = cfg.get("process")
-    if proc is None:
-        raise ConfigError("missing required key 'process'")
+    """The spec of a nested process record, or of the flat flags, whose dests
+    are the record's keys."""
+    (proc,) = _need(cfg, "process")
     if isinstance(proc, dict):
         return spec_from_dict(proc)
-    rec = {"process": proc}
-    if proc == "brownian":
-        _need(cfg, "dt", "horizon")
-        rec.update(dt=float(cfg["dt"]), horizon=float(cfg["horizon"]))
-    elif proc == "poisson":
-        _need(cfg, "lam", "horizon")
-        rec.update(lam=float(cfg["lam"]), horizon=float(cfg["horizon"]),
-                   centered=bool(cfg.get("centered", False)))
-    elif proc == "iid_sum":
-        _need(cfg, "n")
-        dist = cfg.get("dist", "uniform")
-        rec.update(n=int(cfg["n"]), dist=dist)
-        if dist == "bernoulli":
-            _need(cfg, "p")
-            rec["p"] = float(cfg["p"])
-    elif proc == "lazy_walk":
-        _need(cfg, "n")
-        rec.update(n=int(cfg["n"]), p_move=float(cfg.get("p_move", 1.0)),
-                   drift=float(cfg.get("drift", 0.0)))
-    else:
-        raise ConfigError(f"unknown process {proc!r}")
-    return spec_from_dict(rec)
+    return spec_from_dict({key: val for key, val in cfg.items()
+                           if key not in ("paths", "seed", "out")
+                           and val is not None})
 
 
 def _path_csv(path) -> str:
@@ -249,13 +232,11 @@ def _cmd_simulate(args) -> int:
     if args.print_config:
         _print_config("simulate", cfg)
         return 0
-    if cfg.get("seed") is None:
-        raise ConfigError("missing required key 'seed'")
+    (seed,) = _need(cfg, "seed")
     spec = _spec_from_cfg(cfg)
-    n_paths = 1 if cfg.get("paths") is None else int(cfg["paths"])
+    n_paths = 1 if cfg.get("paths") is None else cfg["paths"]
     if n_paths < 1:
         raise InvalidParameter(f"paths must be at least 1, got {n_paths}")
-    seed = int(cfg["seed"])
     out = cfg.get("out")
     if out is None:
         if n_paths != 1:

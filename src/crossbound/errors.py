@@ -30,9 +30,5 @@ class InvalidSpec(CrossboundError):
     """A process specification is malformed."""
 
 
-class EmptyPath(CrossboundError):
-    """A path with no grid points was passed where samples are required."""
-
-
 class ConfigError(CrossboundError):
     """CLI configuration is malformed (unknown or missing keys)."""

@@ -24,6 +24,7 @@ from .errors import (
 from .mgf import MgfBound
 
 _S_CAP = 1e9  # doubling limit for unbounded domains
+_TOL = 1e-10  # relative bracket width of the slope-root bisection
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,8 @@ def _limit_value_at_infinity(h: Callable) -> float:
     return -math.inf if v[k] == -math.inf else float(v[k - 1])
 
 
-def minimize_tail_exponent(
-    phi: MgfBound, gamma: float, side: str = "upper", tol: float = 1e-10
-) -> OptResult:
+def minimize_tail_exponent(phi: MgfBound, gamma: float,
+                           side: str = "upper") -> OptResult:
     """Minimize h(s) = phi(+-s) - gamma s over the open interval (0, domain radius).
 
     One array call probes h on a log-spaced grid.  Its first minimum brackets
@@ -150,8 +150,6 @@ def minimize_tail_exponent(
     """
     if not (gamma > 0.0):
         raise DomainViolation(f"gamma must be positive, got {gamma}")
-    if tol <= 0:
-        raise InvalidParameter("tol must be positive")
     g, radius = _side_objective(phi, side)
     h = lambda s: g(s) - gamma * s
 
@@ -205,7 +203,7 @@ def minimize_tail_exponent(
         lo_b = float(probes[i - 1]) if i > 0 else 0.0
         hi_b = float(probes[i + 1])
 
-    lo_b = max(lo_b, tol * 1e-3)
+    lo_b = max(lo_b, _TOL * 1e-3)
     s_opt = _derivative_root(phi, gamma, side, lo_b, hi_b)
     pts = np.append(np.linspace(lo_b, hi_b, 33)[1:-1], s_opt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,9 +223,8 @@ def minimize_tail_exponent(
                      side=side)
 
 
-def solve_slope_root(
-    phi: MgfBound, gamma: float, side: str = "upper", tol: float = 1e-10
-) -> SlopeRoot:
+def solve_slope_root(phi: MgfBound, gamma: float,
+                     side: str = "upper") -> SlopeRoot:
     """Find b* (or a*): the domain edge if lim phi(s)/s <= gamma, else the
     unique interior root of phi(+-s)/s = gamma, located by bisection.
 
@@ -271,5 +268,5 @@ def solve_slope_root(
         # phi(s)/s already above gamma arbitrarily close to 0: empty side set.
         return SlopeRoot(s_root=0.0, side=side, is_boundary=False, empty=True)
     lo, hi = _bisect(lambda s: r(s) > gamma, lo, hi,
-                     lambda a, b: b - a <= tol * max(1.0, a))
+                     lambda a, b: b - a <= _TOL * max(1.0, a))
     return SlopeRoot(s_root=0.5 * (lo + hi), side=side, is_boundary=False)

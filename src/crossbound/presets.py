@@ -66,189 +66,172 @@ class Preset:
 # ---------------------------------------------------------------------------
 
 
-def _line_event(report, side, label, gamma, v_tau, slope=None):
-    return EventSpec(kind="line", side=side, gamma=gamma, v_tau=v_tau,
-                     slope=report.slope_used if slope is None else slope,
-                     bound=report.bound, label=label)
+def _event(report, label, **override):
+    """The crossing event whose probability ``report.bound`` bounds.
+
+    The event is read off the report alone: its inequality id, its params and
+    its continuation slope.  ``override`` replaces fields of the derived
+    event (the rho line of an exponential family is a line, not a vee).
+    """
+    ineq, p = report.inequality, report.params
+    family, fields = ineq, {}
+    for side in ("upper", "lower", "two_sided"):
+        if ineq.endswith("_" + side):
+            family, fields = ineq[:-len(side) - 1], {"side": side}
+    if family in ("gen_line", "opt_line"):
+        fields.update(kind="line", gamma=p["gamma"], v_tau=p["v_tau"],
+                      slope=report.slope_used)
+    elif family == "azuma":
+        # the envelope (gamma/2)(1 + V_t/V_tau) reaches gamma at V_tau
+        fields.update(kind="line", gamma=p["gamma"] / p["v_tau"],
+                      v_tau=p["v_tau"], slope=report.slope_used)
+    elif family in ("vee", "eta_vee"):
+        fields.update(kind="vee", gamma=p["gamma"], v_tau=p["v_tau"],
+                      eta=p.get("eta", 0.0))
+    elif family == "eta_ray":
+        fields.update(kind="eta_ray", gamma=p["gamma"], eta=p["eta"])
+    elif family == "poisson":
+        fields.update(kind="line", gamma=p["gamma"], v_tau=p["tau"],
+                      slope=p["centered_slope"])
+    elif family == "expfam":
+        fields.update(kind="vee", gamma=p["gamma"], v_tau=float(p["m"]))
+    elif family in ("doob_exp", "supermartingale_sup"):
+        fields.update(kind="sup_level", gamma=p["gamma"])
+    else:
+        raise InvalidParameter(f"no crossing event is derived for {ineq!r}")
+    return EventSpec(**{**fields, **override}, bound=report.bound, label=label)
+
+
+def _events(*rows):
+    """The events of (label, report[, override]) rows."""
+    return [_event(report, label, **(override[0] if override else {}))
+            for label, report, *override in rows]
 
 
 def theorem9_groups():
     """(group name, process spec, events) triples for the domination sweep."""
-    groups = []
-
     # -- Brownian motion, phi(s) = s^2/2 (exact log-MGF) --------------------
     phi_g = make_phi(Gaussian(1.0))
     bm = Brownian(dt=1e-3, horizon=20.0)
-    ev = []
-    r = B.line_bound(phi_g, s=2.0, gamma=2.0, v_tau=1.0)
-    ev.append(_line_event(r, "upper", "bm_line_upper_s2_g2", 2.0, 1.0))
-    r = B.line_bound(phi_g, s=1.0, gamma=2.0, v_tau=1.0)
-    ev.append(_line_event(r, "upper", "bm_line_upper_s1_g2", 2.0, 1.0))
-    r = B.line_bound(phi_g, s=1.0, gamma=1.0, v_tau=1.0, side="lower")
-    ev.append(_line_event(r, "lower", "bm_line_lower_s1_g1", 1.0, 1.0))
-    r = B.optimized_line_bound(phi_g, gamma=1.0, v_tau=1.0)
-    ev.append(_line_event(r, "upper", "bm_opt_line_upper_g1", 1.0, 1.0))
-    r = B.optimized_line_bound(phi_g, gamma=1.0, v_tau=1.0, side="lower")
-    ev.append(_line_event(r, "lower", "bm_opt_line_lower_g1", 1.0, 1.0))
-    r = B.vee_bound(phi_g, gamma=1.0, v_tau=1.0)
-    ev.append(EventSpec(kind="vee", side="upper", gamma=1.0, v_tau=1.0,
-                        bound=r.bound, label="bm_vee_upper_g1"))
-    r = B.vee_bound(phi_g, gamma=1.0, v_tau=1.0, side="lower")
-    ev.append(EventSpec(kind="vee", side="lower", gamma=1.0, v_tau=1.0,
-                        bound=r.bound, label="bm_vee_lower_g1"))
-    r = B.eta_bound(phi_g, gamma=0.5, eta=1.0, variant="ray")
-    ev.append(EventSpec(kind="eta_ray", side="upper", gamma=0.5, eta=1.0,
-                        bound=r.bound, label="bm_eta_ray_upper"))
-    r = B.eta_bound(phi_g, gamma=0.5, eta=1.0, variant="ray", side="lower")
-    ev.append(EventSpec(kind="eta_ray", side="lower", gamma=0.5, eta=1.0,
-                        bound=r.bound, label="bm_eta_ray_lower"))
-    r = B.eta_bound(phi_g, gamma=1.0, eta=1.0, v_tau=1.0, variant="vee")
-    ev.append(EventSpec(kind="vee", side="upper", gamma=1.0, eta=1.0, v_tau=1.0,
-                        bound=r.bound, label="bm_eta_vee_upper"))
-    r = B.eta_bound(phi_g, gamma=1.0, eta=1.0, v_tau=1.0, variant="vee",
-                    side="lower")
-    ev.append(EventSpec(kind="vee", side="lower", gamma=1.0, eta=1.0, v_tau=1.0,
-                        bound=r.bound, label="bm_eta_vee_lower"))
-    r = B.azuma_bound(gamma=2.0, v_tau=1.0, kind="upper")
-    ev.append(EventSpec(kind="line", side="upper", gamma=2.0, v_tau=1.0,
-                        slope=1.0, bound=r.bound, label="bm_azuma_upper"))
-    r = B.azuma_bound(gamma=2.0, v_tau=1.0, kind="lower")
-    ev.append(EventSpec(kind="line", side="lower", gamma=2.0, v_tau=1.0,
-                        slope=1.0, bound=r.bound, label="bm_azuma_lower"))
-    r = B.azuma_bound(gamma=2.5, v_tau=1.0, kind="two_sided")
-    ev.append(EventSpec(kind="line", side="two_sided", gamma=2.5, v_tau=1.0,
-                        slope=1.25, bound=r.bound, label="bm_azuma_two_sided"))
-    groups.append(("brownian_x", bm, ev))
+    brownian_x = _events(
+        ("bm_line_upper_s2_g2", B.line_bound(phi_g, s=2.0, gamma=2.0, v_tau=1.0)),
+        ("bm_line_upper_s1_g2", B.line_bound(phi_g, s=1.0, gamma=2.0, v_tau=1.0)),
+        ("bm_line_lower_s1_g1",
+         B.line_bound(phi_g, s=1.0, gamma=1.0, v_tau=1.0, side="lower")),
+        ("bm_opt_line_upper_g1", B.optimized_line_bound(phi_g, gamma=1.0, v_tau=1.0)),
+        ("bm_opt_line_lower_g1",
+         B.optimized_line_bound(phi_g, gamma=1.0, v_tau=1.0, side="lower")),
+        ("bm_vee_upper_g1", B.vee_bound(phi_g, gamma=1.0, v_tau=1.0)),
+        ("bm_vee_lower_g1", B.vee_bound(phi_g, gamma=1.0, v_tau=1.0, side="lower")),
+        ("bm_eta_ray_upper", B.eta_bound(phi_g, gamma=0.5, eta=1.0, variant="ray")),
+        ("bm_eta_ray_lower",
+         B.eta_bound(phi_g, gamma=0.5, eta=1.0, variant="ray", side="lower")),
+        ("bm_eta_vee_upper",
+         B.eta_bound(phi_g, gamma=1.0, eta=1.0, v_tau=1.0, variant="vee")),
+        ("bm_eta_vee_lower", B.eta_bound(phi_g, gamma=1.0, eta=1.0, v_tau=1.0,
+                                         variant="vee", side="lower")),
+        ("bm_azuma_upper", B.azuma_bound(gamma=2.0, v_tau=1.0, kind="upper")),
+        ("bm_azuma_lower", B.azuma_bound(gamma=2.0, v_tau=1.0, kind="lower")),
+        ("bm_azuma_two_sided", B.azuma_bound(gamma=2.5, v_tau=1.0, kind="two_sided")),
+    )
 
     # -- exponential martingale over Brownian motion ------------------------
-    yspec = ExpSupermartingale(base=bm, s=1.0, phi=phi_g)
-    ev = []
-    for g in (2.0, 1.25):
-        r = B.doob_exp_bound(g, phi_g)
-        ev.append(EventSpec(kind="sup_level", gamma=g, bound=r.bound,
-                            label=f"bm_doob_g{g:g}"))
-    r = B.supermartingale_sup_bound(1.0, 0.0, 4.0, continuous_martingale=True)
-    ev.append(EventSpec(kind="sup_level", gamma=4.0, bound=r.bound,
-                        label="bm_them5_g4"))
-    r = B.supermartingale_sup_bound(1.0, 0.0, 1.0, continuous_martingale=True)
-    ev.append(EventSpec(kind="sup_level", gamma=1.0, bound=r.bound,
-                        label="bm_them5_certain_g1"))
-    groups.append(("brownian_y", yspec, ev))
+    brownian_y = _events(
+        *((f"bm_doob_g{g:g}", B.doob_exp_bound(g, phi_g)) for g in (2.0, 1.25)),
+        ("bm_them5_g4",
+         B.supermartingale_sup_bound(1.0, 0.0, 4.0, continuous_martingale=True)),
+        ("bm_them5_certain_g1",
+         B.supermartingale_sup_bound(1.0, 0.0, 1.0, continuous_martingale=True)),
+    )
 
     # -- i.i.d. Uniform(-1/2, 1/2), phi(s) = s^2/24 --------------------------
     phi_u = make_phi(Uniform24())
     usp = IidSum(UniformIncrements(), n=400)
-    ev = []
-    r = B.optimized_line_bound(phi_u, gamma=0.2, v_tau=10.0)
-    ev.append(_line_event(r, "upper", "unif_opt_line_upper", 0.2, 10.0))
-    r = B.optimized_line_bound(phi_u, gamma=0.2, v_tau=10.0, side="lower")
-    ev.append(_line_event(r, "lower", "unif_opt_line_lower", 0.2, 10.0))
-    r = B.vee_bound(phi_u, gamma=0.2, v_tau=10.0)
-    ev.append(EventSpec(kind="vee", side="upper", gamma=0.2, v_tau=10.0,
-                        bound=r.bound, label="unif_vee_upper"))
-    r = B.eta_bound(phi_u, gamma=0.2, eta=0.5, variant="ray")
-    ev.append(EventSpec(kind="eta_ray", side="upper", gamma=0.2, eta=0.5,
-                        bound=r.bound, label="unif_eta_ray_upper"))
-    r = B.eta_bound(phi_u, gamma=0.15, eta=0.3, v_tau=10.0, variant="vee")
-    ev.append(EventSpec(kind="vee", side="upper", gamma=0.15, eta=0.3,
-                        v_tau=10.0, bound=r.bound, label="unif_eta_vee_upper"))
-    groups.append(("uniform", usp, ev))
-
-    yu = ExpSupermartingale(base=usp, s=0.5, phi=phi_u)
-    r = B.doob_exp_bound(2.0, phi_u)
-    groups.append(("uniform_y", yu, [EventSpec(
-        kind="sup_level", gamma=2.0, bound=r.bound, label="unif_cthm7_g2")]))
+    uniform = _events(
+        ("unif_opt_line_upper", B.optimized_line_bound(phi_u, gamma=0.2, v_tau=10.0)),
+        ("unif_opt_line_lower",
+         B.optimized_line_bound(phi_u, gamma=0.2, v_tau=10.0, side="lower")),
+        ("unif_vee_upper", B.vee_bound(phi_u, gamma=0.2, v_tau=10.0)),
+        ("unif_eta_ray_upper", B.eta_bound(phi_u, gamma=0.2, eta=0.5, variant="ray")),
+        ("unif_eta_vee_upper",
+         B.eta_bound(phi_u, gamma=0.15, eta=0.3, v_tau=10.0, variant="vee")),
+    )
+    uniform_y = _events(("unif_cthm7_g2", B.doob_exp_bound(2.0, phi_u)))
 
     # -- i.i.d. centered Bernoulli(0.3), Hoeffding phi -----------------------
     phi_h = make_phi(HoeffdingBernoulli(0.3))
-    bsp = IidSum(BernoulliIncrements(0.3), n=1000)
-    ev = []
-    r = B.optimized_line_bound(phi_h, gamma=0.15, v_tau=20.0)
-    ev.append(_line_event(r, "upper", "bern_opt_line_upper_g015", 0.15, 20.0))
-    r = B.optimized_line_bound(phi_h, gamma=0.2, v_tau=20.0)
-    ev.append(_line_event(r, "upper", "bern_opt_line_upper_g02", 0.2, 20.0))
-    r = B.optimized_line_bound(phi_h, gamma=0.2, v_tau=20.0, side="lower")
-    ev.append(_line_event(r, "lower", "bern_opt_line_lower_g02", 0.2, 20.0))
-    r = B.vee_bound(phi_h, gamma=0.2, v_tau=20.0)
-    ev.append(EventSpec(kind="vee", side="upper", gamma=0.2, v_tau=20.0,
-                        bound=r.bound, label="bern_vee_upper"))
-    r = B.eta_bound(phi_h, gamma=0.1, eta=2.0, v_tau=20.0, variant="vee")
-    ev.append(EventSpec(kind="vee", side="upper", gamma=0.1, eta=2.0,
-                        v_tau=20.0, bound=r.bound, label="bern_eta_vee_upper"))
     fam = B.bernoulli_family()
-    r = B.expfam_bound(fam, theta=0.3, gamma=0.2, m=20)
-    ev.append(EventSpec(kind="vee", side="upper", gamma=0.2, v_tau=20.0,
-                        bound=r.bound, label="bern_expfam_vee_upper"))
-    ev.append(EventSpec(kind="line", side="upper", gamma=0.2, v_tau=20.0,
-                        slope=r.slope_used, bound=r.bound,
-                        label="bern_expfam_rho_line_upper"))
-    r = B.expfam_bound(fam, theta=0.3, gamma=0.2, m=20, side="lower")
-    ev.append(EventSpec(kind="vee", side="lower", gamma=0.2, v_tau=20.0,
-                        bound=r.bound, label="bern_expfam_vee_lower"))
-    groups.append(("bernoulli", bsp, ev))
+    rho = B.expfam_bound(fam, theta=0.3, gamma=0.2, m=20)
+    bernoulli = _events(
+        ("bern_opt_line_upper_g015",
+         B.optimized_line_bound(phi_h, gamma=0.15, v_tau=20.0)),
+        ("bern_opt_line_upper_g02",
+         B.optimized_line_bound(phi_h, gamma=0.2, v_tau=20.0)),
+        ("bern_opt_line_lower_g02",
+         B.optimized_line_bound(phi_h, gamma=0.2, v_tau=20.0, side="lower")),
+        ("bern_vee_upper", B.vee_bound(phi_h, gamma=0.2, v_tau=20.0)),
+        ("bern_eta_vee_upper",
+         B.eta_bound(phi_h, gamma=0.1, eta=2.0, v_tau=20.0, variant="vee")),
+        ("bern_expfam_vee_upper", rho),
+        ("bern_expfam_rho_line_upper", rho, dict(kind="line", slope=rho.slope_used)),
+        ("bern_expfam_vee_lower",
+         B.expfam_bound(fam, theta=0.3, gamma=0.2, m=20, side="lower")),
+    )
 
     # -- Poisson counting process, centered, exact jump grid ----------------
     phi_p = make_phi(PoissonCentered(1.0))
-    psp = PoissonCounting(lam=1.0, horizon=60.0, centered=True)
-    ev = []
-    r = B.poisson_bounds(1.0, gamma=1.0, tau=1.0)
-    ev.append(EventSpec(kind="line", side="upper", gamma=1.0, v_tau=1.0,
-                        slope=r.params["centered_slope"], bound=r.bound,
-                        label="pois_line_upper_t1"))
-    r = B.poisson_bounds(1.0, gamma=1.0, tau=3.0)
-    ev.append(EventSpec(kind="line", side="upper", gamma=1.0, v_tau=3.0,
-                        slope=r.params["centered_slope"], bound=r.bound,
-                        label="pois_line_upper_t3"))
-    r = B.poisson_bounds(1.0, gamma=0.5, tau=2.0, side="lower")
-    ev.append(EventSpec(kind="line", side="lower", gamma=0.5, v_tau=2.0,
-                        slope=r.params["centered_slope"], bound=r.bound,
-                        label="pois_line_lower_t2"))
-    r = B.vee_bound(phi_p, gamma=1.0, v_tau=2.0)
-    ev.append(EventSpec(kind="vee", side="upper", gamma=1.0, v_tau=2.0,
-                        bound=r.bound, label="pois_vee_upper"))
-    r = B.eta_bound(phi_p, gamma=2.0, eta=0.8, variant="ray")
-    ev.append(EventSpec(kind="eta_ray", side="upper", gamma=2.0, eta=0.8,
-                        bound=r.bound, label="pois_eta_ray_upper"))
-    groups.append(("poisson", psp, ev))
+    poisson = _events(
+        ("pois_line_upper_t1", B.poisson_bounds(1.0, gamma=1.0, tau=1.0)),
+        ("pois_line_upper_t3", B.poisson_bounds(1.0, gamma=1.0, tau=3.0)),
+        ("pois_line_lower_t2",
+         B.poisson_bounds(1.0, gamma=0.5, tau=2.0, side="lower")),
+        ("pois_vee_upper", B.vee_bound(phi_p, gamma=1.0, v_tau=2.0)),
+        ("pois_eta_ray_upper", B.eta_bound(phi_p, gamma=2.0, eta=0.8, variant="ray")),
+    )
 
     # -- bounded-increment martingale corollaries (Bernoulli(1/2) steps) ----
     # Steps +-1/2: variance 1/4 per step, b = 1, a_n = 0, V_n = n/4.  Event
-    # parameters are rescaled to the step-count vproxy grid.
-    csp = IidSum(BernoulliIncrements(0.5), n=1500)
+    # parameters are rescaled to the step-count vproxy grid, so these events
+    # are stated here rather than derived by _event.
     v_m, b_inc = 10.0, 1.0
     m_steps = v_m / 0.25
-    ev = []
     r = B.cbb_bounds(gamma=0.6, v_m=v_m, b=b_inc, which="bennett")
-    ev.append(EventSpec(kind="line", side="upper",
-                        gamma=0.6 * v_m / m_steps, v_tau=m_steps,
-                        slope=r.slope_used * 0.25, bound=r.bound,
-                        label="cbb_bennett"))
+    cbb = [EventSpec(kind="line", side="upper", gamma=0.6 * v_m / m_steps,
+                     v_tau=m_steps, slope=r.slope_used * 0.25, bound=r.bound,
+                     label="cbb_bennett")]
     for g, which in ((4.0, "bernstein"), (4.0, "chernoff_sub")):
         r = B.cbb_bounds(gamma=g, v_m=v_m, b=b_inc, which=which)
-        ev.append(EventSpec(kind="line", side="upper",
-                            gamma=g / m_steps, v_tau=m_steps,
-                            slope=(g / (2.0 * v_m)) * 0.25, bound=r.bound,
-                            label=f"cbb_{which}"))
-    groups.append(("cbb", csp, ev))
+        cbb.append(EventSpec(kind="line", side="upper", gamma=g / m_steps,
+                             v_tau=m_steps, slope=(g / (2.0 * v_m)) * 0.25,
+                             bound=r.bound, label=f"cbb_{which}"))
 
     # -- two-point increments matching the Bennett phi exactly --------------
     phi_b = make_phi(Bennett(sigma2=1.0, b=2.0))
-    tsp = IidSum(TwoPointIncrements(hi=2.0, lo=-0.5, p_hi=0.2), n=400)
-    ev = []
-    r = B.optimized_line_bound(phi_b, gamma=0.5, v_tau=5.0)
-    ev.append(_line_event(r, "upper", "bennett2p_opt_line_upper", 0.5, 5.0))
-    r = B.optimized_line_bound(phi_b, gamma=0.4, v_tau=5.0, side="lower")
-    ev.append(_line_event(r, "lower", "bennett2p_opt_line_lower", 0.4, 5.0))
-    groups.append(("bennett_two_point", tsp, ev))
+    bennett_two_point = _events(
+        ("bennett2p_opt_line_upper",
+         B.optimized_line_bound(phi_b, gamma=0.5, v_tau=5.0)),
+        ("bennett2p_opt_line_lower",
+         B.optimized_line_bound(phi_b, gamma=0.4, v_tau=5.0, side="lower")),
+    )
 
     # -- +-1 walk against the two-sided envelope -----------------------------
-    wsp = LazyWalk(p_move=1.0, n=400)
-    r = B.azuma_bound(gamma=5.0, v_tau=9.0, kind="two_sided")
-    groups.append(("walk", wsp, [EventSpec(
-        kind="line", side="two_sided", gamma=5.0 / 9.0, v_tau=9.0,
-        slope=5.0 / 18.0, bound=r.bound, label="walk_azuma_two_sided")]))
+    walk = _events(("walk_azuma_two_sided",
+                    B.azuma_bound(gamma=5.0, v_tau=9.0, kind="two_sided")))
 
-    return groups
+    # group seeds are seed + 7919 i, so the order is part of the results
+    return [
+        ("brownian_x", bm, brownian_x),
+        ("brownian_y", ExpSupermartingale(base=bm, s=1.0, phi=phi_g), brownian_y),
+        ("uniform", usp, uniform),
+        ("uniform_y", ExpSupermartingale(base=usp, s=0.5, phi=phi_u), uniform_y),
+        ("bernoulli", IidSum(BernoulliIncrements(0.3), n=1000), bernoulli),
+        ("poisson", PoissonCounting(lam=1.0, horizon=60.0, centered=True), poisson),
+        ("cbb", IidSum(BernoulliIncrements(0.5), n=1500), cbb),
+        ("bennett_two_point",
+         IidSum(TwoPointIncrements(hi=2.0, lo=-0.5, p_hi=0.2), n=400),
+         bennett_two_point),
+        ("walk", LazyWalk(p_move=1.0, n=400), walk),
+    ]
 
 
 def run_theorem9_all(paths: int = 50_000, seed: int = 0, alpha: float = 0.01,
@@ -276,16 +259,16 @@ def _exp_brownian(dt: float, horizon: float) -> ExpSupermartingale:
 
 def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
                                alpha: float = 0.01, pilot_paths: int = 10_000,
-                               threads: Optional[int] = None,
-                               max_doublings: int = 3):
-    """Double the horizon until the paired crossing-probability change from T
-    to 2T is below half the main run's CI width for every gamma; the T
-    crossings are a prefix event on the same 2T pilot paths."""
+                               threads: Optional[int] = None):
+    """Double the horizon, at most three times, until the paired
+    crossing-probability change from T to 2T is below half the main run's CI
+    width for every gamma; the T crossings are a prefix event on the same 2T
+    pilot paths."""
     if paths <= 0:
         raise InvalidParameter("paths must be positive")
     z = float(_scipy_stats.norm.ppf(1.0 - alpha / 2.0))
     T = t0
-    for _ in range(max_doublings):
+    for _ in range(3):
         events = [EventSpec(kind="sup_level", gamma=g, steps=steps)
                   for steps in (int(round(T / dt)), None) for g in gammas]
         reps = sweep(_exp_brownian(dt, 2 * T), events, pilot_paths,

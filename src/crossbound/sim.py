@@ -9,12 +9,12 @@ canonical: generating a path in blocks consumes the identical stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter, InvalidSpec
+from .errors import ConfigError, DomainViolation, InvalidParameter, InvalidSpec
 from .mgf import MgfBound
 
 _EXP_BLOCK = 64          # block size for Poisson interarrival draws
@@ -459,23 +459,45 @@ def path_blocks(spec: ProcessSpec, seed: int, indices):
 
 _DIST_TAGS = {"bernoulli": BernoulliIncrements, "uniform": UniformIncrements,
               "two_point": TwoPointIncrements}
+_PROCESS_TAGS = {"iid_sum": IidSum, "lazy_walk": LazyWalk,
+                 "poisson": PoissonCounting, "brownian": Brownian}
+# a field's annotated type -> its cast; bool takes JSON booleans only, since
+# bool("false") is True
+_CASTS = {"float": float, "int": int,
+          "bool": {False: False, True: True}.__getitem__}
+
+
+def _from_record(cls, rec: dict, **built):
+    """cls from ``built`` and the keys of rec that name its other fields,
+    popped from rec and each cast to its field's annotated type."""
+    for f in fields(cls):
+        if f.name in rec:
+            try:
+                built[f.name] = _CASTS[f.type](rec.pop(f.name))
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(f"key {f.name!r} must be {f.type}") from None
+        elif f.name not in built and f.default is MISSING:
+            raise ConfigError(f"missing required key {f.name!r}")
+    return cls(**built)
 
 
 def spec_from_dict(rec: dict) -> ProcessSpec:
+    """The process of a tagged record, e.g. ``{"process": "brownian", "dt":
+    0.001, "horizon": 30.0}``, each value cast to its field's type (a bad tag,
+    key or value raises ConfigError); an iid_sum names its law in ``dist``
+    (default "uniform")."""
     rec = dict(rec)
     proc = rec.pop("process", None)
-    try:
-        if proc == "iid_sum":
-            tag = rec.pop("dist")
-            cls = _DIST_TAGS[tag]
-            n = rec.pop("n")
-            return IidSum(dist=cls(**rec), n=int(n))
-        if proc == "lazy_walk":
-            return LazyWalk(**{k: rec[k] for k in rec})
-        if proc == "poisson":
-            return PoissonCounting(**rec)
-        if proc == "brownian":
-            return Brownian(**rec)
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec(f"bad process record: {exc}") from exc
-    raise InvalidSpec(f"unknown process tag {proc!r}")
+    cls = _PROCESS_TAGS.get(proc) if isinstance(proc, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown process {proc!r}")
+    built = {}
+    if cls is IidSum:
+        law = rec.pop("dist", "uniform")
+        if not (isinstance(law, str) and law in _DIST_TAGS):
+            raise ConfigError(f"unknown increment law {law!r}")
+        built["dist"] = _from_record(_DIST_TAGS[law], rec)
+    spec = _from_record(cls, rec, **built)
+    if rec:
+        raise ConfigError(f"unknown key {next(iter(rec))!r} for {proc}")
+    return spec

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyPath, InvalidParameter, InvalidSpec
+from .errors import InvalidParameter, InvalidSpec
 from .sim import (
     Brownian,
     ExpSupermartingale,
@@ -159,8 +159,6 @@ def first_exit(path: Path, region: ContinuityRegion) -> StopResult:
     A path that never leaves within its grid is truncated: tau is the +inf
     marker and the terminal value stands in for X_tau = lim X_{tau ^ t}.
     """
-    if path.times.size == 0:
-        raise EmptyPath("path has no grid points")
     lo = region.lower_at(path.times)
     up = region.upper_at(path.times)
     outside = (path.values <= lo) | (path.values >= up)
@@ -311,11 +309,10 @@ def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
 
 def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
                              n_paths: int, horizon, seed: int,
-                             kind: str = "martingale",
-                             ci_multiple: float = 3.0) -> OsReport:
+                             kind: str = "martingale") -> OsReport:
     """Estimate E[X_tau] at the nested first-exit times and compare.
 
-    kind="martingale" expects equality of the two means within ci_multiple
+    kind="martingale" expects equality of the two means within three
     paired standard errors; "supermartingale" expects mean_outer <= mean_inner
     up to the same allowance.  Truncated paths contribute their terminal value
     and a warning is issued when their fraction exceeds 1%.
@@ -335,10 +332,10 @@ def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
         mean_diff=float(diff.mean()), se_diff=float(diff.std(ddof=1) / math.sqrt(n)),
         truncated_inner=float(np.mean(np.isinf(t1))),
         truncated_outer=float(np.mean(np.isinf(t2))),
-        kind=kind, ci_multiple=ci_multiple,
+        kind=kind, ci_multiple=3.0,
         verdict="",
     )
-    allowance = ci_multiple * rep.se_diff
+    allowance = rep.ci_multiple * rep.se_diff
     if kind == "martingale":
         verdict = "holds" if abs(rep.mean_diff) <= allowance else "violated"
     else:

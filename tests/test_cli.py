@@ -4,8 +4,11 @@ import math
 import pytest
 
 from crossbound import bounds as B
-from crossbound.cli import _BOUNDS, _compute_bound, build_parser, main
+from crossbound.cli import (_BOUNDS, _compute_bound, _merge_config,
+                            _spec_from_cfg, build_parser, main)
 from crossbound.mgf import Gaussian, make_phi
+from crossbound.sim import (BernoulliIncrements, Brownian, IidSum, LazyWalk,
+                            PoissonCounting, UniformIncrements, spec_from_dict)
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +167,52 @@ class TestConfigHandling:
         assert code == 2
         assert "gammma" in err
 
+    @pytest.mark.parametrize("command, rec, key", [
+        ("validate", {"preset": "optional_stopping", "seed": "x"}, "seed"),
+        ("bound", {"ineq": "doob_exp", "gamma": [2]}, "gamma"),
+        ("simulate", {"process": "brownian", "dt": "abc", "horizon": 1,
+                      "seed": 1}, "dt"),
+        ("simulate", {"process": {"process": "brownian", "dt": "abc",
+                                  "horizon": 1}, "seed": 1}, "dt"),
+        ("simulate", {"process": "brownian", "dt": 0.1, "seed": 1},
+         "horizon"),
+        ("simulate", {"process": {"process": "brownian", "dt": 0.1},
+                      "seed": 1}, "horizon"),
+        ("simulate", {"process": {"process": "poisson", "lam": 1,
+                                  "horizon": 1, "centered": "false"},
+                      "seed": 1}, "centered"),
+        ("simulate", {"process": {"process": "brownian", "dt": 0.1,
+                                  "horizon": 1, "n": 3}, "seed": 1}, "n"),
+        ("simulate", {"process": "brownian", "dt": 0.1, "horizon": 1,
+                      "n": 3, "seed": 1}, "n"),
+        ("simulate", {"process": {"process": "walk"}, "seed": 1}, "walk"),
+    ], ids=["validate_seed", "bound_gamma", "flat_dt", "nested_dt",
+            "flat_missing", "nested_missing", "nested_bool", "nested_unknown",
+            "flat_unused", "nested_tag"])
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, command, rec,
+                                      key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command, **rec}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert repr(key) in err
+
+    def test_config_strings_are_cast_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        flags = run_cli(capsys, "bound", "--ineq", "doob_exp", "--gamma", "2")
+        cfg.write_text(json.dumps({"command": "bound", "ineq": "doob_exp",
+                                   "gamma": "2"}))
+        assert run_cli(capsys, "bound", "--config", str(cfg)) == flags
+        flags = run_cli(capsys, "simulate", "--process", "brownian", "--dt",
+                        "0.1", "--horizon", "1", "--seed", "1")
+        assert flags[0] == 0
+        for proc in ({"process": "brownian", "dt": "0.1", "horizon": "1"},
+                     {"process": {"process": "brownian", "dt": "0.1",
+                                  "horizon": 1}}):
+            cfg.write_text(json.dumps({"command": "simulate", "seed": "1",
+                                       **proc}))
+            assert run_cli(capsys, "simulate", "--config", str(cfg)) == flags
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--preset", "optional_stopping", "--seed", "1",
          "--format", "json"],
@@ -205,23 +254,33 @@ class TestConfigHandling:
         assert json.loads(out) == json.loads(out2)
 
 
-def _flag_dests(command):
+def _flag_types(command):
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
-    return [a.dest for a in sub.choices[command]._actions
+    return {a.dest: a.type for a in sub.choices[command]._actions
             if a.option_strings and a.dest not in ("help", "config",
-                                                   "print_config")]
+                                                   "print_config")}
 
 
 @pytest.mark.parametrize("command", ["bound", "validate", "simulate"])
 def test_every_flag_is_a_config_key(capsys, tmp_path, command):
-    dests = _flag_dests(command)
-    assert dests
-    rec = {"command": command, **{d: f"value-{d}" for d in dests}}
+    types = _flag_types(command)
+    assert types
+    # a typed flag's value must cast to its type; 1 casts to int and float
+    rec = {"command": command, **{d: f"value-{d}" if t is None else 1
+                                  for d, t in types.items()}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(rec))
     code, out, _ = run_cli(capsys, command, "--config", str(cfg),
                            "--print-config")
     assert code == 0 and json.loads(out) == rec
+    printed = json.loads(out)
+    assert all(type(printed[d]) is t for d, t in types.items() if t)
+    for key in [d for d, t in types.items() if t]:
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps({**rec, key: f"value-{key}"}))
+        code, out, err = run_cli(capsys, command, "--config", str(bad),
+                                 "--print-config")
+        assert code == 2 and out == "" and repr(key) in err
     for key in ("config", "print_config", "not_a_flag"):
         cfg.write_text(json.dumps({**rec, key: 1}))
         code, out, err = run_cli(capsys, command, "--config", str(cfg),
@@ -283,6 +342,23 @@ class TestSimulateCommand:
                                     "1", "--paths", paths, *out)
         assert code == 3 and "paths" in err and stdout == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, spec", [
+        (("brownian", "--dt", "0.1", "--horizon", "2"), Brownian(0.1, 2.0)),
+        (("poisson", "--lambda", "2", "--horizon", "3", "--centered"),
+         PoissonCounting(2.0, 3.0, centered=True)),
+        (("iid_sum", "--n", "5"), IidSum(UniformIncrements(), 5)),
+        (("iid_sum", "--n", "5", "--dist", "bernoulli", "--p", "0.3"),
+         IidSum(BernoulliIncrements(0.3), 5)),
+        (("lazy_walk", "--n", "5", "--p-move", "0.5", "--drift", "-0.1"),
+         LazyWalk(0.5, 5, -0.1)),
+    ], ids=["brownian", "poisson", "uniform", "bernoulli", "lazy_walk"])
+    def test_flags_and_record_give_one_spec(self, argv, spec):
+        cfg = _merge_config("simulate", build_parser().parse_args(
+            ["simulate", "--process", *argv]))
+        assert _spec_from_cfg(cfg) == spec
+        assert _spec_from_cfg({"process": cfg}) == spec
+        assert spec_from_dict(cfg) == spec
 
     @pytest.mark.parametrize("argv", [
         ("brownian", "--dt", "nan", "--horizon", "1"),

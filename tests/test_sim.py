@@ -264,8 +264,8 @@ class TestPoisson:
         lam, horizon, n = 1.0, 10.0, 100_000
         spec = PoissonCounting(lam, horizon)
         total = 0.0
-        for i in range(n):
-            total += generate(spec, seed=42, path_index=i).values[-1]
+        for X, _ in path_blocks(spec, 42, range(n)):
+            total += X[0, -1]
         mean = total / n
         se = math.sqrt(lam * horizon / n)
         assert abs(mean - lam * horizon) <= 4.0 * se
@@ -306,14 +306,15 @@ class TestExpSupermartingale:
 
     def test_brownian_exponential_is_mean_one(self):
         # E[exp(W_t - t/2)] = 1 at every checkpoint
-        phi = make_phi(Gaussian(1.0))
-        spec = ExpSupermartingale(Brownian(0.02, 1.0), s=1.0, phi=phi)
-        n = 100_000
+        # rows of generate(ExpSupermartingale(Brownian(0.02, 1.0), 1.0, phi))
+        ph = float(np.asarray(make_phi(Gaussian(1.0)).phi(1.0)))
+        n, chunk = 100_000, 10_000
         cols = [10, 20, 30, 40, 50]
         acc = np.zeros((n, len(cols)))
-        for i in range(n):
-            y = generate(spec, seed=77, path_index=i)
-            acc[i] = y.values[cols]
+        for lo in range(0, n, chunk):
+            ((X, V),) = path_blocks(Brownian(0.02, 1.0), 77,
+                                    range(lo, lo + chunk))
+            acc[lo:lo + chunk] = np.exp(1.0 * X - ph * V)[:, cols]
         for j in range(len(cols)):
             mean = acc[:, j].mean()
             se = acc[:, j].std(ddof=1) / math.sqrt(n)
@@ -324,12 +325,11 @@ class TestExpSupermartingale:
         phi = make_phi(PoissonCentered(lam))
         s = math.log(2.0)
         horizon, n = 5.0, 50_000
+        ph = float(np.asarray(phi.phi(s)))
         total = 0.0
-        for i in range(n):
-            base = generate(PoissonCounting(lam, horizon, centered=True),
-                            seed=13, path_index=i)
-            y = transform_exp_martingale(base, s, phi)
-            total += y.values[-1]
+        for X, V in path_blocks(PoissonCounting(lam, horizon, centered=True),
+                                13, range(n)):
+            total += np.exp(s * X[0] - ph * V)[-1]
         mean = total / n
         # terminal variance of exp(s X - phi(s) t): E Y^2 = exp((phi(2s)-2phi(s)) t)
         var = math.exp((2.0 * lam * (math.expm1(2 * s) - 2 * s) / 2
@@ -344,10 +344,8 @@ class TestMartingaleIncrements:
         for spec, cols in ((IidSum(UniformIncrements(), 100), (20, 80)),
                            (Brownian(0.01, 1.0), (30, 90))):
             t1, t2 = cols
-            vals = np.empty(n)
-            for i in range(n):
-                p = generate(spec, seed=21, path_index=i)
-                vals[i] = p.values[t2] - p.values[t1]
+            ((X, _),) = path_blocks(spec, 21, range(n))
+            vals = X[:, t2] - X[:, t1]
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean()) <= 4.0 * se
 
@@ -361,12 +359,10 @@ class TestMartingaleIncrements:
         ]
         n = 20_000
         for spec, phi, s in cases:
-            w = np.empty(n)
-            for i in range(n):
-                p = generate(spec, seed=33, path_index=i)
-                t1, t2 = len(p.times) // 3, len(p.times) - 1
-                dv = p.vproxy[t2] - p.vproxy[t1]
-                w[i] = math.exp(s * (p.values[t2] - p.values[t1]))
+            ((X, V),) = path_blocks(spec, 33, range(n))
+            t1, t2 = V.size // 3, V.size - 1
+            dv = V[t2] - V[t1]
+            w = np.array([math.exp(x) for x in s * (X[:, t2] - X[:, t1])])
             cap = math.exp(float(np.asarray(phi.phi(s))) * dv)
             se = w.std(ddof=1) / math.sqrt(n)
             assert w.mean() <= cap + 4.0 * se

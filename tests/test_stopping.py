@@ -10,7 +10,6 @@ from crossbound import (
     Brownian,
     ContinuityRegion,
     CustomIncrements,
-    EmptyPath,
     ExpSupermartingale,
     Gaussian,
     IidSum,
@@ -112,7 +111,7 @@ class TestFirstExit:
                 assert np.all(np.abs(before) <= 5.0)
 
     def test_empty_path_rejected(self):
-        with pytest.raises((EmptyPath, InvalidParameter)):
+        with pytest.raises(InvalidParameter):
             first_exit(Path(times=np.array([]), values=np.array([]),
                             vproxy=np.array([])),
                        ContinuityRegion.constant(-1.0, 1.0))
