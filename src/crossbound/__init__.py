@@ -72,9 +72,6 @@ from .stopping import (
     RegionPair,
     StopResult,
     first_exit,
-    region_from_dict,
-    region_pair_from_dict,
-    region_to_dict,
     verify_optional_stopping,
 )
 from .validate import (

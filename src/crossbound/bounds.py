@@ -7,16 +7,16 @@ exponentials even when the display exceeds one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter, MonotonicityViolation
+from .errors import DomainViolation, InvalidParameter
 from .mgf import MgfBound
-from .optimize import (_bisect, _side_objective, minimize_tail_exponent,
-                       solve_slope_root)
+from .optimize import minimize_tail_exponent, solve_slope_root
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -32,16 +32,7 @@ class BoundReport:
     exact: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "bound": self.bound,
-            "raw": self.raw,
-            "s_used": self.s_used,
-            "slope_used": self.slope_used,
-            "params": self.params,
-            "vacuous": self.vacuous,
-            "exact": self.exact,
-        }
+        return dataclasses.asdict(self)
 
 
 def _exp(x: float) -> float:
@@ -136,22 +127,6 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
     return _report(ineq, exponent, opt.s_opt, opt.slope, params)
 
 
-def _sup_feasible(phi: MgfBound, gamma: float, side: str) -> float:
-    """sup {s : phi(+-s) <= gamma s} without the monotonicity assumption."""
-    g, radius = _side_objective(phi, side)
-    hi_probe = radius * (1.0 - 2.0 ** -40) if math.isfinite(radius) else 1e9
-    pts = np.geomspace(1e-12, hi_probe, 400)
-    feas = g(pts) <= gamma * pts
-    if not feas.any():
-        return 0.0
-    i = int(np.nonzero(feas)[0][-1])
-    if i == pts.size - 1:
-        return float(pts[-1]) if math.isfinite(radius) else math.inf
-    lo, _ = _bisect(lambda s: not float(g(s)) <= gamma * s,
-                    float(pts[i]), float(pts[i + 1]), steps=100)
-    return lo
-
-
 def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
               side: str = "upper", variant: str = "ray") -> BoundReport:
     """Bounds for the shifted events with intercept eta.
@@ -159,7 +134,9 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
     variant="ray":  inf_{s in feasible} e^{-eta s} = e^{-eta sup feasible};
     v_tau is ignored.
     variant="vee":  inf_{s in feasible} e^{-eta s} [exp(phi(+-s) - gamma s)]^{V_tau}.
-    Both return 1 (vacuous) when the feasible set is empty.
+    Both return 1 (vacuous) when the feasible set is empty.  sup feasible is
+    solve_slope_root's b* (a*), so a phi whose phi(+-s)/s decreases, which no
+    convex phi with phi(0) = 0 does, raises MonotonicityViolation.
     """
     _check_positive(gamma=gamma)
     if eta < 0.0:
@@ -175,13 +152,7 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
     if opt.value >= 0.0:
         return _report(ineq, 0.0, None, None, params, vacuous=True)
 
-    try:
-        root = solve_slope_root(phi, gamma, side=side)
-        s_star = root.s_root
-        params["restricted"] = True
-    except MonotonicityViolation:
-        s_star = _sup_feasible(phi, gamma, side)
-        params["restricted"] = False
+    s_star = solve_slope_root(phi, gamma, side=side).s_root
     params["s_star"] = s_star
 
     if variant == "ray":
@@ -232,19 +203,19 @@ def cbb_bounds(gamma: float, v_m: float, b: float,
     """Bennett / Bernstein / sub-Gaussian Chernoff bounds for bounded-increment
     martingales with variance proxy V_m."""
     _check_positive(gamma=gamma, v_m=v_m, b=b)
+    params = {"gamma": gamma, "v_m": v_m, "b": b}
+    # Bernstein and sub-Gaussian bound the envelope (gamma/2)(1 + V_t/V_m)
+    envelope = {**params, "envelope_intercept": gamma / 2.0,
+                "envelope_slope": gamma / (2.0 * v_m)}
     if which == "bennett":
         lg = math.log1p(b * gamma)
         exponent = v_m * (gamma / b - (1.0 + b * gamma) * lg / (b * b))
         slope = gamma / lg - 1.0 / b
-        return _report("bennett_cbb", exponent, lg / b, slope,
-                       {"gamma": gamma, "v_m": v_m, "b": b})
+        return _report("bennett_cbb", exponent, lg / b, slope, params)
     if which == "bernstein":
         exponent = -gamma * gamma / (2.0 * (v_m + b * gamma / 3.0))
-        params = {"gamma": gamma, "v_m": v_m, "b": b,
-                  "envelope_intercept": gamma / 2.0,
-                  "envelope_slope": gamma / (2.0 * v_m)}
         return _report("bernstein_cbb", exponent, 1.0 / (1.0 / gamma + b / 3.0),
-                       None, params)
+                       None, envelope)
     if which == "chernoff_sub":
         if b != 1.0:
             raise DomainViolation("chernoff_sub requires b = 1")
@@ -253,10 +224,8 @@ def cbb_bounds(gamma: float, v_m: float, b: float,
                 f"chernoff_sub requires gamma < 3.5 V_m, got gamma={gamma}, V_m={v_m}"
             )
         exponent = -gamma * gamma / (4.0 * v_m)
-        params = {"gamma": gamma, "v_m": v_m, "b": b,
-                  "envelope_intercept": gamma / 2.0,
-                  "envelope_slope": gamma / (2.0 * v_m)}
-        return _report("chernoff_sub", exponent, gamma / (2.0 * v_m), None, params)
+        return _report("chernoff_sub", exponent, gamma / (2.0 * v_m), None,
+                       envelope)
     raise InvalidParameter(f"which must be bennett|bernstein|chernoff_sub, got {which!r}")
 
 

@@ -30,21 +30,47 @@ OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 
 _NOT_CONFIG_KEYS = {"help", "config", "print_config"}
+# untyped flags whose config value may also be a JSON object (a record)
+_RECORD_KEYS = {"phi", "process"}
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> dict:
-    """The config keys of a subcommand, the dests of its flags, each mapped to
-    its flag's type (None for a flag that takes its value as given)."""
-    return {a.dest: a.type for a in parser._actions
+    """A subcommand's config keys: each flag's dest, mapped to the flag."""
+    return {a.dest: a for a in parser._actions
             if a.dest not in _NOT_CONFIG_KEYS}
+
+
+def _config_value(flag: argparse.Action, val):
+    """A config file's value for ``flag``, checked as the flag checks its own:
+    cast by its type, or, untyped, a string (or a record where the flag takes
+    one); a switch takes a JSON boolean; then one of its choices, if any."""
+    key = flag.dest
+    if val is None:
+        return None
+    if flag.type is not None:
+        try:
+            val = flag.type(val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {key!r} must be "
+                              f"{flag.type.__name__}, got {val!r}") from None
+    elif flag.const is not None:
+        if not isinstance(val, bool):
+            raise ConfigError(f"config key {key!r} must be a boolean, "
+                              f"got {val!r}")
+    elif not (isinstance(val, str)
+              or key in _RECORD_KEYS and isinstance(val, dict)):
+        raise ConfigError(f"config key {key!r} must be a string, got {val!r}")
+    if flag.choices is not None and val not in flag.choices:
+        raise ConfigError(f"config key {key!r} must be one of "
+                          f"{list(flag.choices)}, got {val!r}")
+    return val
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = json.loads(FsPath(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(raw, dict):
@@ -56,21 +82,12 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         for key, val in raw.items():
             if key not in args.config_keys:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
-            cast = args.config_keys[key]
-            try:
-                cfg[key] = val if cast is None or val is None else cast(val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} must be "
-                                  f"{cast.__name__}, got {val!r}") from None
+            cfg[key] = _config_value(args.config_keys[key], val)
     for name in args.config_keys:
         val = getattr(args, name, None)
         if val is not None:
             cfg[name] = val
     return cfg
-
-
-def _print_config(command: str, cfg: dict) -> None:
-    print(json.dumps({"command": command, **cfg}, sort_keys=True, default=str))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +154,10 @@ def _compute_bound(cfg: dict) -> B.BoundReport:
     if "phi" in (*keys, *fixed) and cfg.get("phi") is not None:
         rec = cfg["phi"]
         if isinstance(rec, str):
-            rec = json.loads(rec)
+            try:
+                rec = json.loads(rec)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"key 'phi' is not JSON: {exc}") from None
         cfg = {**cfg, "phi": make_phi(phi_kind_from_dict(rec))}
     kwargs = dict(fixed)
     kwargs.update((key, cfg[key]) for key in fixed if cfg.get(key) is not None)
@@ -145,11 +165,7 @@ def _compute_bound(cfg: dict) -> B.BoundReport:
     return fn(**{_KEYWORDS.get(k, k): v for k, v in kwargs.items()})
 
 
-def _cmd_bound(args) -> int:
-    cfg = _merge_config("bound", args)
-    if args.print_config:
-        _print_config("bound", cfg)
-        return 0
+def _cmd_bound(cfg: dict) -> int:
     rep = _compute_bound(cfg)
     if cfg.get("format") == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, **rep.to_dict()},
@@ -167,11 +183,7 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    cfg = _merge_config("validate", args)
-    if args.print_config:
-        _print_config("validate", cfg)
-        return 0
+def _cmd_validate(cfg: dict) -> int:
     (name,) = _need(cfg, "preset")
     if name not in PRESETS:
         raise ConfigError(
@@ -227,11 +239,7 @@ def _path_csv(path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _merge_config("simulate", args)
-    if args.print_config:
-        _print_config("simulate", cfg)
-        return 0
+def _cmd_simulate(cfg: dict) -> int:
     (seed,) = _need(cfg, "seed")
     spec = _spec_from_cfg(cfg)
     n_paths = 1 if cfg.get("paths") is None else cfg["paths"]
@@ -252,9 +260,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_presets(args) -> int:
-    if args.action != "list":
-        raise ConfigError(f"unknown presets action {args.action!r}")
+def _cmd_presets(cfg: dict) -> int:
     for name, preset in sorted(PRESETS.items()):
         print(f"{name}: {preset.description}")
     return 0
@@ -317,15 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("presets", help="inspect shipped validation presets")
     pp.add_argument("action", choices=["list"])
-    pp.set_defaults(fn=_cmd_presets)
+    pp.set_defaults(fn=_cmd_presets, config_keys={})
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _merge_config(args.command, args)
+        if getattr(args, "print_config", False):
+            print(json.dumps({"command": args.command, **cfg}, sort_keys=True,
+                             default=str))
+            return 0
+        return args.fn(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,12 @@ satisfy  E[exp(s (Y - mu))] <= exp(phi(s) * dV)  per unit of variance proxy dV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter
+from .errors import ConfigError, DomainViolation, InvalidParameter
 
 INF = math.inf
 
@@ -98,9 +98,9 @@ PhiKind = Union[
 class MgfBound:
     """A phi function together with its open domain (-a, b) and validity flags.
 
-    ``phi`` accepts scalars or numpy arrays and is not domain-checked; use
-    :meth:`evaluate` for checked evaluation.  Instances are immutable and safe
-    to share across workers.
+    ``phi`` accepts scalars or numpy arrays and is not domain-checked; callers
+    check s with :meth:`contains`.  Instances are immutable and safe to share
+    across workers.
     """
 
     a: float
@@ -115,14 +115,6 @@ class MgfBound:
     def contains(self, s) -> bool:
         s = np.asarray(s, dtype=float)
         return bool(np.all(s > -self.a) and np.all(s < self.b))
-
-    def evaluate(self, s):
-        """Evaluate phi(s), raising DomainViolation outside the open domain."""
-        if not self.contains(s):
-            raise DomainViolation(
-                f"s={s!r} outside open domain (-{self.a}, {self.b}) of {self.label}"
-            )
-        return self.phi(s)
 
     def describe(self) -> dict:
         """Serializable parameter echo for reports."""
@@ -250,7 +242,7 @@ def make_phi(kind: PhiKind) -> MgfBound:
 
 
 # ---------------------------------------------------------------------------
-# CLI serialization of phi kinds
+# Tagged records: phi kinds, and the field decoder sim's process records share
 # ---------------------------------------------------------------------------
 
 _KIND_TAGS = {
@@ -267,23 +259,46 @@ _KIND_TAGS = {
 def phi_kind_to_dict(kind: PhiKind) -> dict:
     for tag, cls in _KIND_TAGS.items():
         if isinstance(kind, cls):
-            rec = {"kind": tag}
-            for name in getattr(cls, "__dataclass_fields__", {}):
-                rec[name] = getattr(kind, name)
-            return rec
+            return {"kind": tag,
+                    **{f.name: getattr(kind, f.name) for f in fields(cls)}}
     raise InvalidParameter(f"phi kind {kind!r} is not serializable")
 
 
+# a field's annotated type -> its cast; bool takes JSON booleans only, since
+# bool("false") is True
+_CASTS = {"float": float, "int": int,
+          "bool": {False: False, True: True}.__getitem__}
+
+
+def _from_record(cls, rec: dict, **built):
+    """cls from ``built`` and the keys of rec that name its other fields,
+    popped from rec and each cast to its field's annotated type."""
+    for f in fields(cls):
+        if f.name in rec:
+            try:
+                built[f.name] = _CASTS[f.type](rec.pop(f.name))
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(f"key {f.name!r} must be {f.type}") from None
+        elif f.name not in built and f.default is MISSING:
+            raise ConfigError(f"missing required key {f.name!r}")
+    return cls(**built)
+
+
 def phi_kind_from_dict(rec: dict) -> PhiKind:
+    """The phi kind of a tagged record, e.g. ``{"kind": "bennett", "sigma2":
+    1.0, "b": 1.0}``, each value cast to its field's type (a bad tag, key or
+    value raises ConfigError; make_phi checks the ranges)."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"key 'phi' must be a JSON object, got {rec!r}")
     rec = dict(rec)
     tag = rec.pop("kind", None)
-    cls = _KIND_TAGS.get(tag)
+    cls = _KIND_TAGS.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise InvalidParameter(f"unknown phi kind tag {tag!r}")
-    try:
-        return cls(**rec)
-    except TypeError as exc:
-        raise InvalidParameter(f"bad parameters for phi kind {tag!r}: {exc}") from exc
+        raise ConfigError(f"unknown phi kind {tag!r}")
+    kind = _from_record(cls, rec)
+    if rec:
+        raise ConfigError(f"unknown key {next(iter(rec))!r} for phi kind {tag}")
+    return kind
 
 
 # ---------------------------------------------------------------------------

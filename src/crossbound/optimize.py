@@ -68,11 +68,10 @@ def _side_objective(phi: MgfBound, side: str) -> Tuple[Callable, float]:
 
 
 def _bisect(above: Callable[[float], bool], lo: float, hi: float,
-            done: Callable[[float, float], bool] = lambda a, b: False,
-            steps: int = 200) -> Tuple[float, float]:
+            done: Callable[[float, float], bool]) -> Tuple[float, float]:
     """Halve [lo, hi] toward the switch of a monotone predicate, keeping
-    above(lo) false and above(hi) true, until done(lo, hi) or steps run out."""
-    for _ in range(steps):
+    above(lo) false and above(hi) true, until done(lo, hi) or 200 steps."""
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if above(mid):
             hi = mid

@@ -19,7 +19,7 @@ import time
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtri
 
 from . import bounds as B
 from .errors import InvalidParameter
@@ -266,7 +266,7 @@ def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
     pilot paths."""
     if paths <= 0:
         raise InvalidParameter("paths must be positive")
-    z = float(_scipy_stats.norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     T = t0
     for _ in range(3):
         events = [EventSpec(kind="sup_level", gamma=g, steps=steps)

@@ -9,13 +9,13 @@ canonical: generating a path in blocks consumes the identical stream.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ConfigError, DomainViolation, InvalidParameter, InvalidSpec
-from .mgf import MgfBound
+from .mgf import MgfBound, _from_record
 
 _EXP_BLOCK = 64          # block size for Poisson interarrival draws
 
@@ -371,8 +371,6 @@ def uniform_grid(spec: ProcessSpec):
         n = int(round(spec.horizon / spec.dt))
         t = np.arange(n + 1, dtype=np.float64) * spec.dt
         return t, t.copy()
-    if isinstance(spec, ExpSupermartingale):
-        return uniform_grid(spec.base)
     raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
 
 
@@ -461,24 +459,6 @@ _DIST_TAGS = {"bernoulli": BernoulliIncrements, "uniform": UniformIncrements,
               "two_point": TwoPointIncrements}
 _PROCESS_TAGS = {"iid_sum": IidSum, "lazy_walk": LazyWalk,
                  "poisson": PoissonCounting, "brownian": Brownian}
-# a field's annotated type -> its cast; bool takes JSON booleans only, since
-# bool("false") is True
-_CASTS = {"float": float, "int": int,
-          "bool": {False: False, True: True}.__getitem__}
-
-
-def _from_record(cls, rec: dict, **built):
-    """cls from ``built`` and the keys of rec that name its other fields,
-    popped from rec and each cast to its field's annotated type."""
-    for f in fields(cls):
-        if f.name in rec:
-            try:
-                built[f.name] = _CASTS[f.type](rec.pop(f.name))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(f"key {f.name!r} must be {f.type}") from None
-        elif f.name not in built and f.default is MISSING:
-            raise ConfigError(f"missing required key {f.name!r}")
-    return cls(**built)
 
 
 def spec_from_dict(rec: dict) -> ProcessSpec:

@@ -111,37 +111,6 @@ class RegionPair:
                 np.any(self.inner.upper_at(grid) > self.outer.upper_at(grid))):
             raise InvalidParameter("inner region must be nested in outer region")
 
-    def to_dict(self) -> dict:
-        return {"inner": region_to_dict(self.inner),
-                "outer": region_to_dict(self.outer)}
-
-
-def region_to_dict(region: ContinuityRegion) -> dict:
-    """Breakpoint-list form used by CLI configs and JSON reports."""
-    return {"breakpoints": region.breakpoints.tolist(),
-            "lower": region.lower.tolist(),
-            "upper": region.upper.tolist(),
-            "envelope": region.envelope}
-
-
-def region_from_dict(rec: dict) -> ContinuityRegion:
-    try:
-        return ContinuityRegion(
-            breakpoints=np.asarray(rec["breakpoints"], dtype=np.float64),
-            lower=np.asarray(rec["lower"], dtype=np.float64),
-            upper=np.asarray(rec["upper"], dtype=np.float64),
-            envelope=float(rec["envelope"]))
-    except KeyError as exc:
-        raise InvalidParameter(f"region record missing key {exc}") from exc
-
-
-def region_pair_from_dict(rec: dict) -> RegionPair:
-    try:
-        return RegionPair(inner=region_from_dict(rec["inner"]),
-                          outer=region_from_dict(rec["outer"]))
-    except KeyError as exc:
-        raise InvalidParameter(f"region pair record missing key {exc}") from exc
-
 
 @dataclass(frozen=True)
 class StopResult:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import betaincinv
 
 from .errors import DomainViolation, InvalidParameter
 from .sim import (
@@ -55,8 +55,8 @@ def clopper_pearson(k: int, n: int, alpha: float) -> tuple:
         raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
     if n <= 0 or k < 0 or k > n:
         raise DomainViolation(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    lo = 0.0 if k == 0 else float(_scipy_stats.beta.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(_scipy_stats.beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 
@@ -66,8 +66,8 @@ class EventSpec:
 
     kinds: "line" (moving boundary gamma V_tau + slope (V_t - V_tau); side may
     be two_sided for the absolute-value envelope), "vee" (eta + gamma
-    (V_tau v V_t)), "eta_ray" (eta + gamma V_t) and "sup_level"
-    (sup Y_t >= gamma).
+    (V_tau v V_t)) and "eta_ray" (eta + gamma V_t) on a plain process, and
+    "sup_level" (sup Y_t >= gamma) on an ExpSupermartingale Y.
 
     On a uniform grid an event may see part of each path: its first
     ``steps`` grid steps (None: all), and with stride=2 only every second
@@ -184,8 +184,6 @@ def _event_rows(event: EventSpec, st: _RowStats,
     """Boolean crossed-indicator per path row for one event."""
     n_cols = st.V.size
     if event.kind == "sup_level":
-        if transform is None:
-            return st.get("max", 0.0, 0, None) >= event.gamma
         s, phi_s = transform
         level = math.log(event.gamma)
         if s > 0:
@@ -259,6 +257,11 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     else:
         n_cols = uniform_grid(base)[1].size
         chunk = chunk_size or max(16, min(8192, _CHUNK_ELEMENTS // n_cols))
+    for ev in events:
+        if (ev.kind == "sup_level") != (transform is not None):
+            raise InvalidParameter(
+                f"a {ev.kind} event cannot be counted on {type(spec).__name__}:"
+                " sup_level needs an ExpSupermartingale, the rest a plain process")
     if any((ev.steps, ev.stride) != (None, 1) and (n_cols is None or not (
             ev.steps is None or 0 < ev.steps < n_cols)) for ev in events):
         raise InvalidParameter("steps/stride events need a uniform grid "

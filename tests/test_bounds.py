@@ -142,16 +142,20 @@ class TestSlopeRootFailures:
                             solve_slope_root)
 
     @pytest.mark.parametrize("call", CALLS, ids=["eta_ray", "eta_vee"])
-    def test_monotonicity_violation_falls_back_unrestricted(self, monkeypatch,
-                                                             call):
-        self._failing_root(monkeypatch, MonotonicityViolation)
-        assert call().params["restricted"] is False
-
-    @pytest.mark.parametrize("call", CALLS, ids=["eta_ray", "eta_vee"])
     def test_other_errors_propagate(self, monkeypatch, call):
-        self._failing_root(monkeypatch, NotUnimodal)
-        with pytest.raises(NotUnimodal):
-            call()
+        # b* has one solver: a decreasing phi(s)/s marks an invalid phi, and
+        # no fallback hides it
+        for exc in (NotUnimodal, MonotonicityViolation):
+            self._failing_root(monkeypatch, exc)
+            with pytest.raises(exc):
+                call()
+
+    def test_decreasing_ratio_raises(self):
+        from crossbound import Custom
+        phi = make_phi(Custom(
+            phi=lambda s: np.abs(s) * (2.0 + np.sin(5.0 * s)), a=20.0, b=20.0))
+        with pytest.raises(MonotonicityViolation):
+            eta_bound(phi, gamma=2.0, eta=1.0, variant="ray")
 
 
 class TestAzuma:

@@ -75,6 +75,44 @@ class TestBoundCommand:
         assert code == 3 and out == ""
         assert "gamma" in err
 
+    # phi records decode like process records: a tag, key or type error
+    # exits 2 and names the key; an out-of-range value exits 3
+    @pytest.mark.parametrize("phi, code, named", [
+        ("notjson", 2, "'phi'"),
+        ("[1]", 2, "'phi'"),
+        ('{"kind": "bennett", "sigma2": "x", "b": 1}', 2, "'sigma2'"),
+        ('{"kind": "nope", "v": 1}', 2, "'nope'"),
+        ('{"kind": "gaussian", "v": 1, "w": 2}', 2, "'w'"),
+        ('{"kind": "gaussian", "v": 0}', 3, "v must be"),
+    ], ids=["not_json", "not_object", "bad_type", "bad_tag", "bad_key",
+            "out_of_range"])
+    def test_bad_phi_exit_code(self, capsys, phi, code, named):
+        got, out, err = run_cli(capsys, "bound", "--ineq", "opt_line_upper",
+                                "--gamma", "2", "--vtau", "1", "--phi", phi)
+        assert (got, out) == (code, "") and named in err
+
+    def test_custom_phi_with_decreasing_ratio_exits_3(self, capsys,
+                                                      monkeypatch):
+        # a phi(s)/s that decreases is no valid phi: eta_bound refuses it
+        import numpy as np
+        from crossbound import Custom
+        bad = make_phi(Custom(phi=lambda s: np.abs(s) * (2.0 + np.sin(5.0 * s)),
+                              a=20.0, b=20.0))
+        monkeypatch.setattr("crossbound.cli.make_phi", lambda kind: bad)
+        code, out, err = run_cli(capsys, "bound", "--ineq", "eta_ray_upper",
+                                 "--gamma", "2", "--eta", "1", "--phi", PHI_REC)
+        assert code == 3 and out == "" and "decreases" in err
+
+
+def test_import_leaves_scipy_stats_out():
+    # the CLI needs two quantile functions, which scipy.special has
+    import subprocess
+    import sys
+    probe = "import sys, crossbound.cli; print('scipy.stats' in sys.modules)"
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert got.stdout.strip() == "False"
+
 
 PHI_REC = '{"kind": "gaussian", "v": 1.0}'
 _G = make_phi(Gaussian(1.0))
@@ -186,9 +224,18 @@ class TestConfigHandling:
         ("simulate", {"process": "brownian", "dt": 0.1, "horizon": 1,
                       "n": 3, "seed": 1}, "n"),
         ("simulate", {"process": {"process": "walk"}, "seed": 1}, "walk"),
+        ("bound", {"ineq": "doob_exp", "gamma": 2, "format": "xml"}, "format"),
+        ("simulate", {"process": "iid_sum", "n": 5, "dist": "two_point",
+                      "seed": 1}, "dist"),
+        ("validate", {"preset": ["x"], "seed": 1}, "preset"),
+        ("bound", {"ineq": 3, "gamma": 2}, "ineq"),
+        ("bound", {"ineq": "doob_exp", "gamma": 2, "phi": [1]}, "phi"),
+        ("simulate", {"process": "poisson", "lam": 1, "horizon": 1,
+                      "centered": "yes", "seed": 1}, "centered"),
     ], ids=["validate_seed", "bound_gamma", "flat_dt", "nested_dt",
             "flat_missing", "nested_missing", "nested_bool", "nested_unknown",
-            "flat_unused", "nested_tag"])
+            "flat_unused", "nested_tag", "format_choice", "dist_choice",
+            "preset_list", "ineq_number", "phi_list", "switch_string"])
     def test_bad_config_value_exits_2(self, capsys, tmp_path, command, rec,
                                       key):
         cfg = tmp_path / "cfg.json"
@@ -254,20 +301,30 @@ class TestConfigHandling:
         assert json.loads(out) == json.loads(out2)
 
 
-def _flag_types(command):
+def _flags(command):
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
-    return {a.dest: a.type for a in sub.choices[command]._actions
+    return {a.dest: a for a in sub.choices[command]._actions
             if a.option_strings and a.dest not in ("help", "config",
                                                    "print_config")}
 
 
+def _good_value(flag):
+    """A config value that passes the flag's own checks."""
+    if flag.choices:
+        return flag.choices[0]
+    if flag.type is not None:
+        return 1              # casts to int and to float
+    if flag.const is not None:
+        return True           # a switch
+    return f"value-{flag.dest}"
+
+
 @pytest.mark.parametrize("command", ["bound", "validate", "simulate"])
 def test_every_flag_is_a_config_key(capsys, tmp_path, command):
-    types = _flag_types(command)
+    flags = _flags(command)
+    types = {d: f.type for d, f in flags.items()}
     assert types
-    # a typed flag's value must cast to its type; 1 casts to int and float
-    rec = {"command": command, **{d: f"value-{d}" if t is None else 1
-                                  for d, t in types.items()}}
+    rec = {"command": command, **{d: _good_value(f) for d, f in flags.items()}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(rec))
     code, out, _ = run_cli(capsys, command, "--config", str(cfg),
@@ -281,6 +338,17 @@ def test_every_flag_is_a_config_key(capsys, tmp_path, command):
         code, out, err = run_cli(capsys, command, "--config", str(bad),
                                  "--print-config")
         assert code == 2 and out == "" and repr(key) in err
+    # an untyped flag takes a string, a switch a boolean, and a flag with
+    # choices only those
+    for key, flag in flags.items():
+        if flag.type is not None:
+            continue
+        for val in [7, ["x"]] + (["not-a-choice"] if flag.choices else []):
+            bad = tmp_path / f"{key}.json"
+            bad.write_text(json.dumps({**rec, key: val}))
+            code, out, err = run_cli(capsys, command, "--config", str(bad),
+                                     "--print-config")
+            assert code == 2 and out == "" and repr(key) in err, (key, val)
     for key in ("config", "print_config", "not_a_flag"):
         cfg.write_text(json.dumps({**rec, key: 1}))
         code, out, err = run_cli(capsys, command, "--config", str(cfg),

@@ -7,6 +7,7 @@ from crossbound import (
     Bennett,
     Bernstein,
     CbbExp,
+    ConfigError,
     Custom,
     DomainViolation,
     Gaussian,
@@ -44,9 +45,8 @@ def test_domains():
     assert bern.b == pytest.approx(1.5)
     assert bern.a == math.inf
     assert not bern.lower_tail_supported
-    with pytest.raises(DomainViolation):
-        bern.evaluate(1.5)
-    assert bern.evaluate(1.4999) > 0
+    assert not bern.contains(1.5) and bern.contains(1.4999)
+    assert not bern.contains([0.5, 1.5]) and bern.contains([-9.0, 1.4999])
 
 
 def test_invalid_parameters():
@@ -163,8 +163,29 @@ def test_kind_serialization_roundtrip():
         rec = phi_kind_to_dict(kind)
         assert rec["kind"]
         assert phi_kind_from_dict(rec) == kind
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ConfigError):
         phi_kind_from_dict({"kind": "nope"})
+
+
+@pytest.mark.parametrize("rec, named", [
+    ({"kind": "nope"}, "'nope'"),
+    ({"v": 1.0}, "kind None"),
+    ([1], "'phi'"),
+    ({"kind": "bennett", "sigma2": "x", "b": 1}, "'sigma2'"),
+    ({"kind": "bennett", "sigma2": 1.0}, "'b'"),
+    ({"kind": "gaussian", "v": 1.0, "w": 2.0}, "'w'"),
+])
+def test_bad_kind_records_are_config_errors(rec, named):
+    # a tag, key or type error; a value out of range is make_phi's to refuse
+    with pytest.raises(ConfigError, match=named):
+        phi_kind_from_dict(rec)
+
+
+def test_kind_records_are_cast_and_range_checked_by_make_phi():
+    assert phi_kind_from_dict({"kind": "bennett", "sigma2": "1", "b": 2}) == \
+        Bennett(1.0, 2.0)
+    with pytest.raises(InvalidParameter):
+        make_phi(phi_kind_from_dict({"kind": "gaussian", "v": -1.0}))
 
 
 # --- auxiliary inequalities behind the catalog --------------------------------------

@@ -60,19 +60,6 @@ class TestRegions:
         assert reg.lower_at(2.0) == -2.0  # right-continuous at breakpoints
         assert reg.upper_at(10.0) == 2.0
 
-    def test_serialization_roundtrip(self):
-        from crossbound import region_from_dict, region_pair_from_dict
-        reg = ContinuityRegion(breakpoints=np.array([0.0, 2.0]),
-                               lower=np.array([-1.0, -2.0]),
-                               upper=np.array([1.0, 2.0]), envelope=3.0)
-        back = region_from_dict(
-            __import__("crossbound").region_to_dict(reg))
-        assert np.array_equal(back.breakpoints, reg.breakpoints)
-        assert np.array_equal(back.lower, reg.lower)
-        assert back.envelope == reg.envelope
-        pair = region_pair_from_dict(PAIR_3_5.to_dict())
-        assert pair.outer.upper_at(0.0) == 5.0
-
 
 class TestFirstExit:
     def test_deterministic_ramp(self):

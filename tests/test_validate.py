@@ -61,6 +61,21 @@ class TestClopperPearson:
             lo, hi = clopper_pearson(k, n, 0.01)
             assert lo <= k / n <= hi
 
+    def test_equals_scipy_stats_beta_ppf(self):
+        # the Beta quantiles come from scipy.special.betaincinv directly;
+        # scipy.stats.beta.ppf is the reference, bit for bit
+        from scipy import stats
+        for n in (1, 2, 7, 60, 1000, 50_000, 200_000):
+            ks = sorted({0, 1, n // 3, n // 2, n - 1, n})
+            for k in ks:
+                for alpha in (0.01, 0.05, 0.1, 0.5):
+                    lo = 0.0 if k == 0 else float(
+                        stats.beta.ppf(alpha / 2.0, k, n - k + 1))
+                    hi = 1.0 if k == n else float(
+                        stats.beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+                    assert clopper_pearson(k, n, alpha) == (lo, hi), (k, n,
+                                                                      alpha)
+
     def test_validation(self):
         with pytest.raises(DomainViolation):
             clopper_pearson(-1, 10, 0.05)
@@ -254,6 +269,30 @@ class TestSweep:
             ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=steps)
             with pytest.raises(InvalidParameter):
                 sweep(IidSum(UniformIncrements(), 50), [ev], 10, seed=1)
+
+    @pytest.mark.parametrize("spec, ev", [
+        (ExpSupermartingale(Brownian(0.01, 1.0), 1.0, make_phi(Gaussian(1.0))),
+         EventSpec(kind="line", gamma=1.0, v_tau=1.0)),
+        (ExpSupermartingale(Brownian(0.01, 1.0), 1.0, make_phi(Gaussian(1.0))),
+         EventSpec(kind="vee", gamma=1.0, v_tau=1.0)),
+        (ExpSupermartingale(IidSum(UniformIncrements(), 50), 0.5,
+                            make_phi(Uniform24())),
+         EventSpec(kind="eta_ray", gamma=0.2, eta=1.0)),
+        (Brownian(0.01, 1.0), EventSpec(kind="sup_level", gamma=2.0)),
+        (PoissonCounting(1.0, 5.0), EventSpec(kind="sup_level", gamma=2.0)),
+    ], ids=["line_on_exp", "vee_on_exp", "eta_ray_on_exp", "sup_on_brownian",
+            "sup_on_poisson"])
+    def test_event_the_spec_cannot_carry_raises_before_drawing(
+            self, monkeypatch, spec, ev):
+        # a line on Y = exp(s X - phi(s) V) would be counted on X
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr("crossbound.validate.path_blocks", no_draws)
+        ok = EventSpec(kind="sup_level" if ev.kind != "sup_level" else "line",
+                       gamma=2.0, v_tau=1.0)
+        with pytest.raises(InvalidParameter, match=ev.kind):
+            sweep(spec, [ok, ev], 100, seed=1)
 
     def test_poisson_sweep_matches_per_path_loop(self):
         spec = PoissonCounting(lam=2.0, horizon=5.0, centered=True)
