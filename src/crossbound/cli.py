@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 
 from . import bounds as B
 from .errors import ConfigError, CrossboundError, InvalidParameter
-from .mgf import make_phi, phi_kind_from_dict
+from .mgf import _CASTS, make_phi, phi_kind_from_dict
 from .presets import PRESETS
 from .sim import generate, spec_from_dict
 from .validate import SCHEMA_VERSION, ValidationReport, fmt17
@@ -42,21 +42,18 @@ def _config_keys(parser: argparse.ArgumentParser) -> dict:
 
 def _config_value(flag: argparse.Action, val):
     """A config file's value for ``flag``, checked as the flag checks its own:
-    cast by its type, or, untyped, a string (or a record where the flag takes
-    one); a switch takes a JSON boolean; then one of its choices, if any."""
+    strictly cast by its type (a switch's is bool), or, untyped, a string (or
+    a record where the flag takes one); then one of its choices, if any."""
     key = flag.dest
     if val is None:
         return None
-    if flag.type is not None:
+    kind = flag.type.__name__ if flag.type else "bool" if flag.const else None
+    if kind is not None:
         try:
-            val = flag.type(val)
+            val = _CASTS[kind](val)
         except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} must be "
-                              f"{flag.type.__name__}, got {val!r}") from None
-    elif flag.const is not None:
-        if not isinstance(val, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean, "
-                              f"got {val!r}")
+            raise ConfigError(f"config key {key!r} must be {kind}, "
+                              f"got {val!r}") from None
     elif not (isinstance(val, str)
               or key in _RECORD_KEYS and isinstance(val, dict)):
         raise ConfigError(f"config key {key!r} must be a string, got {val!r}")
@@ -277,10 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary-crossing probability bounds and their Monte "
                     "Carlo validation.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # flags shared by subcommands: the config file, and a run's size and output
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config")
+    config.add_argument("--print-config", action="store_true")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--paths", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out")
 
-    pb = sub.add_parser("bound", help="evaluate one inequality")
-    pb.add_argument("--config")
-    pb.add_argument("--print-config", action="store_true")
+    pb = sub.add_parser("bound", parents=[config],
+                        help="evaluate one inequality")
     pb.add_argument("--ineq")
     for flag in ("gamma", "vtau", "eta", "s", "tau", "b", "vm", "theta",
                  "mean0", "c"):
@@ -292,24 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--format", choices=["csv", "json"])
     pb.set_defaults(fn=_cmd_bound, config_keys=_config_keys(pb))
 
-    pv = sub.add_parser("validate", help="run a named validation suite")
-    pv.add_argument("--config")
-    pv.add_argument("--print-config", action="store_true")
+    pv = sub.add_parser("validate", parents=[config, run],
+                        help="run a named validation suite")
     pv.add_argument("--preset")
-    pv.add_argument("--paths", type=int)
-    pv.add_argument("--seed", type=int)
     pv.add_argument("--alpha", type=float)
     pv.add_argument("--threads", type=int)
-    pv.add_argument("--out")
     pv.set_defaults(fn=_cmd_validate, config_keys=_config_keys(pv))
 
-    ps = sub.add_parser("simulate", help="dump simulated paths to CSV")
-    ps.add_argument("--config")
-    ps.add_argument("--print-config", action="store_true")
+    ps = sub.add_parser("simulate", parents=[config, run],
+                        help="dump simulated paths to CSV")
     ps.add_argument("--process")
-    ps.add_argument("--paths", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--out")
     ps.add_argument("--dt", type=float)
     ps.add_argument("--horizon", type=float)
     ps.add_argument("--lambda", dest="lam", type=float)

@@ -264,10 +264,23 @@ def phi_kind_to_dict(kind: PhiKind) -> dict:
     raise InvalidParameter(f"phi kind {kind!r} is not serializable")
 
 
-# a field's annotated type -> its cast; bool takes JSON booleans only, since
-# bool("false") is True
-_CASTS = {"float": float, "int": int,
-          "bool": {False: False, True: True}.__getitem__}
+def _strict(cast, *takes):
+    """cast, for a value of a type in takes only (a bool is an int to
+    isinstance, so it passes only where takes names bool)."""
+    def check(val):
+        if not isinstance(val, takes) or (isinstance(val, bool)
+                                          and bool not in takes):
+            raise TypeError(val)
+        return cast(val)
+    return check
+
+
+# a type's name -> its strict cast, for config values and record fields: an
+# int takes a JSON integer or a string int() parses (not 1.9 or true), a float
+# any JSON number or a string, a bool a JSON boolean only (bool(1) is True)
+_CASTS = {"float": _strict(float, int, float, str),
+          "int": _strict(int, int, str),
+          "bool": _strict(bool, bool)}
 
 
 def _from_record(cls, rec: dict, **built):

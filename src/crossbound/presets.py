@@ -332,15 +332,14 @@ def walk_region_pair() -> RegionPair:
 
 
 def run_optional_stopping(paths: int = 100_000, seed: int = 0,
-                          alpha: float = 0.01, threads: Optional[int] = None,
-                          horizon: int = 10_000) -> list:
-    """One stopping row per walk; the harvest is serial, and threads is
-    checked like every preset's."""
+                          alpha: float = 0.01,
+                          threads: Optional[int] = None) -> list:
+    """One stopping row per 10 000-step walk; the harvest is serial, and
+    threads is checked like every preset's."""
     _check_run(paths, alpha, threads)
     pair = walk_region_pair()
-    return [stopping_row(LazyWalk(p_move=1.0, n=horizon, drift=drift), pair,
-                         paths, horizon, seed, kind=kind, label=label,
-                         alpha=alpha)
+    return [stopping_row(LazyWalk(p_move=1.0, n=10_000, drift=drift), pair,
+                         paths, seed, kind=kind, label=label, alpha=alpha)
             for label, drift, kind in (
                 ("walk_martingale", 0.0, "martingale"),
                 ("walk_supermartingale", -0.1, "supermartingale"))]

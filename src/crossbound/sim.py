@@ -9,6 +9,7 @@ canonical: generating a path in blocks consumes the identical stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -31,6 +32,10 @@ class BernoulliIncrements:
 
     p: float
 
+    def __post_init__(self):
+        if not (0.0 < self.p < 1.0):
+            raise InvalidSpec(f"Bernoulli p must lie in (0, 1), got {self.p}")
+
 
 @dataclass(frozen=True)
 class UniformIncrements:
@@ -45,6 +50,12 @@ class TwoPointIncrements:
     lo: float
     p_hi: float
 
+    def __post_init__(self):
+        if not (0.0 < self.p_hi < 1.0):
+            raise InvalidSpec(f"p_hi must lie in (0, 1), got {self.p_hi}")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise InvalidSpec("need finite lo < hi for two-point increments")
+
 
 @dataclass(frozen=True)
 class CustomIncrements:
@@ -58,19 +69,16 @@ IncrementDist = Union[BernoulliIncrements, UniformIncrements,
                       TwoPointIncrements, CustomIncrements]
 
 
-def _validate_dist(dist: IncrementDist):
-    if isinstance(dist, BernoulliIncrements) and not (0.0 < dist.p < 1.0):
-        raise InvalidSpec(f"Bernoulli p must lie in (0, 1), got {dist.p}")
-    if isinstance(dist, TwoPointIncrements):
-        if not (0.0 < dist.p_hi < 1.0):
-            raise InvalidSpec(f"p_hi must lie in (0, 1), got {dist.p_hi}")
-        if not -math.inf < dist.lo < dist.hi < math.inf:
-            raise InvalidSpec("need finite lo < hi for two-point increments")
+# ---------------------------------------------------------------------------
+# Process specifications: each checks itself when built or replaced
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Process specifications
-# ---------------------------------------------------------------------------
+def _check_steps(spec):
+    n = spec.n
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidSpec(
+            f"{type(spec).__name__} needs an integer n >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,8 @@ class IidSum:
     dist: IncrementDist
     n: int
 
+    __post_init__ = _check_steps
+
 
 @dataclass(frozen=True)
 class LazyWalk:
@@ -88,6 +98,13 @@ class LazyWalk:
     p_move: float = 1.0
     n: int = 1000
     drift: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.p_move <= 1.0):
+            raise InvalidSpec(f"p_move must lie in [0, 1], got {self.p_move}")
+        _check_steps(self)
+        if not math.isfinite(self.drift):
+            raise InvalidSpec(f"LazyWalk drift must be finite, got {self.drift}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +122,27 @@ class PoissonCounting:
     horizon: float
     centered: bool = False
 
+    def __post_init__(self):
+        if not (0 < self.lam < math.inf and 0 < self.horizon < math.inf):
+            raise InvalidSpec(
+                "PoissonCounting needs finite lam > 0 and horizon > 0")
+
 
 @dataclass(frozen=True)
 class Brownian:
-    """Brownian increments with variance dt on a uniform grid, V_t = t."""
+    """Brownian increments with variance dt on a uniform grid, V_t = t; the
+    horizon is a whole number of dt steps, at least one."""
 
     dt: float
     horizon: float
+
+    def __post_init__(self):
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
+            raise InvalidSpec("Brownian needs finite dt > 0 and horizon > 0")
+        n = round(min(self.horizon / self.dt, 2.0 ** 62))  # a finite int
+        if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise InvalidSpec(f"Brownian horizon {self.horizon} must be a "
+                              f"whole number >= 1 of dt = {self.dt} steps")
 
 
 @dataclass(frozen=True)
@@ -121,6 +152,11 @@ class ExpSupermartingale:
     base: "ProcessSpec"
     s: float
     phi: MgfBound
+
+    def __post_init__(self):
+        if not self.phi.contains(self.s):
+            raise InvalidSpec(
+                f"s={self.s} outside the domain of phi {self.phi.label}")
 
 
 ProcessSpec = Union[IidSum, LazyWalk, PoissonCounting, Brownian, ExpSupermartingale]
@@ -259,37 +295,6 @@ def path_streams(seed: int, indices, gens: list):
             yield gen
 
 
-def validate_spec(spec: ProcessSpec):
-    if isinstance(spec, IidSum):
-        _validate_dist(spec.dist)
-        if spec.n <= 0:
-            raise InvalidSpec(f"IidSum needs n >= 1, got {spec.n}")
-    elif isinstance(spec, LazyWalk):
-        if not (0.0 <= spec.p_move <= 1.0):
-            raise InvalidSpec(f"p_move must lie in [0, 1], got {spec.p_move}")
-        if spec.n <= 0:
-            raise InvalidSpec(f"LazyWalk needs n >= 1, got {spec.n}")
-        if not math.isfinite(spec.drift):
-            raise InvalidSpec(f"LazyWalk drift must be finite, got {spec.drift}")
-    elif isinstance(spec, PoissonCounting):
-        if not (0 < spec.lam < math.inf and 0 < spec.horizon < math.inf):
-            raise InvalidSpec(
-                "PoissonCounting needs finite lam > 0 and horizon > 0")
-    elif isinstance(spec, Brownian):
-        if not (0 < spec.dt < math.inf and 0 < spec.horizon < math.inf):
-            raise InvalidSpec("Brownian needs finite dt > 0 and horizon > 0")
-        if spec.horizon < spec.dt:
-            raise InvalidSpec("Brownian horizon must cover at least one step")
-    elif isinstance(spec, ExpSupermartingale):
-        validate_spec(spec.base)
-        if not spec.phi.contains(spec.s):
-            raise InvalidSpec(
-                f"s={spec.s} outside the domain of phi {spec.phi.label}"
-            )
-    else:
-        raise InvalidSpec(f"unknown process spec {spec!r}")
-
-
 # --- step draws: every grid producer draws through step_draws -------------
 
 
@@ -376,9 +381,7 @@ def uniform_grid(spec: ProcessSpec):
 
 def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
     """Generate one path; a pure function of (spec, seed, path_index)."""
-    validate_spec(spec)
-    rng = path_rng(seed, path_index)
-    return _generate_with_rng(spec, rng)
+    return _generate_with_rng(spec, path_rng(seed, path_index))
 
 
 def _generate_with_rng(spec: ProcessSpec, rng: np.random.Generator) -> Path:
@@ -418,8 +421,6 @@ def increments_matrix(spec: ProcessSpec, seed: int,
     Row i uses exactly the stream of generate(spec, seed, indices[i]), so
     batched and single-path results are bit-identical.
     """
-    if isinstance(spec, ExpSupermartingale):
-        return increments_matrix(spec.base, seed, indices)
     fill, steps = step_draws(spec)
     out = np.empty((len(indices), uniform_grid(spec)[0].size - 1))
     streams = path_streams(seed, indices, [np.random.default_rng(0)])

@@ -17,12 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidSpec
+from .errors import InvalidParameter
 from .sim import (
-    Brownian,
     ExpSupermartingale,
-    IidSum,
-    LazyWalk,
     Path,
     PoissonCounting,
     ProcessSpec,
@@ -31,7 +28,6 @@ from .sim import (
     path_streams,
     step_draws,
     uniform_grid,
-    validate_spec,
     walk_increments,  # noqa: F401  (likewise)
 )
 
@@ -166,18 +162,6 @@ class OsReport:
         return dataclasses.asdict(self)
 
 
-def _with_horizon(spec: ProcessSpec, horizon) -> ProcessSpec:
-    if not math.isfinite(horizon):
-        raise InvalidSpec(f"horizon must be finite, got {horizon}")
-    if isinstance(spec, (IidSum, LazyWalk)):
-        return dataclasses.replace(spec, n=int(horizon))
-    if isinstance(spec, (PoissonCounting, Brownian)):
-        return dataclasses.replace(spec, horizon=float(horizon))
-    if isinstance(spec, ExpSupermartingale):
-        return dataclasses.replace(spec, base=_with_horizon(spec.base, horizon))
-    raise InvalidSpec(f"cannot set a horizon on {type(spec).__name__}")
-
-
 def _first_out(vals, t, region):
     """Per row of vals (one column per grid time in t): the first column
     outside the region, and whether there is one."""
@@ -186,22 +170,20 @@ def _first_out(vals, t, region):
     return j, out[np.arange(j.size), j]
 
 
-def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
-    """First exits of every path from both regions of ``pair``, with early
-    exit.  The regions test X, or exp(s X - phi(s) V) for an
-    ExpSupermartingale over X.
+def _harvest_exits_blockwise(spec, pair, n_paths, seed):
+    """First exits of every path from both regions of ``pair`` within the
+    spec's horizon, with early exit.  The regions test X, or exp(s X -
+    phi(s) V) for an ExpSupermartingale over X.
 
     On a uniform grid the paths go HARVEST_ROWS at a time: path i draws the
     stream of generate(spec, seed, i) through sim.step_draws, HARVEST_BLOCK
     steps per block and only while its outer exit is pending.  Column 0 of
     a mapped block holds each row's running sum, so one cumsum along the
     rows adds in generate's order and every value is generate's, bit for
-    bit.  Poisson
-    paths are read whole, one row at a time, from path_blocks.  Every block
-    goes through the same exit search, against the region bounds at the
-    block's times.
+    bit.  Poisson paths are read whole, one row at a time, from
+    path_blocks.  Every block goes through the same exit search, against
+    the region bounds at the block's times.
     """
-    spec = _with_horizon(spec, horizon)
     base = spec
     if isinstance(spec, ExpSupermartingale):
         base = spec.base
@@ -277,21 +259,21 @@ def _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed):
 
 
 def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
-                             n_paths: int, horizon, seed: int,
+                             n_paths: int, seed: int,
                              kind: str = "martingale") -> OsReport:
     """Estimate E[X_tau] at the nested first-exit times and compare.
 
     kind="martingale" expects equality of the two means within three
     paired standard errors; "supermartingale" expects mean_outer <= mean_inner
-    up to the same allowance.  Truncated paths contribute their terminal value
-    and a warning is issued when their fraction exceeds 1%.
+    up to the same allowance.  A path that stays in a region up to the
+    spec's horizon is truncated: it contributes its terminal value, and a
+    warning is issued when their fraction exceeds 1%.
     """
     if kind not in ("martingale", "supermartingale"):
         raise InvalidParameter(f"kind must be martingale|supermartingale, got {kind!r}")
     if n_paths <= 1:
         raise InvalidParameter("need at least 2 paths")
-    validate_spec(_with_horizon(spec, horizon))
-    t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, horizon, seed)
+    t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, seed)
     diff = v2 - v1
     n = n_paths
     rep = OsReport(

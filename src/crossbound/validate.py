@@ -28,7 +28,6 @@ from .sim import (
     increments_matrix,  # noqa: F401  (likewise)
     path_blocks,
     uniform_grid,
-    validate_spec,
 )
 from .stopping import RegionPair, verify_optional_stopping
 
@@ -244,7 +243,6 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     """
     if not events:
         return []
-    validate_spec(spec)
     n_workers = _check_run(n_paths, alpha, threads)
     t0 = time.perf_counter()
 
@@ -303,20 +301,20 @@ def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1) -> int:
     return n_workers
 
 
-def stopping_row(spec: ProcessSpec, pair: RegionPair, n_paths: int, horizon,
+def stopping_row(spec: ProcessSpec, pair: RegionPair, n_paths: int,
                  seed: int, kind: str = "martingale", label: str = "stopping",
                  alpha: float = 0.01) -> ValidationReport:
     """One optional-stopping check as a report row.
 
     n_crossed counts the paths that left the outer region within the
-    horizon; p_hat, ci_lo and ci_hi are their fraction and its
+    spec's horizon; p_hat, ci_lo and ci_hi are their fraction and its
     Clopper-Pearson interval, to which alone alpha applies.  The verdict is
     verify_optional_stopping's fixed paired-SE rule, and extra is its
     OsReport.
     """
     _check_run(n_paths, alpha)
     t0 = time.perf_counter()
-    rep = verify_optional_stopping(spec, pair, n_paths, horizon, seed, kind=kind)
+    rep = verify_optional_stopping(spec, pair, n_paths, seed, kind=kind)
     k = int(round((1.0 - rep.truncated_outer) * n_paths))
     lo, hi = clopper_pearson(k, n_paths, alpha)
     return ValidationReport(

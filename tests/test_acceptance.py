@@ -78,7 +78,7 @@ def test_criterion_2_bound_domination():
 
 def test_criterion_3_optional_stopping():
     t0 = time.perf_counter()
-    reps = run_optional_stopping(paths=100_000, seed=77, horizon=10_000)
+    reps = run_optional_stopping(paths=100_000, seed=77)
     elapsed = time.perf_counter() - t0
     mart = next(r.extra for r in reps if r.label == "walk_martingale")
     sup = next(r.extra for r in reps if r.label == "walk_supermartingale")

@@ -232,10 +232,32 @@ class TestConfigHandling:
         ("bound", {"ineq": "doob_exp", "gamma": 2, "phi": [1]}, "phi"),
         ("simulate", {"process": "poisson", "lam": 1, "horizon": 1,
                       "centered": "yes", "seed": 1}, "centered"),
+        # strict casts: an int is never a bool or a fraction, a float never
+        # a bool, a bool never a number
+        ("validate", {"preset": "optional_stopping", "seed": True,
+                      "paths": 1}, "seed"),
+        ("validate", {"preset": "optional_stopping", "seed": 1,
+                      "paths": 1.9}, "paths"),
+        ("bound", {"ineq": "doob_exp", "gamma": True}, "gamma"),
+        ("simulate", {"process": {"process": "lazy_walk", "n": 5.7},
+                      "seed": 1}, "n"),
+        ("simulate", {"process": {"process": "lazy_walk", "n": True},
+                      "seed": 1}, "n"),
+        ("simulate", {"process": "lazy_walk", "n": 5.7, "seed": 1}, "n"),
+        ("simulate", {"process": {"process": "poisson", "lam": 1,
+                                  "horizon": 1, "centered": 1},
+                      "seed": 1}, "centered"),
+        ("simulate", {"process": "poisson", "lam": 1, "horizon": 1,
+                      "centered": 1, "seed": 1}, "centered"),
+        ("bound", {"ineq": "opt_line_upper", "gamma": 2, "vtau": 1,
+                   "phi": {"kind": "gaussian", "v": True}}, "v"),
     ], ids=["validate_seed", "bound_gamma", "flat_dt", "nested_dt",
             "flat_missing", "nested_missing", "nested_bool", "nested_unknown",
             "flat_unused", "nested_tag", "format_choice", "dist_choice",
-            "preset_list", "ineq_number", "phi_list", "switch_string"])
+            "preset_list", "ineq_number", "phi_list", "switch_string",
+            "int_bool", "int_fraction", "float_bool", "nested_int_fraction",
+            "nested_int_bool", "flat_int_fraction", "nested_bool_int",
+            "switch_int", "phi_float_bool"])
     def test_bad_config_value_exits_2(self, capsys, tmp_path, command, rec,
                                       key):
         cfg = tmp_path / "cfg.json"
@@ -438,6 +460,13 @@ class TestSimulateCommand:
         code, stdout, err = run_cli(capsys, "simulate", "--process", *argv,
                                     "--seed", "3")
         assert code == 3 and stdout == "" and "finite" in err
+
+    def test_brownian_horizon_off_the_dt_grid_exits_3(self, capsys):
+        # 1.0 is not a whole number of 0.3 steps: no path ending at t = 0.9
+        code, stdout, err = run_cli(capsys, "simulate", "--process",
+                                    "brownian", "--dt", "0.3", "--horizon",
+                                    "1.0", "--seed", "3")
+        assert code == 3 and stdout == "" and "whole number" in err
 
 
 class TestValidateCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from crossbound import (
     BernoulliIncrements,
+    Bernstein,
     Brownian,
     CustomIncrements,
     DomainViolation,
@@ -35,7 +37,6 @@ from crossbound.sim import (
     path_rng,
     path_streams,
     uniform_grid,
-    validate_spec,
 )
 
 
@@ -231,8 +232,7 @@ class TestStepDraws:
     @pytest.mark.parametrize("produce", [
         lambda spec: generate(spec, 3, 0),
         lambda spec: list(path_blocks(spec, 3, range(4))),
-        lambda spec: verify_optional_stopping(spec, walk_region_pair(), 4,
-                                              spec.n, 3),
+        lambda spec: verify_optional_stopping(spec, walk_region_pair(), 4, 3),
     ], ids=["generate", "path_blocks", "verify_optional_stopping"])
     @pytest.mark.parametrize("sampler", [
         lambda rng, n: rng.standard_normal(n + 1),
@@ -370,33 +370,48 @@ class TestMartingaleIncrements:
 
 class TestValidation:
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpec):
-            generate(IidSum(BernoulliIncrements(1.5), 10), seed=1)
-        with pytest.raises(InvalidSpec):
-            generate(LazyWalk(1.5, 10), seed=1)
-        with pytest.raises(InvalidSpec):
-            generate(PoissonCounting(0.0, 1.0), seed=1)
-        with pytest.raises(InvalidSpec):
-            generate(Brownian(0.0, 1.0), seed=1)
-        # non-finite parameters, through validate_spec itself, so that a
-        # missing check fails here rather than hangs in a draw
+        # a spec checks itself when built, so an invalid one never exists:
+        # a missing check fails here rather than hangs in a draw
         two_point = lambda hi, lo: IidSum(TwoPointIncrements(hi, lo, 0.5), 5)
-        for spec in [
-                Brownian(math.nan, 1.0), Brownian(0.1, math.nan),
-                Brownian(math.inf, 1.0), Brownian(0.1, math.inf),
-                PoissonCounting(math.nan, 1.0), PoissonCounting(1.0, math.nan),
-                PoissonCounting(math.inf, 1.0), PoissonCounting(1.0, math.inf),
-                LazyWalk(1.0, 5, drift=math.nan),
-                LazyWalk(1.0, 5, drift=math.inf),
-                LazyWalk(1.0, 5, drift=-math.inf),
-                two_point(math.inf, -0.5), two_point(math.nan, -0.5),
-                two_point(1.0, -math.inf), two_point(1.0, math.nan),
-                ExpSupermartingale(PoissonCounting(1.0, math.inf), s=0.5,
-                                   phi=make_phi(PoissonCentered(1.0)))]:
+        for build in [
+                lambda: IidSum(BernoulliIncrements(1.5), 10),
+                lambda: LazyWalk(1.5, 10),
+                lambda: PoissonCounting(0.0, 1.0),
+                lambda: Brownian(0.0, 1.0),
+                lambda: Brownian(math.nan, 1.0),
+                lambda: Brownian(0.1, math.nan),
+                lambda: Brownian(math.inf, 1.0),
+                lambda: Brownian(0.1, math.inf),
+                lambda: PoissonCounting(math.nan, 1.0),
+                lambda: PoissonCounting(1.0, math.nan),
+                lambda: PoissonCounting(math.inf, 1.0),
+                lambda: PoissonCounting(1.0, math.inf),
+                lambda: LazyWalk(1.0, 5, drift=math.nan),
+                lambda: LazyWalk(1.0, 5, drift=math.inf),
+                lambda: LazyWalk(1.0, 5, drift=-math.inf),
+                lambda: two_point(math.inf, -0.5),
+                lambda: two_point(math.nan, -0.5),
+                lambda: two_point(1.0, -math.inf),
+                lambda: two_point(1.0, math.nan),
+                lambda: ExpSupermartingale(PoissonCounting(1.0, math.inf),
+                                           s=0.5,
+                                           phi=make_phi(PoissonCentered(1.0))),
+                lambda: ExpSupermartingale(Brownian(0.1, 1.0), s=5.0,
+                                           phi=make_phi(Bernstein(1.0))),
+                lambda: dataclasses.replace(LazyWalk(1.0, 5), n=0),
+                # n is an integer >= 1: never a fraction, inf, nan or a bool
+                lambda: LazyWalk(1.0, 2.5), lambda: LazyWalk(1.0, math.inf),
+                lambda: LazyWalk(1.0, math.nan), lambda: LazyWalk(1.0, True),
+                lambda: IidSum(UniformIncrements(), 5.0),
+                # a Brownian horizon is a whole number (>= 1) of dt steps
+                lambda: Brownian(0.3, 1.0), lambda: Brownian(0.5, 0.1)]:
             with pytest.raises(InvalidSpec):
-                validate_spec(spec)
+                build()
 
     def test_uniform_grid(self):
         t, v = uniform_grid(Brownian(0.25, 1.0))
         assert np.allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(v, t)
+        # 0.9 / 0.3 is 3 up to rounding: a whole number of steps
+        assert np.allclose(uniform_grid(Brownian(0.3, 0.9))[0],
+                           [0.0, 0.3, 0.6, 0.9])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -104,18 +105,34 @@ class TestFirstExit:
                        ContinuityRegion.constant(-1.0, 1.0))
 
 
+# (spec, horizon): spec(horizon) builds a spec at that horizon, and each
+# fails as it is built, before any draw
+INVALID_SPECS = [
+    (lambda h: LazyWalk(p_move=1.5, n=h), 100),
+    (lambda h: LazyWalk(1.0, h, drift=0.0), 0),
+    (lambda h: IidSum(BernoulliIncrements(1.5), h), 100),
+    (lambda h: IidSum(TwoPointIncrements(hi=-1.0, lo=1.0, p_hi=0.5), h), 100),
+    (lambda h: LazyWalk(1.0, h), math.inf),
+    (lambda h: LazyWalk(1.0, h), math.nan),
+    (lambda h: Brownian(dt=0.01, horizon=h), math.inf),
+    (lambda h: LazyWalk(1.0, h), 2.5),
+    (lambda h: LazyWalk(1.0, h), True),
+    (lambda h: Brownian(dt=0.3, horizon=h), 1.0),
+]
+
+
 class TestOptionalStopping:
     def test_symmetric_walk_equality(self):
-        rep = verify_optional_stopping(LazyWalk(1.0, 100), PAIR_3_5,
-                                       n_paths=30_000, horizon=3000, seed=17)
+        rep = verify_optional_stopping(LazyWalk(1.0, 3000), PAIR_3_5,
+                                       n_paths=30_000, seed=17)
         assert rep.verdict == "holds"
         assert abs(rep.mean_inner) <= 3.0 * rep.se_inner
         assert abs(rep.mean_outer) <= 3.0 * rep.se_outer
         assert rep.truncated_outer == 0.0
 
     def test_drifted_walk_supermartingale(self):
-        rep = verify_optional_stopping(LazyWalk(1.0, 100, drift=-0.1), PAIR_3_5,
-                                       n_paths=30_000, horizon=3000, seed=18,
+        rep = verify_optional_stopping(LazyWalk(1.0, 3000, drift=-0.1),
+                                       PAIR_3_5, n_paths=30_000, seed=18,
                                        kind="supermartingale")
         assert rep.verdict == "holds"
         assert rep.mean_diff <= 3.0 * rep.se_diff
@@ -130,8 +147,7 @@ class TestOptionalStopping:
         pair = RegionPair(
             inner=ContinuityRegion.constant(0.0, 4.0, envelope=8.0),
             outer=ContinuityRegion.constant(0.0, 8.0, envelope=8.0))
-        rep = verify_optional_stopping(spec, pair, n_paths=4000, horizon=60.0,
-                                       seed=19)
+        rep = verify_optional_stopping(spec, pair, n_paths=4000, seed=19)
         # martingale started at 1: both stopped means estimate E[Y_0] = 1
         assert abs(rep.mean_inner - 1.0) <= 4.0 * rep.se_inner
         assert abs(rep.mean_outer - 1.0) <= 4.0 * rep.se_outer
@@ -142,17 +158,10 @@ class TestOptionalStopping:
                            outer=ContinuityRegion.constant(-50.0, 50.0, 50.0))
         with pytest.warns(UserWarning, match="truncation"):
             verify_optional_stopping(LazyWalk(1.0, 30), tight, n_paths=500,
-                                     horizon=30, seed=20)
+                                     seed=20)
 
-    @pytest.mark.parametrize("spec, horizon", [
-        (LazyWalk(p_move=1.5, n=100), 100),
-        (LazyWalk(1.0, 100, drift=0.0), 0),
-        (IidSum(BernoulliIncrements(1.5), 100), 100),
-        (IidSum(TwoPointIncrements(hi=-1.0, lo=1.0, p_hi=0.5), 100), 100),
-        (LazyWalk(1.0, 100), math.inf),
-        (LazyWalk(1.0, 100), math.nan),
-        (Brownian(dt=0.01, horizon=1.0), math.inf),
-    ])
+    @pytest.mark.parametrize("spec, horizon", INVALID_SPECS, ids=[
+        f"spec{i}-{h}" for i, (_, h) in enumerate(INVALID_SPECS)])
     def test_invalid_spec_raises_before_drawing(self, monkeypatch, spec,
                                                 horizon):
         def no_draws(*args):
@@ -160,11 +169,11 @@ class TestOptionalStopping:
 
         monkeypatch.setattr(stopping, "path_streams", no_draws)
         with pytest.raises(InvalidSpec):
-            verify_optional_stopping(spec, walk_region_pair(), 200, horizon, 1)
+            verify_optional_stopping(spec(horizon), walk_region_pair(), 200, 1)
 
     def test_kind_validated(self):
         with pytest.raises(InvalidParameter):
-            verify_optional_stopping(LazyWalk(1.0, 10), PAIR_3_5, 10, 10, 1,
+            verify_optional_stopping(LazyWalk(1.0, 10), PAIR_3_5, 10, 1,
                                      kind="submartingale")
 
 
@@ -208,10 +217,9 @@ HARVEST_CASES = [
 ]
 
 
-def _generate_loop(spec, pair, n_paths, horizon, seed):
+def _generate_loop(spec, pair, n_paths, seed):
     """Reference: first_exit of each whole generate path, one path at a
     time; the engine must equal it bit for bit."""
-    spec = stopping._with_horizon(spec, horizon)
     t1 = np.empty(n_paths); v1 = np.empty(n_paths)
     t2 = np.empty(n_paths); v2 = np.empty(n_paths)
     for i in range(n_paths):
@@ -223,25 +231,41 @@ def _generate_loop(spec, pair, n_paths, horizon, seed):
     return t1, v1, t2, v2
 
 
+def _horizon(spec):
+    """The horizon a spec states: n steps, or a time; an
+    ExpSupermartingale's is its base's."""
+    base = getattr(spec, "base", spec)
+    return base.n if isinstance(base, (IidSum, LazyWalk)) else base.horizon
+
+
+def _cut(spec, steps):
+    """spec at steps/300 of its horizon; a walk at n = steps."""
+    if isinstance(spec, ExpSupermartingale):
+        return dataclasses.replace(spec, base=_cut(spec.base, steps))
+    if isinstance(spec, (IidSum, LazyWalk)):
+        return dataclasses.replace(spec, n=steps)
+    return dataclasses.replace(spec, horizon=spec.horizon * steps / 300)
+
+
 PHI_G = make_phi(Gaussian(1.0))
-# (spec, pair, horizon): piecewise-constant regions on every kind of process
+# (spec, pair): piecewise-constant regions on every kind of process, each
+# spec at the horizon it runs to
 ENGINE_CASES = [
-    (LazyWalk(1.0, 300), _pw_pair(1.0, 2.0), 300),
-    (IidSum(BernoulliIncrements(0.3), 300), _pw_pair(1.0, 1.23), 299),
+    (LazyWalk(1.0, 300), _pw_pair(1.0, 2.0)),
+    (IidSum(BernoulliIncrements(0.3), 299), _pw_pair(1.0, 1.23)),
     # bounds on the lattice k - 0.3 n of the values (5.4, -4.8, ...): a value
     # summed in any other order than generate's can miss or make a tie
-    (IidSum(BernoulliIncrements(0.3), 300), _pw_pair(1.0, 1.2), 299),
-    (Brownian(dt=0.01, horizon=3.0), _pw_pair(0.01, 0.25), 3.0),
+    (IidSum(BernoulliIncrements(0.3), 299), _pw_pair(1.0, 1.2)),
+    (Brownian(dt=0.01, horizon=3.0), _pw_pair(0.01, 0.25)),
     (ExpSupermartingale(Brownian(dt=0.01, horizon=3.0), s=1.0, phi=PHI_G),
-     _pw_pair(0.01, 0.2, shift=1.0), 3.0),
+     _pw_pair(0.01, 0.2, shift=1.0)),
     (ExpSupermartingale(LazyWalk(1.0, 300), s=0.05, phi=PHI_G),
-     _pw_pair(1.0, 0.2, shift=1.0), 300),
-    (PoissonCounting(lam=2.0, horizon=20.0, centered=True), _pw_pair(0.1), 20.0),
-    (PoissonCounting(lam=2.0, horizon=4.0),
-     _pw_pair(0.02, 2.0, shift=3.0), 4.0),
+     _pw_pair(1.0, 0.2, shift=1.0)),
+    (PoissonCounting(lam=2.0, horizon=20.0, centered=True), _pw_pair(0.1)),
+    (PoissonCounting(lam=2.0, horizon=4.0), _pw_pair(0.02, 2.0, shift=3.0)),
     (ExpSupermartingale(PoissonCounting(lam=2.0, horizon=4.0, centered=True),
                         s=0.5, phi=make_phi(PoissonCentered(2.0))),
-     _pw_pair(0.02, 0.15, shift=1.0), 4.0),
+     _pw_pair(0.02, 0.15, shift=1.0)),
 ]
 ENGINE_IDS = ["walk", "bernoulli", "bernoulli_lattice", "brownian",
               "exp_brownian", "exp_walk", "poisson_centered", "poisson",
@@ -249,25 +273,24 @@ ENGINE_IDS = ["walk", "bernoulli", "bernoulli_lattice", "brownian",
 
 
 class TestOneEngine:
-    @pytest.mark.parametrize("spec,pair,horizon", ENGINE_CASES, ids=ENGINE_IDS)
-    def test_matches_generate_loop(self, spec, pair, horizon):
-        got = stopping._harvest_exits_blockwise(spec, pair, 300, horizon, 78)
-        want = _generate_loop(spec, pair, 300, horizon, 78)
+    @pytest.mark.parametrize("spec,pair", ENGINE_CASES, ids=ENGINE_IDS)
+    def test_matches_generate_loop(self, spec, pair):
+        got = stopping._harvest_exits_blockwise(spec, pair, 300, 78)
+        want = _generate_loop(spec, pair, 300, 78)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("spec,pair,horizon", ENGINE_CASES, ids=ENGINE_IDS)
-    def test_cases_cover_exits_and_truncation(self, spec, pair, horizon):
+    @pytest.mark.parametrize("spec,pair", ENGINE_CASES, ids=ENGINE_IDS)
+    def test_cases_cover_exits_and_truncation(self, spec, pair):
         # each case has paths that leave both regions, after the first block
         # and after a breakpoint, and paths that never leave the outer one
-        t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300,
-                                                         horizon, 78)
+        t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300, 78)
         late = pair.inner.breakpoints[1]
         assert np.any(np.isfinite(t1) & (t1 >= late))
         assert np.any(np.isfinite(t2) & (t2 > pair.outer.breakpoints[1]))
         assert np.isinf(t2).any()
         if not isinstance(spec, PoissonCounting):
-            assert np.any(np.isfinite(t2) & (t2 > horizon * 128 / 300))
+            assert np.any(np.isfinite(t2) & (t2 > _horizon(spec) * 128 / 300))
 
     @pytest.mark.filterwarnings("ignore:truncation fraction")
     def test_verify_reads_the_harvest(self, monkeypatch):
@@ -275,10 +298,10 @@ class TestOneEngine:
         monkeypatch.setattr(stopping, "first_exit", None)
         monkeypatch.setattr(stopping, "generate", None, raising=False)
         monkeypatch.setattr("crossbound.sim.generate", None)
-        for spec, pair, horizon in ENGINE_CASES:
-            rep = verify_optional_stopping(spec, pair, 50, horizon, 79)
+        for spec, pair in ENGINE_CASES:
+            rep = verify_optional_stopping(spec, pair, 50, 79)
             t1, v1, t2, v2 = stopping._harvest_exits_blockwise(spec, pair, 50,
-                                                               horizon, 79)
+                                                               79)
             assert rep.mean_inner == v1.mean() and rep.mean_outer == v2.mean()
             assert rep.truncated_outer == np.isinf(t2).mean()
 
@@ -287,8 +310,9 @@ class TestHarvest:
     @pytest.mark.parametrize("horizon", [300, 20])
     @pytest.mark.parametrize("spec,pair", HARVEST_CASES)
     def test_matches_serial_loop(self, spec, pair, horizon):
-        got = stopping._harvest_exits_blockwise(spec, pair, 300, horizon, 77)
-        want = _generate_loop(spec, pair, 300, horizon, 77)
+        spec = dataclasses.replace(spec, n=horizon)
+        got = stopping._harvest_exits_blockwise(spec, pair, 300, 77)
+        want = _generate_loop(spec, pair, 300, 77)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -296,31 +320,27 @@ class TestHarvest:
         # horizon 20 truncates some paths; at horizon 300 some paths exit in
         # the third, partial block and some are truncated after it
         t1, _, t2, _ = stopping._harvest_exits_blockwise(
-            LazyWalk(1.0, 300), PAIR_3_5, 300, 20, 77)
+            LazyWalk(1.0, 20), PAIR_3_5, 300, 77)
         assert np.isinf(t2).any() and np.isfinite(t2).any()
         for spec, pair in HARVEST_CASES[2], HARVEST_CASES[5]:
             t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300,
-                                                             300, 77)
+                                                             77)
             assert np.any(np.isfinite(t2) & (t2 > 256)) and np.isinf(t2).any()
         t1, _, t2, _ = stopping._harvest_exits_blockwise(
-            *HARVEST_CASES[-2], 300, 300, 77)
+            *HARVEST_CASES[-2], 300, 77)
         assert np.all(t1 == 0.0) and np.all(t2 > 0.0)
 
     @settings(max_examples=15, deadline=None)
-    @given(case=st.sampled_from(
-               [(spec, pair, 1) for spec, pair in HARVEST_CASES]
-               + [(spec, pair, h / 300) for spec, pair, h in ENGINE_CASES]),
+    @given(case=st.sampled_from(HARVEST_CASES + ENGINE_CASES),
            rows=st.integers(1, 200), n_paths=st.integers(2, 260),
            steps=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
     def test_does_not_depend_on_group_size(self, case, rows, n_paths, steps,
                                            seed):
-        spec, pair, unit = case
-        horizon = steps * unit
-        want = stopping._harvest_exits_blockwise(spec, pair, n_paths, horizon,
-                                                 seed)
+        spec, pair = case
+        spec = _cut(spec, steps)
+        want = stopping._harvest_exits_blockwise(spec, pair, n_paths, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stopping, "HARVEST_ROWS", rows)
-            got = stopping._harvest_exits_blockwise(spec, pair, n_paths,
-                                                    horizon, seed)
+            got = stopping._harvest_exits_blockwise(spec, pair, n_paths, seed)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

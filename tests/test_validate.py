@@ -134,8 +134,9 @@ class TestEstimateCrossing:
 
 
 class TestStoppingRow:
-    # run_optional_stopping(paths=4000, seed=42, horizon=500) as sweep's
-    # stopping branch built it, every field but bound (nan) and the runtime
+    # run_optional_stopping(paths=4000, seed=42) as sweep's stopping branch
+    # built it at 500 steps, every field but bound (nan) and the runtime: no
+    # path survives 500 steps, so the 10 000-step walks give the same rows
     PINNED = [
         {"label": "walk_martingale", "n_paths": 4000, "n_crossed": 4000,
          "p_hat": 1.0, "ci_lo": 0.998676297526376, "ci_hi": 1.0,
@@ -162,7 +163,7 @@ class TestStoppingRow:
     ]
 
     def test_preset_rows_pinned(self):
-        rows = run_optional_stopping(paths=4000, seed=42, horizon=500)
+        rows = run_optional_stopping(paths=4000, seed=42)
         assert len(rows) == len(self.PINNED)
         for row, want in zip(rows, self.PINNED):
             got = row.to_dict()
@@ -172,7 +173,7 @@ class TestStoppingRow:
 
     @pytest.mark.filterwarnings("ignore:truncation fraction")
     def test_counts_outer_exits(self):
-        row = stopping_row(LazyWalk(1.0, 30), walk_region_pair(), 500, 30,
+        row = stopping_row(LazyWalk(1.0, 30), walk_region_pair(), 500,
                            seed=3, label="short", alpha=0.05)
         k = round(500 * (1.0 - row.extra["truncated_outer"]))
         assert 0 < k < 500 and row.n_crossed == k and row.p_hat == k / 500
@@ -189,7 +190,7 @@ class TestStoppingRow:
 
         monkeypatch.setattr(stopping, "path_streams", no_draws)
         with pytest.raises(exc):
-            stopping_row(LazyWalk(1.0, 100), walk_region_pair(), n_paths, 100,
+            stopping_row(LazyWalk(1.0, 100), walk_region_pair(), n_paths,
                          seed=1, alpha=alpha)
 
 
