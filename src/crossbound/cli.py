@@ -17,9 +17,10 @@ from pathlib import Path as FsPath
 
 from . import bounds as B
 from .errors import ConfigError, CrossboundError, InvalidParameter
-from .mgf import _CASTS, make_phi, phi_kind_from_dict
+from .mgf import (_CASTS, MgfBound, make_phi, phi_kind_from_dict,
+                  phi_kind_to_dict)
 from .presets import PRESETS
-from .sim import generate, spec_from_dict
+from .sim import generate, spec_from_dict, spec_to_dict
 from .validate import SCHEMA_VERSION, ValidationReport, fmt17
 
 OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
@@ -84,7 +85,22 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, name, None)
         if val is not None:
             cfg[name] = val
+    # records decode here, once, so --print-config refuses what a run refuses
+    phi = cfg.get("phi")
+    if phi is not None:
+        try:
+            rec = json.loads(phi) if isinstance(phi, str) else phi
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"key 'phi' is not JSON: {exc}") from None
+        cfg["phi"] = make_phi(phi_kind_from_dict(rec))
+    if isinstance(cfg.get("process"), dict):
+        cfg["process"] = spec_from_dict(cfg["process"])
     return cfg
+
+
+def _record(val) -> dict:
+    """A decoded phi or process as --print-config shows it: its record."""
+    return phi_kind_to_dict(val.kind) if isinstance(val, MgfBound) else spec_to_dict(val)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +164,6 @@ def _compute_bound(cfg: dict) -> B.BoundReport:
     if ineq not in _BOUNDS:
         raise ConfigError(f"unknown inequality {ineq!r}")
     fn, keys, fixed = _BOUNDS[ineq]
-    if "phi" in (*keys, *fixed) and cfg.get("phi") is not None:
-        rec = cfg["phi"]
-        if isinstance(rec, str):
-            try:
-                rec = json.loads(rec)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"key 'phi' is not JSON: {exc}") from None
-        cfg = {**cfg, "phi": make_phi(phi_kind_from_dict(rec))}
     kwargs = dict(fixed)
     kwargs.update((key, cfg[key]) for key in fixed if cfg.get(key) is not None)
     kwargs.update(zip(keys, _need(cfg, *keys)))
@@ -219,11 +227,11 @@ def _cmd_validate(cfg: dict) -> int:
 
 
 def _spec_from_cfg(cfg: dict):
-    """The spec of a nested process record, or of the flat flags, whose dests
-    are the record's keys."""
+    """The spec of a nested process record (decoded by _merge_config), or of
+    the flat flags, whose dests are the record's keys."""
     (proc,) = _need(cfg, "process")
-    if isinstance(proc, dict):
-        return spec_from_dict(proc)
+    if not isinstance(proc, str):
+        return proc
     return spec_from_dict({key: val for key, val in cfg.items()
                            if key not in ("paths", "seed", "out")
                            and val is not None})
@@ -329,7 +337,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(args.command, args)
         if getattr(args, "print_config", False):
             print(json.dumps({"command": args.command, **cfg}, sort_keys=True,
-                             default=str))
+                             default=_record))
             return 0
         return args.fn(cfg)
     except ConfigError as exc:

@@ -210,7 +210,8 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
     order = np.argsort(pts)
     y = (gp - gamma * pts)[order]
     d = np.diff(y)
-    slack = 1e-9 * (1.0 + np.abs(y[1:]))
+    # where terms of order s cancel in h, its rounding grows like s
+    slack = 1e-9 * (1.0 + np.abs(y[1:])) + 1e-15 * (1.0 + gamma) * pts[order][1:]
     rise = np.flatnonzero(d > slack)
     if rise.size and np.any(d[rise[0]:] < -slack[rise[0]:]):
         raise NotUnimodal(

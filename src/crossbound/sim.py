@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -19,11 +19,23 @@ from .errors import ConfigError, DomainViolation, InvalidParameter, InvalidSpec
 from .mgf import MgfBound, _from_record
 
 _EXP_BLOCK = 64          # block size for Poisson interarrival draws
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": (bool, np.bool_)}
 
 
 # ---------------------------------------------------------------------------
 # Increment distributions for i.i.d. sums
 # ---------------------------------------------------------------------------
+
+
+def _typed(spec):
+    """Raise InvalidSpec unless each float, int and bool field of spec holds
+    one (a numpy scalar too): a bool is no number, and a number no bool."""
+    for f in fields(spec):
+        want, val = _FIELD_TYPES.get(f.type), getattr(spec, f.name)
+        is_bool = isinstance(val, (bool, np.bool_))
+        if want and (not isinstance(val, want) or is_bool != (f.type == "bool")):
+            raise InvalidSpec(f"{type(spec).__name__}.{f.name} must be "
+                              f"{f.type}, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +45,7 @@ class BernoulliIncrements:
     p: float
 
     def __post_init__(self):
+        _typed(self)
         if not (0.0 < self.p < 1.0):
             raise InvalidSpec(f"Bernoulli p must lie in (0, 1), got {self.p}")
 
@@ -51,6 +64,7 @@ class TwoPointIncrements:
     p_hi: float
 
     def __post_init__(self):
+        _typed(self)
         if not (0.0 < self.p_hi < 1.0):
             raise InvalidSpec(f"p_hi must lie in (0, 1), got {self.p_hi}")
         if not -math.inf < self.lo < self.hi < math.inf:
@@ -75,10 +89,9 @@ IncrementDist = Union[BernoulliIncrements, UniformIncrements,
 
 
 def _check_steps(spec):
-    n = spec.n
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidSpec(
-            f"{type(spec).__name__} needs an integer n >= 1, got {n!r}")
+    _typed(spec)
+    if spec.n < 1:
+        raise InvalidSpec(f"{type(spec).__name__} needs n >= 1, got {spec.n}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +113,9 @@ class LazyWalk:
     drift: float = 0.0
 
     def __post_init__(self):
+        _check_steps(self)
         if not (0.0 <= self.p_move <= 1.0):
             raise InvalidSpec(f"p_move must lie in [0, 1], got {self.p_move}")
-        _check_steps(self)
         if not math.isfinite(self.drift):
             raise InvalidSpec(f"LazyWalk drift must be finite, got {self.drift}")
 
@@ -114,8 +127,9 @@ class PoissonCounting:
     centered=True yields X_t = N_t - lam t at the same sample points.  Upward
     crossings are detected exactly (the supremum of a counting path against an
     increasing boundary sits at jump times or the horizon); downward crossings
-    of the centered sawtooth between jumps are under-counted, which is the
-    conservative direction when checking empirical frequency <= bound.
+    of the centered sawtooth between jumps are missed.  pois_line_lower_t2
+    reads p ~ 0.364 on this grid, against ~ 0.735 with each jump's left limit
+    and a bound of 2/e = 0.7358, so a "holds" on a lower-side row tests little.
     """
 
     lam: float
@@ -123,6 +137,7 @@ class PoissonCounting:
     centered: bool = False
 
     def __post_init__(self):
+        _typed(self)
         if not (0 < self.lam < math.inf and 0 < self.horizon < math.inf):
             raise InvalidSpec(
                 "PoissonCounting needs finite lam > 0 and horizon > 0")
@@ -137,6 +152,7 @@ class Brownian:
     horizon: float
 
     def __post_init__(self):
+        _typed(self)
         if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
             raise InvalidSpec("Brownian needs finite dt > 0 and horizon > 0")
         n = round(min(self.horizon / self.dt, 2.0 ** 62))  # a finite int
@@ -154,6 +170,7 @@ class ExpSupermartingale:
     phi: MgfBound
 
     def __post_init__(self):
+        _typed(self)
         if not self.phi.contains(self.s):
             raise InvalidSpec(
                 f"s={self.s} outside the domain of phi {self.phi.label}")
@@ -299,7 +316,7 @@ def path_streams(seed: int, indices, gens: list):
 
 
 def step_draws(spec: ProcessSpec):
-    """(fill, steps) of a process on a shared uniform grid.
+    """(V, fill, steps) of a process on a shared uniform grid V (V_t = t).
 
     fill(rng, row) draws the next row.size steps of a path's stream into
     row, and steps(blk) maps rows of any shape elementwise to increments.
@@ -311,10 +328,12 @@ def step_draws(spec: ProcessSpec):
     """
     if isinstance(spec, Brownian):
         scale = math.sqrt(spec.dt)
-        return (lambda rng, row: rng.standard_normal(out=row),
+        V = np.arange(round(spec.horizon / spec.dt) + 1.0) * spec.dt
+        return (V, lambda rng, row: rng.standard_normal(out=row),
                 lambda blk: blk * scale)
     if not isinstance(spec, (IidSum, LazyWalk)):
         raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
+    V = np.arange(spec.n + 1.0)
     law = spec.dist if isinstance(spec, IidSum) else spec
     if isinstance(law, CustomIncrements):
         def fill(rng, row):
@@ -322,7 +341,7 @@ def step_draws(spec: ProcessSpec):
             if out.shape != row.shape:
                 raise InvalidSpec("custom sampler must return shape (n,)")
             row[:] = out
-        return fill, lambda blk: blk
+        return V, fill, lambda blk: blk
     if isinstance(law, LazyWalk):
         half = law.p_move / 2.0
         steps = lambda u: np.where(u < half, 1.0, np.where(
@@ -335,18 +354,11 @@ def step_draws(spec: ProcessSpec):
         steps = lambda u: np.where(u < law.p_hi, law.hi, law.lo)
     else:
         raise InvalidSpec(f"unknown increment law {law!r}")
-    return (lambda rng, row: rng.random(out=row)), steps
-
-
-def _draw_path(draws, rng: np.random.Generator, row: np.ndarray) -> None:
-    """Sum one path's steps into row, the values X_1.. after X_0 = 0."""
-    fill, steps = draws
-    fill(rng, row)
-    np.cumsum(steps(row), out=row)
+    return V, (lambda rng, row: rng.random(out=row)), steps
 
 
 def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
-    fill, steps = step_draws(spec)
+    _, fill, steps = step_draws(spec)
     row = np.empty(spec.n)
     fill(rng, row)
     return steps(row)
@@ -354,8 +366,7 @@ def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
 
 def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.ndarray:
     """Exact jump times in (0, horizon], drawn in fixed-size blocks."""
-    jumps = []
-    t = 0.0
+    jumps, t = [], 0.0
     while True:
         gaps = rng.exponential(1.0 / spec.lam, size=_EXP_BLOCK)
         cum = t + np.cumsum(gaps)
@@ -364,43 +375,17 @@ def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.nd
         if inside.size < _EXP_BLOCK:
             break
         t = float(cum[-1])
-    return np.concatenate(jumps) if jumps else np.empty(0)
-
-
-def uniform_grid(spec: ProcessSpec):
-    """(times, vproxy) for specs that live on a shared deterministic grid."""
-    if isinstance(spec, (IidSum, LazyWalk)):
-        t = np.arange(spec.n + 1, dtype=np.float64)
-        return t, t.copy()
-    if isinstance(spec, Brownian):
-        n = int(round(spec.horizon / spec.dt))
-        t = np.arange(n + 1, dtype=np.float64) * spec.dt
-        return t, t.copy()
-    raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
+    return np.concatenate(jumps)
 
 
 def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
-    """Generate one path; a pure function of (spec, seed, path_index)."""
-    return _generate_with_rng(spec, path_rng(seed, path_index))
-
-
-def _generate_with_rng(spec: ProcessSpec, rng: np.random.Generator) -> Path:
-    if isinstance(spec, PoissonCounting):
-        jumps = poisson_jump_times(spec, rng)
-        jumps = jumps[(jumps > 0.0) & (jumps < spec.horizon)]
-        times = np.concatenate([[0.0], jumps, [spec.horizon]])
-        counts = np.concatenate([[0.0],
-                                 np.arange(1, jumps.size + 1, dtype=np.float64),
-                                 [float(jumps.size)]])
-        values = counts - spec.lam * times if spec.centered else counts
-        return Path(times=times, values=values, vproxy=times.copy())
+    """One path, a pure function of (spec, seed, path_index): the row of
+    path_blocks(spec, seed, [path_index]), transformed for an ExpSupermartingale."""
     if isinstance(spec, ExpSupermartingale):
-        base = _generate_with_rng(spec.base, rng)
-        return transform_exp_martingale(base, spec.s, spec.phi)
-    t, v = uniform_grid(spec)
-    values = np.zeros(t.size)
-    _draw_path(step_draws(spec), rng, values[1:])
-    return Path(times=t, values=values, vproxy=v)
+        return transform_exp_martingale(generate(spec.base, seed, path_index),
+                                        spec.s, spec.phi)
+    ((X, V),) = path_blocks(spec, seed, [path_index])
+    return Path(times=V, values=X[0], vproxy=V.copy())
 
 
 def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
@@ -421,8 +406,8 @@ def increments_matrix(spec: ProcessSpec, seed: int,
     Row i uses exactly the stream of generate(spec, seed, indices[i]), so
     batched and single-path results are bit-identical.
     """
-    fill, steps = step_draws(spec)
-    out = np.empty((len(indices), uniform_grid(spec)[0].size - 1))
+    V, fill, steps = step_draws(spec)
+    out = np.empty((len(indices), V.size - 1))
     streams = path_streams(seed, indices, [np.random.default_rng(0)])
     for row, rng in enumerate(streams):
         fill(rng, out[row])
@@ -431,24 +416,27 @@ def increments_matrix(spec: ProcessSpec, seed: int,
 
 def path_blocks(spec: ProcessSpec, seed: int, indices):
     """Yield (X, V) blocks of a base process (not an ExpSupermartingale):
-    row i of X is generate(spec, seed, indices[i]).values and V the variance
-    proxy of X's columns.  A shared uniform grid gives one (len(indices),
-    n + 1) block; Poisson paths come one (1, m) block each, on their own grid.
+    row i of X is the path of index indices[i], and V the times and
+    variance proxy of X's columns.  This is the one place a path is built.
+    A shared uniform grid gives one (len(indices), n + 1) block; Poisson
+    paths come one (1, m) block each, on their own jump-time grid.
     """
     # one generator per call, re-stated per row: threads share no state
     streams = path_streams(seed, indices, [np.random.default_rng(0)])
     if isinstance(spec, PoissonCounting):
         for rng in streams:
-            path = _generate_with_rng(spec, rng)
-            yield path.values[None, :], path.vproxy
+            jumps = poisson_jump_times(spec, rng)
+            jumps = jumps[(jumps > 0.0) & (jumps < spec.horizon)]
+            V = np.concatenate([[0.0], jumps, [spec.horizon]])
+            X = np.concatenate([np.arange(jumps.size + 1.0), [jumps.size]])
+            yield (X - spec.lam * V if spec.centered else X)[None, :], V
         return
-    _, V = uniform_grid(spec)
-    draws = step_draws(spec)
-    X = np.empty((len(indices), V.size))
-    X[:, 0] = 0.0
-    for row, rng in enumerate(streams):
-        # one row at a time: no (k, n) increment matrix
-        _draw_path(draws, rng, X[row, 1:])
+    V, fill, steps = step_draws(spec)
+    X = np.zeros((len(indices), V.size))
+    # one row at a time: no (k, n) increment matrix
+    for row, rng in zip(X[:, 1:], streams):
+        fill(rng, row)
+        np.cumsum(steps(row), out=row)
     yield X, V
 
 
@@ -482,3 +470,12 @@ def spec_from_dict(rec: dict) -> ProcessSpec:
     if rec:
         raise ConfigError(f"unknown key {next(iter(rec))!r} for {proc}")
     return spec
+
+
+def spec_to_dict(spec: ProcessSpec) -> dict:
+    """The tagged record that spec_from_dict reads back as spec."""
+    tag = {cls: tag for tag, cls in {**_PROCESS_TAGS, **_DIST_TAGS}.items()}
+    rec = {"process": tag[type(spec)], **vars(spec)}
+    if isinstance(spec, IidSum):
+        rec.update(vars(spec.dist), dist=tag[type(spec.dist)])
+    return rec

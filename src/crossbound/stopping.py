@@ -27,7 +27,6 @@ from .sim import (
     path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     path_streams,
     step_draws,
-    uniform_grid,
     walk_increments,  # noqa: F401  (likewise)
 )
 
@@ -222,9 +221,8 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
         for i, (X, V) in zip(todo, path_blocks(base, seed, todo)):
             search(np.array([i]), V[1:], tested(X[:, 1:], V[1:]))
     else:
-        times, V = uniform_grid(base)
-        n_steps = times.size - 1
-        fill, steps = step_draws(base)
+        V, fill, steps = step_draws(base)
+        n_steps = V.size - 1
         rows = HARVEST_ROWS
         # steps maps whole blocks, column 0 too, before that column takes
         # each row's running sum: zeros keep what it maps there finite
@@ -247,8 +245,7 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
                 np.cumsum(cum, axis=1, out=cum)
                 x[live] = cum[:, -1]
                 cols = slice(step + 1, step + m + 1)
-                hit = search(g0 + live, times[cols],
-                             tested(cum[:, 1:], V[cols]))
+                hit = search(g0 + live, V[cols], tested(cum[:, 1:], V[cols]))
                 live = live[~hit]
                 step += m
     # truncated: the last value stands in for X_tau

@@ -27,7 +27,7 @@ from .sim import (
     generate,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     increments_matrix,  # noqa: F401  (likewise)
     path_blocks,
-    uniform_grid,
+    step_draws,
 )
 from .stopping import RegionPair, verify_optional_stopping
 
@@ -253,7 +253,7 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     if isinstance(base, PoissonCounting):
         n_cols, chunk = None, chunk_size or 2048
     else:
-        n_cols = uniform_grid(base)[1].size
+        n_cols = step_draws(base)[0].size
         chunk = chunk_size or max(16, min(8192, _CHUNK_ELEMENTS // n_cols))
     for ev in events:
         if (ev.kind == "sup_level") != (transform is not None):

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossbound import (
+    Bennett,
+    Bernstein,
     CbbExp,
     DomainViolation,
     ExpFamily,
     Gaussian,
+    HoeffdingBernoulli,
     InvalidParameter,
     MonotonicityViolation,
     NotUnimodal,
     PoissonCentered,
+    Uniform24,
     azuma_bound,
     bernoulli_family,
     cbb_bounds,
@@ -318,6 +322,16 @@ class TestIdentitiesAndMonotonicity:
         for seq in seqs:
             assert all(b <= a + 1e-14 for a, b in zip(seq, seq[1:]))
 
+    def test_hoeffding_lower_side_at_gamma_mu(self):
+        # a [0, 1] variable lies at most mu below its mean: at gamma = mu the
+        # lower line bound is P{every step 0} = (1 - mu)^V, where the
+        # objective's terms cancel, and a ray beyond it is never crossed
+        phi = make_phi(HoeffdingBernoulli(0.25))
+        for rep in (optimized_line_bound(phi, 0.25, 2.0, side="lower"),
+                    vee_bound(phi, 0.25, 2.0, side="lower")):
+            assert rep.raw == pytest.approx(0.75 ** 2, rel=1e-12)
+        assert eta_bound(phi, 0.25, 1.0, side="lower").bound == 0.0
+
     def test_all_bounds_in_unit_interval(self):
         reports = [
             line_bound(PHI_G, 0.1, 0.05, 1.0),
@@ -368,3 +382,105 @@ class TestNonFiniteGamma:
     def test_other_non_finite_parameters_raise(self, call):
         with pytest.raises(DomainViolation):
             call()
+
+
+# Bound invariants as properties: every catalog phi over a range of its
+# parameters, both sides (Bernstein has no lower tail), and every evaluator.
+CATALOG_KINDS = st.one_of(
+    st.builds(Gaussian, st.floats(0.1, 10.0)),
+    st.builds(Bennett, st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    st.builds(HoeffdingBernoulli, st.floats(0.02, 0.98)),
+    st.just(Uniform24()),
+    st.builds(PoissonCentered, st.floats(0.1, 10.0)),
+    st.builds(Bernstein, st.floats(0.1, 10.0)),
+    st.builds(CbbExp, st.floats(0.1, 10.0)),
+)
+GAMMAS = st.floats(1e-3, 20.0)
+
+
+def _fixed_s(phi, side, u):
+    """The fixed s of a line bound: u of phi's radius on the side, capped at
+    20 where the radius is infinite."""
+    return u * min(phi.b if side == "upper" else phi.a, 20.0)
+
+
+def _at_fixed_v(phi, v, eta, u):
+    """Every evaluator as a function of (gamma, side) at variance proxy v:
+    the five that take a phi on phi (the line at _fixed_s), the rest at
+    fixed parameters of their own."""
+    return [
+        lambda g, side: line_bound(phi, _fixed_s(phi, side, u), g, v,
+                                   side=side),
+        lambda g, side: optimized_line_bound(phi, g, v, side=side),
+        lambda g, side: vee_bound(phi, g, v, side=side),
+        lambda g, side: eta_bound(phi, g, eta, side=side, variant="ray"),
+        lambda g, side: eta_bound(phi, g, eta, v_tau=v, side=side,
+                                  variant="vee"),
+        lambda g, side: azuma_bound(g, v, kind=side),
+        lambda g, side: azuma_bound(g, v, kind="two_sided"),
+        lambda g, side: cbb_bounds(g, v, 1.0, which="bennett"),
+        lambda g, side: cbb_bounds(g, v, 1.0, which="bernstein"),
+        lambda g, side: cbb_bounds(g, v, 1.0, which="chernoff_sub"),
+        lambda g, side: expfam_bound(bernoulli_family(), 0.5, g,
+                                     max(1, round(v)), side=side),
+        lambda g, side: poisson_bounds(2.0, g, v, side=side),
+        lambda g, side: supermartingale_sup_bound(1.0, 0.0, g),
+        lambda g, side: doob_exp_bound(g, phi),
+    ]
+
+
+def _report_or_none(evaluator, gamma, side):
+    """The evaluator's report, or None where gamma leaves its domain."""
+    try:
+        return evaluator(gamma, side)
+    except DomainViolation:
+        return None
+
+
+def _phi_on_side(kind, side):
+    phi = make_phi(kind)
+    assume(side == "upper" or phi.lower_tail_supported)
+    return phi
+
+
+class TestBoundProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=CATALOG_KINDS, side=st.sampled_from(["upper", "lower"]),
+           gamma=GAMMAS, v=st.floats(0.01, 20.0), eta=st.floats(0.0, 5.0),
+           u=st.floats(0.01, 0.99))
+    def test_every_bound_lies_in_unit_interval(self, kind, side, gamma, v,
+                                               eta, u):
+        phi = _phi_on_side(kind, side)
+        for evaluator in _at_fixed_v(phi, v, eta, u):
+            rep = _report_or_none(evaluator, gamma, side)
+            if rep is not None:
+                # the clamp of a nan raw value would read 0
+                assert rep.raw >= 0.0 and rep.bound == min(1.0, rep.raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=CATALOG_KINDS, side=st.sampled_from(["upper", "lower"]),
+           gammas=st.lists(GAMMAS, min_size=2, max_size=2),
+           v=st.floats(0.01, 20.0), eta=st.floats(0.0, 5.0),
+           u=st.floats(0.01, 0.99))
+    def test_no_bound_increases_with_gamma(self, kind, side, gammas, v, eta,
+                                           u):
+        phi = _phi_on_side(kind, side)
+        lo, hi = sorted(gammas)
+        for evaluator in _at_fixed_v(phi, v, eta, u):
+            at_lo = _report_or_none(evaluator, lo, side)
+            at_hi = _report_or_none(evaluator, hi, side)
+            if at_lo is not None and at_hi is not None:
+                assert at_hi.bound <= at_lo.bound, (at_lo, at_hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=CATALOG_KINDS, side=st.sampled_from(["upper", "lower"]),
+           gamma=GAMMAS, v=st.floats(0.01, 20.0), u=st.floats(0.001, 0.999))
+    def test_optimized_line_is_below_every_fixed_s(self, kind, side, gamma, v,
+                                                   u):
+        phi = _phi_on_side(kind, side)
+        opt = optimized_line_bound(phi, gamma, v, side=side)
+        line = line_bound(phi, _fixed_s(phi, side, u), gamma, v, side=side)
+        # up to rounding: where phi's slope at infinity is gamma, the line's
+        # terms cancel, and it reads Bennett(7, 0.5)'s infimum 7/7.25 two
+        # ulps low at s = 10
+        assert opt.raw <= line.raw * (1.0 + 1e-12), (opt, line)

@@ -17,6 +17,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _merged(*argv):
+    """The config _merge_config makes of a command line."""
+    args = build_parser().parse_args(list(argv))
+    return _merge_config(args.command, args)
+
+
 class TestBoundCommand:
     def test_azuma_two_sided(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--ineq", "azuma_two_sided",
@@ -165,9 +171,10 @@ BOUND_CASES = {
 @pytest.mark.parametrize("ineq", sorted(BOUND_CASES))
 def test_bound_table_matches_evaluators(capsys, ineq):
     keys, call = BOUND_CASES[ineq]
-    assert _compute_bound({"ineq": ineq, **keys}) == call()
-    # each required key, left out in turn, exits 2 and is named
     flags = {key: "--lambda" if key == "lam" else f"--{key}" for key in keys}
+    argv = [a for key, val in keys.items() for a in (flags[key], str(val))]
+    assert _compute_bound(_merged("bound", "--ineq", ineq, *argv)) == call()
+    # each required key, left out in turn, exits 2 and is named
     for missing in keys:
         argv = [a for key, val in keys.items() if key != missing
                 for a in (flags[key], str(val))]
@@ -177,8 +184,9 @@ def test_bound_table_matches_evaluators(capsys, ineq):
 
 def test_bound_table_covers_every_id():
     assert sorted(_BOUNDS) == sorted(BOUND_CASES) and len(BOUND_CASES) == 22
-    # vtau stays optional for the eta families, and phi for doob_exp
-    phi = {"phi": PHI_REC}
+    # vtau stays optional for the eta families, and phi for doob_exp; the
+    # phi of a merged config is decoded
+    phi = {"phi": _G}
     assert _compute_bound({"ineq": "eta_vee_upper", "gamma": 2.0, "eta": 0.5,
                            "vtau": 1.5, **phi}) == B.eta_bound(
         _G, gamma=2.0, eta=0.5, v_tau=1.5, variant="vee")
@@ -266,6 +274,66 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert repr(key) in err
 
+    # a process or phi record decodes once, when the config is merged, so
+    # --print-config refuses what the run refuses, with the same exit code
+    @pytest.mark.parametrize("command, rec, flags, named", [
+        ("simulate", {"process": {"process": "lazy_walk", "n": 5.7},
+                      "seed": 1}, [], "'n'"),
+        ("simulate", {"process": {"process": "walk"}, "seed": 1}, [],
+         "'walk'"),
+        ("simulate", {"process": {"process": "brownian", "dt": 0.1},
+                      "seed": 1}, [], "'horizon'"),
+        ("simulate", {"process": {"process": "lazy_walk", "n": 0},
+                      "seed": 1}, [], "n >= 1"),
+        ("bound", {"ineq": "opt_line_upper", "gamma": 2, "vtau": 1},
+         ["--phi", '{"kind": "gaussian", "v": "x"}'], "'v'"),
+        ("bound", {"ineq": "opt_line_upper", "gamma": 2, "vtau": 1},
+         ["--phi", "notjson"], "'phi'"),
+        ("bound", {"ineq": "opt_line_upper", "gamma": 2, "vtau": 1,
+                   "phi": {"kind": "gaussian", "w": 1}}, [], "'w'"),
+        ("bound", {"ineq": "opt_line_upper", "gamma": 2, "vtau": 1,
+                   "phi": {"kind": "gaussian", "v": 0}}, [], "v must be"),
+    ], ids=["nested_int_fraction", "nested_tag", "nested_missing",
+            "nested_range", "phi_flag_type", "phi_flag_json", "phi_key",
+            "phi_range"])
+    def test_print_config_refuses_what_the_run_refuses(
+            self, capsys, tmp_path, command, rec, flags, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command, **rec}))
+        argv = [command, "--config", str(cfg), *flags]
+        run = run_cli(capsys, *argv)
+        assert run[0] in (2, 3) and run[1] == "" and named in run[2]
+        assert run_cli(capsys, *argv, "--print-config") == run
+
+    @pytest.mark.parametrize("command, key, given, shown", [
+        ("simulate", "process",
+         {"process": "iid_sum", "dist": "bernoulli", "p": "0.3", "n": 5},
+         {"process": "iid_sum", "dist": "bernoulli", "p": 0.3, "n": 5}),
+        ("simulate", "process",
+         {"process": "poisson", "lam": 2, "horizon": 3, "centered": True},
+         {"process": "poisson", "lam": 2.0, "horizon": 3.0,
+          "centered": True}),
+        ("bound", "phi", '{"kind": "bennett", "sigma2": 1, "b": "2"}',
+         {"kind": "bennett", "sigma2": 1.0, "b": 2.0}),
+    ], ids=["iid_sum", "poisson", "phi"])
+    def test_print_config_shows_decoded_records(self, capsys, tmp_path,
+                                                command, key, given, shown):
+        # a record prints as it decodes, its values cast, and the printed
+        # config runs as the given one does
+        rec = ({"command": "simulate", "seed": 1} if command == "simulate"
+               else {"command": "bound", "ineq": "opt_line_upper",
+                     "gamma": 2, "vtau": 1})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**rec, key: given}))
+        code, printed, _ = run_cli(capsys, command, "--config", str(cfg),
+                                   "--print-config")
+        assert code == 0 and json.loads(printed)[key] == shown
+        again = tmp_path / "printed.json"
+        again.write_text(printed)
+        ran = run_cli(capsys, command, "--config", str(cfg))
+        assert ran[0] == 0
+        assert run_cli(capsys, command, "--config", str(again)) == ran
+
     def test_config_strings_are_cast_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         flags = run_cli(capsys, "bound", "--ineq", "doob_exp", "--gamma", "2")
@@ -338,6 +406,8 @@ def _good_value(flag):
         return 1              # casts to int and to float
     if flag.const is not None:
         return True           # a switch
+    if flag.dest == "phi":
+        return {"kind": "gaussian", "v": 1.0}   # decoded when merged
     return f"value-{flag.dest}"
 
 
@@ -443,11 +513,13 @@ class TestSimulateCommand:
         (("lazy_walk", "--n", "5", "--p-move", "0.5", "--drift", "-0.1"),
          LazyWalk(0.5, 5, -0.1)),
     ], ids=["brownian", "poisson", "uniform", "bernoulli", "lazy_walk"])
-    def test_flags_and_record_give_one_spec(self, argv, spec):
-        cfg = _merge_config("simulate", build_parser().parse_args(
-            ["simulate", "--process", *argv]))
+    def test_flags_and_record_give_one_spec(self, tmp_path, argv, spec):
+        cfg = _merged("simulate", "--process", *argv)
         assert _spec_from_cfg(cfg) == spec
-        assert _spec_from_cfg({"process": cfg}) == spec
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"process": cfg}))
+        assert _spec_from_cfg(_merged("simulate", "--config",
+                                      str(nested))) == spec
         assert spec_from_dict(cfg) == spec
 
     @pytest.mark.parametrize("argv", [
@@ -535,7 +607,7 @@ class TestValidateCommand:
 
         monkeypatch.setitem(
             cli_mod.PRESETS, "fake",
-            Preset(name="fake", description="synthetic", default_paths=10,
+            Preset(description="synthetic", default_paths=10,
                    runner=fake_runner))
         code, _, _ = run_cli(capsys, "validate", "--preset", "fake",
                              "--seed", "1", "--out", str(tmp_path))

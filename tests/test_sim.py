@@ -36,7 +36,8 @@ from crossbound.sim import (
     path_blocks,
     path_rng,
     path_streams,
-    uniform_grid,
+    poisson_jump_times,
+    step_draws,
 )
 
 
@@ -229,6 +230,37 @@ class TestStepDraws:
             0.0, 1.1289789749500743, 1.2453644224480154, 1.8511980929722867,
             1.8767615674362998, 4.0]
 
+    def test_generate_refuses_a_negative_index(self):
+        for spec in (Brownian(0.1, 1.0), PoissonCounting(1.0, 2.0)):
+            with pytest.raises(InvalidParameter):
+                generate(spec, seed=2012, path_index=-1)
+
+    @pytest.mark.parametrize("spec", [
+        Brownian(0.1, 2.0), PoissonCounting(1.5, 4.0, centered=True)],
+        ids=["brownian", "poisson"])
+    def test_generate_past_the_hashed_indices(self, spec):
+        # path_streams hashes indices below 2**32 itself; past them,
+        # generate reads the stream of path_rng
+        i = 2 ** 32 + 5
+        rng = path_rng(2012, i)
+        if isinstance(spec, Brownian):
+            times, fill, steps = step_draws(spec)
+            row = np.empty(times.size - 1)
+            fill(rng, row)
+            values = np.concatenate([[0.0], np.cumsum(steps(row))])
+        else:
+            jumps = poisson_jump_times(spec, rng)
+            jumps = jumps[jumps < spec.horizon]
+            times = np.concatenate([[0.0], jumps, [spec.horizon]])
+            counts = np.concatenate([np.arange(jumps.size + 1.0),
+                                     [jumps.size]])
+            values = counts - spec.lam * times
+        path = generate(spec, seed=2012, path_index=i)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.values, values)
+        assert not np.array_equal(path.values,
+                                  generate(spec, 2012, 5).values)
+
     @pytest.mark.parametrize("produce", [
         lambda spec: generate(spec, 3, 0),
         lambda spec: list(path_blocks(spec, 3, range(4))),
@@ -404,14 +436,34 @@ class TestValidation:
                 lambda: LazyWalk(1.0, math.nan), lambda: LazyWalk(1.0, True),
                 lambda: IidSum(UniformIncrements(), 5.0),
                 # a Brownian horizon is a whole number (>= 1) of dt steps
-                lambda: Brownian(0.3, 1.0), lambda: Brownian(0.5, 0.1)]:
+                lambda: Brownian(0.3, 1.0), lambda: Brownian(0.5, 0.1),
+                # fields are typed: a string or a bool is no float, and a
+                # number no bool
+                lambda: BernoulliIncrements("0.3"),
+                lambda: TwoPointIncrements("1", "0", 0.5),
+                lambda: Brownian(dt=True, horizon=2),
+                lambda: PoissonCounting(1.0, 1.0, centered=1),
+                lambda: LazyWalk(1.0, 5, drift="0"),
+                lambda: ExpSupermartingale(Brownian(0.1, 1.0), s="0.5",
+                                           phi=make_phi(Gaussian(1.0)))]:
             with pytest.raises(InvalidSpec):
                 build()
 
+    def test_numeric_fields_take_ints_and_numpy_scalars(self):
+        assert Brownian(1, 2).dt == 1
+        assert BernoulliIncrements(np.float32(0.25)).p == 0.25
+        assert TwoPointIncrements(np.int64(1), 0, 0.5).hi == 1
+        assert LazyWalk(1, np.int64(5), drift=np.float64(0.1)).n == 5
+        assert PoissonCounting(np.float64(1.0), 2,
+                               centered=np.bool_(True)).centered
+        assert ExpSupermartingale(Brownian(1, 2), s=1,
+                                  phi=make_phi(Gaussian(1.0))).s == 1
+
     def test_uniform_grid(self):
-        t, v = uniform_grid(Brownian(0.25, 1.0))
-        assert np.allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert np.allclose(v, t)
+        V = step_draws(Brownian(0.25, 1.0))[0]
+        assert np.allclose(V, [0.0, 0.25, 0.5, 0.75, 1.0])
+        path = generate(Brownian(0.25, 1.0), seed=1)
+        assert np.array_equal(path.times, V) and np.array_equal(path.vproxy, V)
         # 0.9 / 0.3 is 3 up to rounding: a whole number of steps
-        assert np.allclose(uniform_grid(Brownian(0.3, 0.9))[0],
+        assert np.allclose(step_draws(Brownian(0.3, 0.9))[0],
                            [0.0, 0.3, 0.6, 0.9])
