@@ -3,7 +3,10 @@
 The two consumers are the tail-exponent infimum  inf_{s in (0, R)} phi(+-s) - gamma s
 and the largest usable s on a side, i.e. the domain edge or the root of
 phi(+-s)/s = gamma.  Each probe grid is one array call of phi; the minimizer
-and the root then come from one shared bisection.
+and the root then come from one shared bisection of a monotone predicate,
+which calls phi only inside a box that a bracketed secant puts around the
+switch (see ``_bisect``).  Central differences (a Custom phi without
+phi_deriv) may move s* by up to 1e-9 relative from the plain bisection's.
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ from .mgf import MgfBound
 
 _S_CAP = 1e9  # doubling limit for unbounded domains
 _TOL = 1e-10  # relative bracket width of the slope-root bisection
+_BOX = 1e-13  # relative width of the secant's box around the switch
+
+# Grids that depend on neither phi nor gamma (read-only: phi sees them).
+_POW2 = 2.0 ** np.arange(51)
+_HALVINGS = 2.0 ** -np.arange(1, 50, dtype=float)
+_PROBES_INF = np.unique(np.concatenate([np.geomspace(1e-9, _S_CAP, 80), [1e-6]]))
+_RATIO_GRID_INF = np.geomspace(max(1e-12, _S_CAP * 1e-12), _S_CAP, 60)
+for _grid in (_POW2, _HALVINGS, _PROBES_INF, _RATIO_GRID_INF):
+    _grid.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -67,13 +79,43 @@ def _side_objective(phi: MgfBound, side: str) -> Tuple[Callable, float]:
     raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def _bisect(above: Callable[[float], bool], lo: float, hi: float,
-            done: Callable[[float, float], bool]) -> Tuple[float, float]:
-    """Halve [lo, hi] toward the switch of a monotone predicate, keeping
-    above(lo) false and above(hi) true, until done(lo, hi) or 200 steps."""
+def _bisect(f: Callable[[float], float], above: Callable[[float], bool],
+            lo: float, hi: float, done: Callable[[float, float], bool],
+            f_lo: float, f_hi: float) -> Tuple[float, float]:
+    """Halve [lo, hi] toward the switch of the monotone predicate above(f(s)),
+    keeping it false at lo and true at hi, until done(lo, hi) or 200 steps.
+
+    First a bracketed secant (Illinois rule; a bisection step when it leaves
+    the bracket or fails to halve it in 3 steps) boxes the switch in [a, b],
+    above false at a and true at b, no wider than w = 1e-13 max(1, |a|, |b|).
+    Then the halvings are replayed from (lo, hi): a midpoint below a - w
+    reads false, one above b + w reads true, and only those in between call
+    f.  Midpoints depend only on (lo, hi) and the outcomes, so for a monotone
+    predicate this is the plain bisection's (lo, hi), bit for bit.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    moved, widths = 0, [math.inf] * 3  # the end moved last; the last 3 widths
+    for _ in range(200):
+        w = _BOX * max(1.0, abs(a), abs(b))
+        if b - a <= w:
+            break
+        x = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
+        if not a <= x <= b or b - a > 0.5 * widths[0]:
+            x = 0.5 * (a + b)  # off the bracket, or 3 steps without halving it
+        widths = widths[1:] + [b - a]
+        x = min(max(x, a + 0.5 * w), b - 0.5 * w)
+        fx = f(x)
+        if above(fx):
+            if moved == 1:  # Illinois: a kept twice, halve its weight
+                fa *= 0.5
+            b, fb, moved = x, fx, 1
+        else:
+            if moved == -1:
+                fb *= 0.5
+            a, fa, moved = x, fx, -1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if above(mid):
+        if mid > b + w or (mid >= a - w and above(f(mid))):
             hi = mid
         else:
             lo = mid
@@ -82,38 +124,17 @@ def _bisect(above: Callable[[float], bool], lo: float, hi: float,
     return lo, hi
 
 
-def _derivative_root(phi: MgfBound, gamma: float, side: str,
-                     lo: float, hi: float) -> float:
-    """Smallest minimizer of the convex h(s) = phi(+-s) - gamma s in [lo, hi],
-    by bisection of h'(s) = +-phi'(+-s) - gamma (central differences when phi
-    has no derivative).  Raises NotUnimodal unless h'(lo) < 0 <= h'(hi)."""
-    sign = 1.0 if side == "upper" else -1.0
-    if phi.phi_deriv is not None:
-        dh = lambda s: sign * float(np.asarray(phi.phi_deriv(sign * s))) - gamma
-    else:
-        def dh(s, _p=phi.phi):
-            step = 6e-6 * (1.0 + abs(s))
-            return (float(np.asarray(_p(sign * (s + step)))) -
-                    float(np.asarray(_p(sign * (s - step))))) / (2.0 * step) - gamma
-    if not dh(lo) < 0.0 <= dh(hi):
-        raise NotUnimodal(
-            f"h' does not change sign on [{lo:g}, {hi:g}] on the {side} side")
-    lo, hi = _bisect(lambda s: not dh(s) < 0.0, lo, hi,
-                     lambda a, b: b - a <= 1e-15 * max(1.0, a))
-    return 0.5 * (lo + hi)
-
-
 def _limit_ratio_at_edge(g: Callable, radius: float) -> float:
     """Richardson-extrapolated lim_{s -> radius-} g(s)/s from s = radius (1 - 2^-k),
     k = 43, 44."""
-    s = radius * (1.0 - 2.0 ** -np.array([43.0, 44.0]))
+    s = radius * (1.0 - _HALVINGS[42:44])
     r_prev, r_last = g(s) / s
     return float(r_last + (r_last - r_prev))
 
 
 def _limit_ratio_at_infinity(g: Callable) -> float:
     """lim_{s -> inf} g(s)/s read along s = 2^k, k <= 40 (may be +inf)."""
-    s = 2.0 ** np.arange(41)
+    s = _POW2[:41]
     with np.errstate(over="ignore", invalid="ignore"):
         r = g(s) / s
         settled = np.abs(np.diff(r)) <= 1e-12 * (1.0 + np.abs(r[1:]))
@@ -124,7 +145,7 @@ def _limit_value_at_infinity(h: Callable) -> float:
     """Asymptote of a decreasing objective along s = 2^k, k <= 50, or -inf when
     it keeps falling without leveling off."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = h(2.0 ** np.arange(51))
+        v = h(_POW2)
         stop = ~np.isfinite(v[1:]) | (
             np.abs(np.diff(v)) <= 1e-10 * (1.0 + np.abs(v[1:])))
     if not stop.any():
@@ -160,12 +181,11 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
     if finite:
         probes = np.unique(np.concatenate([
             np.geomspace(radius * 1e-9, radius * 0.5, 40),
-            radius * (1.0 - 2.0 ** -np.arange(1, 50, dtype=float)),
+            radius * (1.0 - _HALVINGS),
             [s_heur],
         ]))
     else:
-        probes = np.unique(np.concatenate([np.geomspace(1e-9, _S_CAP, 80),
-                                           [s_heur]]))
+        probes = _PROBES_INF
     with np.errstate(over="ignore", invalid="ignore"):
         gv = g(probes)
         hv = gv - gamma * probes
@@ -176,19 +196,28 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
                          attained=False, location="origin", side=side)
 
     i = int(np.argmin(hv))
+    sign = 1.0 if side == "upper" else -1.0
+    if phi.phi_deriv is not None:  # h'(s) = +-phi'(+-s) - gamma
+        dh = lambda s: sign * float(np.asarray(phi.phi_deriv(sign * s))) - gamma
+    else:
+        def dh(s, _p=phi.phi):
+            step = 6e-6 * (1.0 + abs(s))
+            return (float(np.asarray(_p(sign * (s + step)))) -
+                    float(np.asarray(_p(sign * (s - step))))) / (2.0 * step) - gamma
     if not finite:
         # Convex objective with a decrease: double until the slope turns up.
         s = max(1.0, float(probes[i]))
         hs = float(h(s))
-        while (h2 := float(h(2.0 * s))) <= hs:
+        while s <= _S_CAP and (h2 := float(h(2.0 * s))) <= hs:
             s, hs = 2.0 * s, h2
-            if s > _S_CAP:
-                slope_limit = _limit_ratio_at_infinity(g)
-                value = _limit_value_at_infinity(h)
-                return OptResult(s_opt=math.inf, value=min(value, 0.0),
-                                 slope=slope_limit, attained=False,
-                                 location="boundary", side=side)
         lo_b, hi_b = 0.0, 2.0 * s
+        # Past the cap, or still falling where rounding noise stopped the
+        # doubling (a flat tail): the infimum is the limit at infinity.
+        if s > _S_CAP or (d_hi := dh(hi_b)) < 0.0:
+            return OptResult(s_opt=math.inf,
+                             value=min(_limit_value_at_infinity(h), 0.0),
+                             slope=_limit_ratio_at_infinity(g), attained=False,
+                             location="boundary", side=side)
     elif i == probes.size - 1:
         # The argmin hugs the edge: the infimum is at the boundary.
         slope_limit = _limit_ratio_at_edge(g, radius)
@@ -201,9 +230,17 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
         # give h'(lo) < 0 <= h'(hi).
         lo_b = float(probes[i - 1]) if i > 0 else 0.0
         hi_b = float(probes[i + 1])
+        d_hi = dh(hi_b)
 
     lo_b = max(lo_b, _TOL * 1e-3)
-    s_opt = _derivative_root(phi, gamma, side, lo_b, hi_b)
+    d_lo = dh(lo_b)
+    if not d_lo < 0.0 <= d_hi:
+        raise NotUnimodal(
+            f"h' does not change sign on [{lo_b:g}, {hi_b:g}] on the {side} side")
+    lo, hi = _bisect(dh, lambda d: not d < 0.0, lo_b, hi_b,
+                     lambda a, b: b - a <= 1e-15 * max(1.0, a),
+                     d_lo, d_hi)
+    s_opt = 0.5 * (lo + hi)
     pts = np.append(np.linspace(lo_b, hi_b, 33)[1:-1], s_opt)
     with np.errstate(over="ignore", invalid="ignore"):
         gp = g(pts)
@@ -234,11 +271,12 @@ def solve_slope_root(phi: MgfBound, gamma: float,
     if not (gamma > 0.0):
         raise DomainViolation(f"gamma must be positive, got {gamma}")
     g, radius = _side_objective(phi, side)
-    r = lambda s: float(g(s)) / s
+    f = lambda s: float(g(s)) / s - gamma  # > 0 exactly where phi(s)/s > gamma
 
     finite = math.isfinite(radius)
-    hi_probe = radius * (1.0 - 2.0 ** -40) if finite else 1e9
-    pts = np.geomspace(max(1e-12, hi_probe * 1e-12), hi_probe, 60)
+    hi_probe = radius * (1.0 - 2.0 ** -40) if finite else _S_CAP
+    pts = (np.geomspace(max(1e-12, hi_probe * 1e-12), hi_probe, 60) if finite
+           else _RATIO_GRID_INF)
     with np.errstate(over="ignore", invalid="ignore"):
         rv = g(pts) / pts
     keep = np.isfinite(rv)
@@ -254,19 +292,21 @@ def solve_slope_root(phi: MgfBound, gamma: float,
         if _limit_ratio_at_edge(g, radius) <= gamma:
             return SlopeRoot(s_root=radius, side=side, is_boundary=True)
         hi = hi_probe
-        while r(hi) <= gamma:  # push the bracket into the unchecked sliver
+        while (f_hi := f(hi)) <= 0.0:  # push the bracket into the unchecked sliver
             hi = radius - (radius - hi) / 2.0
     else:
-        doubling = 2.0 ** np.arange(40)
+        doubling = _POW2[:40]
         with np.errstate(over="ignore", invalid="ignore"):
             above = ~(g(doubling) / doubling <= gamma)
         if not above.any():
             return SlopeRoot(s_root=math.inf, side=side, is_boundary=True)
         hi = float(doubling[np.argmax(above)])
+        f_hi = f(hi)
     lo = min(1e-9, hi * 1e-9)
-    if r(lo) >= gamma:
+    if (f_lo := f(lo)) >= 0.0:
         # phi(s)/s already above gamma arbitrarily close to 0: empty side set.
         return SlopeRoot(s_root=0.0, side=side, is_boundary=False, empty=True)
-    lo, hi = _bisect(lambda s: r(s) > gamma, lo, hi,
-                     lambda a, b: b - a <= _TOL * max(1.0, a))
+    lo, hi = _bisect(f, lambda v: v > 0.0, lo, hi,
+                     lambda a, b: b - a <= _TOL * max(1.0, a),
+                     f_lo, f_hi)
     return SlopeRoot(s_root=0.5 * (lo + hi), side=side, is_boundary=False)

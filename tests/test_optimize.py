@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from crossbound import (
     Bennett,
     Bernstein,
     CbbExp,
+    CrossboundError,
     Custom,
     DomainViolation,
     Gaussian,
@@ -20,12 +23,14 @@ from crossbound import (
     UnsupportedSide,
     azuma_bound,
     cbb_bounds,
+    eta_bound,
     make_phi,
     minimize_tail_exponent,
     optimized_line_bound,
     poisson_bounds,
     solve_slope_root,
 )
+from crossbound import optimize
 
 # independent oracle (bisection on e^s - 1 - 2s, frozen before the build)
 CBB_ROOT_G1 = 1.2564312086261697
@@ -237,3 +242,67 @@ class TestSlopeRoot:
     def test_gamma_validation(self):
         with pytest.raises(DomainViolation):
             solve_slope_root(make_phi(Gaussian(1.0)), -1.0)
+
+
+def _one_call_bisect(f, above, lo, hi, done, f_lo, f_hi):
+    """Frozen oracle: the bisection as it was before the secant box, one f
+    call per midpoint."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if above(f(mid)):
+            hi = mid
+        else:
+            lo = mid
+        if done(lo, hi):
+            break
+    return lo, hi
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))  # repr round-trips every float exactly
+    except CrossboundError as exc:  # refusals must match too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _counting_phi(kind):
+    """make_phi(kind) with its phi and phi_deriv calls counted."""
+    calls = {"phi": 0, "deriv": 0}
+
+    def counting(fn, key):
+        def wrapped(s):
+            calls[key] += 1
+            return fn(s)
+        return wrapped
+    phi = make_phi(kind)
+    return dataclasses.replace(phi, phi=counting(phi.phi, "phi"),
+                               phi_deriv=counting(phi.phi_deriv, "deriv")), calls
+
+
+class TestRootFinder:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(CATALOG), side=st.sampled_from(("upper", "lower")),
+           log_gamma=st.floats(math.log(1e-3), math.log(1e3)))
+    def test_same_bits_as_one_call_per_midpoint(self, kind, side, log_gamma):
+        phi, gamma = make_phi(kind), math.exp(log_gamma)
+        for fn in (minimize_tail_exponent, solve_slope_root):
+            boxed = _outcome(fn, phi, gamma, side)
+            with mock.patch.object(optimize, "_bisect", _one_call_bisect):
+                assert _outcome(fn, phi, gamma, side) == boxed
+
+    def test_call_budget(self):
+        # the one-call-per-midpoint bisection takes about 50 and 42
+        phi, calls = _counting_phi(Gaussian(1.0))
+        optimized_line_bound(phi, 1.0, 1.0)
+        assert calls["deriv"] <= 20
+        phi, calls = _counting_phi(Gaussian(1.0))
+        eta_bound(phi, 1.0, 0.5, variant="ray")
+        assert calls["phi"] <= 16
+
+    def test_flat_tail_a_few_ulps_off_the_slope_at_infinity(self):
+        # gamma = 1 - mu + 1.1e-16: rounding noise used to stop the doubling
+        # with h' < 0 at both ends and raise NotUnimodal
+        mu = 0.8266666666666667
+        r = optimized_line_bound(make_phi(HoeffdingBernoulli(mu)),
+                                 0.17333333333333345, 3.0)
+        assert r.bound == pytest.approx(mu ** 3, abs=1e-9)
