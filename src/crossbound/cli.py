@@ -95,6 +95,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         cfg["phi"] = make_phi(phi_kind_from_dict(rec))
     if isinstance(cfg.get("process"), dict):
         cfg["process"] = spec_from_dict(cfg["process"])
+    if cfg.get("out") == "":
+        raise ConfigError("key 'out' must name a directory, got ''")
     return cfg
 
 
@@ -201,7 +203,8 @@ def _cmd_validate(cfg: dict) -> int:
         paths=preset.default_paths if paths is None else paths,
         seed=seed, alpha=0.01 if alpha is None else alpha,
         threads=threads)
-    out_dir = FsPath(cfg.get("out") or os.environ.get(OUTPUT_DIR_ENV, "."))
+    out = cfg.get("out")
+    out_dir = FsPath(os.environ.get(OUTPUT_DIR_ENV, ".") if out is None else out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}_report.csv"
     json_path = out_dir / f"{name}_report.json"

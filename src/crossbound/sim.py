@@ -122,7 +122,8 @@ class LazyWalk:
 
 @dataclass(frozen=True)
 class PoissonCounting:
-    """Poisson counting path on its exact jump-time grid, V_t = t.
+    """Poisson counting path on its exact jump-time grid, V_t = t; a block
+    of them is one row each, padded with its horizon point (path_blocks).
 
     centered=True yields X_t = N_t - lam t at the same sample points.  Upward
     crossings are detected exactly (the supremum of a counting path against an
@@ -368,14 +369,11 @@ def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.nd
     """Exact jump times in (0, horizon], drawn in fixed-size blocks."""
     jumps, t = [], 0.0
     while True:
-        gaps = rng.exponential(1.0 / spec.lam, size=_EXP_BLOCK)
-        cum = t + np.cumsum(gaps)
-        inside = cum[cum <= spec.horizon]
-        jumps.append(inside)
-        if inside.size < _EXP_BLOCK:
-            break
+        cum = t + np.cumsum(rng.exponential(1.0 / spec.lam, size=_EXP_BLOCK))
+        jumps.append(cum[cum <= spec.horizon])
+        if jumps[-1].size < _EXP_BLOCK:
+            return np.concatenate(jumps)
         t = float(cum[-1])
-    return np.concatenate(jumps)
 
 
 def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
@@ -384,8 +382,8 @@ def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
     if isinstance(spec, ExpSupermartingale):
         return transform_exp_martingale(generate(spec.base, seed, path_index),
                                         spec.s, spec.phi)
-    ((X, V),) = path_blocks(spec, seed, [path_index])
-    return Path(times=V, values=X[0], vproxy=V.copy())
+    X, V = path_blocks(spec, seed, [path_index])
+    return Path(times=V[0], values=X[0], vproxy=V[0].copy())
 
 
 def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
@@ -415,29 +413,33 @@ def increments_matrix(spec: ProcessSpec, seed: int,
 
 
 def path_blocks(spec: ProcessSpec, seed: int, indices):
-    """Yield (X, V) blocks of a base process (not an ExpSupermartingale):
-    row i of X is the path of index indices[i], and V the times and
-    variance proxy of X's columns.  This is the one place a path is built.
-    A shared uniform grid gives one (len(indices), n + 1) block; Poisson
-    paths come one (1, m) block each, on their own jump-time grid.
+    """(X, V) of a base process (not an ExpSupermartingale): row i of X is
+    the path of index indices[i], and V the times and variance proxy of X's
+    columns.  This is the one place a path is built.  On a shared uniform
+    grid V is one (1, n + 1) row.  Poisson paths are built in one batch, X
+    and V (len(indices), m) on each row's own jump times, where m is the
+    longest row's length and a shorter row repeats its horizon point to the
+    end, which moves no max, min or first exit.
     """
     # one generator per call, re-stated per row: threads share no state
     streams = path_streams(seed, indices, [np.random.default_rng(0)])
     if isinstance(spec, PoissonCounting):
-        for rng in streams:
-            jumps = poisson_jump_times(spec, rng)
-            jumps = jumps[(jumps > 0.0) & (jumps < spec.horizon)]
-            V = np.concatenate([[0.0], jumps, [spec.horizon]])
-            X = np.concatenate([np.arange(jumps.size + 1.0), [jumps.size]])
-            yield (X - spec.lam * V if spec.centered else X)[None, :], V
-        return
+        jumps = [j[(j > 0.0) & (j < spec.horizon)]
+                 for j in (poisson_jump_times(spec, rng) for rng in streams)]
+        n_jumps = np.array([j.size for j in jumps])[:, None]
+        cols = np.arange(n_jumps.max() + 2.0)
+        V = np.full((len(jumps), cols.size), spec.horizon)
+        V[:, 0] = 0.0
+        V[:, 1:][cols[1:] <= n_jumps] = np.concatenate(jumps)
+        X = np.minimum(cols, n_jumps)
+        return (X - spec.lam * V if spec.centered else X), V
     V, fill, steps = step_draws(spec)
     X = np.zeros((len(indices), V.size))
     # one row at a time: no (k, n) increment matrix
     for row, rng in zip(X[:, 1:], streams):
         fill(rng, row)
         np.cumsum(steps(row), out=row)
-    yield X, V
+    return X, V[None, :]
 
 
 # ---------------------------------------------------------------------------

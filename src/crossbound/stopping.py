@@ -179,9 +179,10 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
     steps per block and only while its outer exit is pending.  Column 0 of
     a mapped block holds each row's running sum, so one cumsum along the
     rows adds in generate's order and every value is generate's, bit for
-    bit.  Poisson paths are read whole, one row at a time, from
-    path_blocks.  Every block goes through the same exit search, against
-    the region bounds at the block's times.
+    bit.  Poisson paths are read whole from path_blocks, in groups of
+    rows that hold about as many elements as a grid block.  Every block
+    goes through the same exit search, against the region bounds at the
+    block's times.
     """
     base = spec
     if isinstance(spec, ExpSupermartingale):
@@ -201,25 +202,31 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
     open1 = np.full(n_paths, inside1)
 
     def search(rows, t, vals):
-        """Record the exits in vals (paths ``rows``, grid times t); True
-        where the outer exit was found."""
+        """Record the exits in vals (paths ``rows``, grid times t shared
+        by every row or one row each); True where the outer exit was found."""
+        times = np.broadcast_to(t, vals.shape)
         pending = open1[rows]
         if pending.any():
             j, hit = _first_out(vals, t, pair.inner)
             hit &= pending
-            t1[rows[hit]] = t[j[hit]]
+            t1[rows[hit]] = times[hit, j[hit]]
             v1[rows[hit]] = vals[hit, j[hit]]
             open1[rows[hit]] = False
         j, hit = _first_out(vals, t, pair.outer)
-        t2[rows[hit]] = t[j[hit]]
+        t2[rows[hit]] = times[hit, j[hit]]
         v2[rows[hit]] = vals[hit, j[hit]]
         last[rows] = vals[:, -1]
         return hit
 
     todo = range(n_paths if inside2 else 0)
     if isinstance(base, PoissonCounting):
-        for i, (X, V) in zip(todo, path_blocks(base, seed, todo)):
-            search(np.array([i]), V[1:], tested(X[:, 1:], V[1:]))
+        # as many rows as fill a grid block's elements at the mean length
+        group = max(1, int(HARVEST_ROWS * HARVEST_BLOCK
+                           // (base.lam * base.horizon + 2.0)))
+        for g0 in todo[::group]:
+            rows = np.arange(g0, min(g0 + group, n_paths))
+            X, V = path_blocks(base, seed, rows)
+            search(rows, V[:, 1:], tested(X[:, 1:], V[:, 1:]))
     else:
         V, fill, steps = step_draws(base)
         n_steps = V.size - 1

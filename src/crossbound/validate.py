@@ -93,6 +93,11 @@ class EventSpec:
             raise InvalidParameter("two_sided applies to line events only")
         if self.stride not in (1, 2):
             raise InvalidParameter(f"stride must be 1 or 2, got {self.stride}")
+        for name in ("gamma", "v_tau", "slope", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"event {name} must be finite")
+        if self.kind == "sup_level" and not self.gamma > 0.0:
+            raise InvalidParameter(f"sup_level gamma must be > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +151,12 @@ def _verdict(ci_lo: float, ci_hi: float, bound: float) -> str:
 
 
 class _RowStats:
-    """Cached row statistics max/min of X -+ b V over column ranges.
+    """Cached row statistics max/min of X -+ b max(V, floor), where V is one
+    time row shared by every row of X or one per row (Poisson jump times).
 
-    Events sharing a slope reuse one pass over the chunk, which dominates the
-    evaluation cost for long grids.  X -+ b V is formed a block of rows at a
-    time, so the pass needs no temporary the size of the chunk.
+    Events sharing (b, floor) reuse one pass over the chunk, which dominates
+    the evaluation cost for long grids.  The shifted X is formed a block of
+    rows at a time, so the pass needs no temporary the size of the chunk.
     """
 
     def __init__(self, X: np.ndarray, V: np.ndarray):
@@ -158,77 +164,55 @@ class _RowStats:
         self.V = V
         self._cache: dict = {}
 
-    def get(self, op: str, b: float, lo: int, hi: Optional[int]):
-        key = (op, float(b), lo, hi)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        Xs = self.X[:, lo:hi]
-        reduce = np.maximum if op == "max" else np.minimum
-        if b == 0.0:
-            out = reduce.reduce(Xs, axis=1)
-        else:
-            shift = (-b if op == "max" else b) * self.V[lo:hi]
-            out = np.empty(Xs.shape[0])
-            rows = max(1, _REDUCE_ELEMENTS // shift.size)
+    def get(self, op: str, b: float, floor: float = 0.0):
+        key = (op, float(b), float(floor))
+        if key not in self._cache:
+            reduce = np.maximum if op == "max" else np.minimum
+            shift = lambda V: (-b if op == "max" else b) * np.maximum(V, floor)
+            shared = shift(self.V) if len(self.V) == 1 else None
+            out = self._cache[key] = np.empty(len(self.X))
+            rows = max(1, _REDUCE_ELEMENTS // self.X.shape[1])
             for r in range(0, out.size, rows):
-                reduce.reduce(Xs[r:r + rows] + shift, axis=1,
+                add = shift(self.V[r:r + rows]) if shared is None else shared
+                reduce.reduce(self.X[r:r + rows] + add, axis=1,
                               out=out[r:r + rows])
-        self._cache[key] = out
-        return out
+        return self._cache[key]
 
 
 def _event_rows(event: EventSpec, st: _RowStats,
                 transform: Optional[tuple]) -> np.ndarray:
-    """Boolean crossed-indicator per path row for one event."""
-    n_cols = st.V.size
+    """Boolean crossed-indicator per path row for one event: each kind is
+    the ray c + b max(V, floor), crossed upward where max(X - b max(V,
+    floor)) >= c and downward where min(X + b max(V, floor)) <= -c.  A vee
+    eta + gamma (V_tau v V_t) is the ray from the floor V_tau, and sup_level
+    Y >= gamma on Y = exp(s X - phi(s) V) is X crossing the upper (s > 0)
+    or lower ray log(gamma)/|s| + (phi(s)/|s|) V."""
     if event.kind == "sup_level":
         s, phi_s = transform
-        level = math.log(event.gamma)
-        if s > 0:
-            return st.get("max", phi_s / s, 0, None) >= level / s
-        return st.get("min", -phi_s / s, 0, None) <= level / s
-    if event.kind == "line":
-        c = (event.gamma - event.slope) * event.v_tau
-        if event.side == "upper":
-            return st.get("max", event.slope, 0, None) >= c
-        if event.side == "lower":
-            return st.get("min", event.slope, 0, None) <= -c
-        up = st.get("max", event.slope, 0, None) >= c
-        dn = st.get("min", event.slope, 0, None) <= -c
-        return up | dn
-    if event.kind == "eta_ray":
-        if event.side == "upper":
-            return st.get("max", event.gamma, 0, None) >= event.eta
-        return st.get("min", event.gamma, 0, None) <= -event.eta
-    if event.kind == "vee":
-        i_tau = int(np.searchsorted(st.V, event.v_tau, side="right"))
-        thresh = event.eta + event.gamma * event.v_tau
-        if event.side == "upper":
-            hit = st.get("max", 0.0, 0, i_tau) >= thresh
-            if i_tau < n_cols:
-                hit = hit | (st.get("max", event.gamma, i_tau, None) >= event.eta)
-            return hit
-        hit = st.get("min", 0.0, 0, i_tau) <= -thresh
-        if i_tau < n_cols:
-            hit = hit | (st.get("min", event.gamma, i_tau, None) <= -event.eta)
-        return hit
-    raise InvalidParameter(f"cannot evaluate event kind {event.kind!r} here")
+        side = "upper" if s > 0 else "lower"
+        b, floor, c = phi_s / abs(s), 0.0, math.log(event.gamma) / abs(s)
+    else:
+        side, (b, floor, c) = event.side, {
+            "line": (event.slope, 0.0, (event.gamma - event.slope) * event.v_tau),
+            "eta_ray": (event.gamma, 0.0, event.eta),
+            "vee": (event.gamma, event.v_tau, event.eta)}[event.kind]
+    up = st.get("max", b, floor) >= c if side != "lower" else False
+    down = st.get("min", b, floor) <= -c if side != "upper" else False
+    return up | down
 
 
 def _count_chunk(base, events, seed, indices, transform) -> np.ndarray:
     """Crossing counts per event over the paths ``indices`` of the base
     process; transform = (s, phi(s)) for an exponential supermartingale."""
-    counts = np.zeros(len(events), dtype=np.int64)
-    for X, V in path_blocks(base, seed, indices):
-        views = {}
-        for j, ev in enumerate(events):
-            key = (ev.steps, ev.stride)
-            if key not in views:
-                stop = None if ev.steps is None else ev.steps + 1
-                views[key] = _RowStats(X[:, :stop:ev.stride], V[:stop:ev.stride])
-            counts[j] += int(_event_rows(ev, views[key], transform).sum())
-    return counts
+    X, V = path_blocks(base, seed, indices)
+    views = {}   # one cache of passes per (steps, stride) view
+    for ev in events:
+        if (ev.steps, ev.stride) not in views:
+            cols = slice(None, None if ev.steps is None else ev.steps + 1,
+                         ev.stride)
+            views[ev.steps, ev.stride] = _RowStats(X[:, cols], V[:, cols])
+    return np.array([_event_rows(ev, views[ev.steps, ev.stride], transform)
+                     .sum() for ev in events], dtype=np.int64)
 
 
 def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
@@ -250,11 +234,13 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     if isinstance(spec, ExpSupermartingale):
         base = spec.base
         transform = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
-    if isinstance(base, PoissonCounting):
-        n_cols, chunk = None, chunk_size or 2048
-    else:
-        n_cols = step_draws(base)[0].size
-        chunk = chunk_size or max(16, min(8192, _CHUNK_ELEMENTS // n_cols))
+    # rows of a chunk from the mean row length: n + 1, or lam T + 2 points
+    n_cols = None if isinstance(base, PoissonCounting) else step_draws(base)[0].size
+    row_len = n_cols or base.lam * base.horizon + 2.0
+    if chunk_size is None:
+        chunk_size = max(16, min(8192, int(_CHUNK_ELEMENTS // row_len)))
+    elif chunk_size < 1:
+        raise InvalidParameter(f"chunk_size must be at least 1, got {chunk_size}")
     for ev in events:
         if (ev.kind == "sup_level") != (transform is not None):
             raise InvalidParameter(
@@ -264,8 +250,8 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
             ev.steps is None or 0 < ev.steps < n_cols)) for ev in events):
         raise InvalidParameter("steps/stride events need a uniform grid "
                                "and 1 <= steps <= its number of steps")
-    jobs = [np.arange(s, min(s + chunk, n_paths))
-            for s in range(0, n_paths, chunk)]
+    jobs = [np.arange(s, min(s + chunk_size, n_paths))
+            for s in range(0, n_paths, chunk_size)]
     work = lambda ix: _count_chunk(base, events, seed, ix, transform)
     if n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

@@ -503,6 +503,23 @@ class TestSimulateCommand:
         assert code == 3 and "paths" in err and stdout == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_empty_out_exits_2(self, capsys, tmp_path, monkeypatch,
+                               from_file):
+        # an empty directory name is no directory, not the working one
+        monkeypatch.chdir(tmp_path)
+        argv = ["--process", "lazy_walk", "--n", "5", "--paths", "2",
+                "--seed", "1"]
+        if from_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"command": "simulate", "out": ""}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", ""]
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2 and out == "" and "'out'" in err
+        assert not list(tmp_path.glob("path_*"))
+
     @pytest.mark.parametrize("argv, spec", [
         (("brownian", "--dt", "0.1", "--horizon", "2"), Brownian(0.1, 2.0)),
         (("poisson", "--lambda", "2", "--horizon", "3", "--centered"),
@@ -592,6 +609,29 @@ class TestValidateCommand:
                                "--out", str(tmp_path))
         assert code == 3
         assert flag.lstrip("-") in err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_empty_out_exits_2_before_running(self, capsys, tmp_path,
+                                              monkeypatch, from_file):
+        import crossbound.cli as cli_mod
+        from crossbound.presets import Preset
+
+        def no_run(**kwargs):
+            raise AssertionError("the preset ran")
+
+        monkeypatch.setitem(cli_mod.PRESETS, "fake", Preset(
+            description="synthetic", default_paths=10, runner=no_run))
+        monkeypatch.chdir(tmp_path)
+        argv = ["--preset", "fake", "--seed", "1"]
+        if from_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"command": "validate", "out": ""}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", ""]
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert code == 2 and out == "" and "'out'" in err
+        assert not list(tmp_path.glob("fake_report.*"))
 
     def test_violated_row_exits_1(self, capsys, tmp_path, monkeypatch):
         import crossbound.cli as cli_mod

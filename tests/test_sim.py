@@ -176,15 +176,18 @@ class TestPathBlocks:
             "CustomIncrements"])
     def test_rows_equal_generate(self, spec, threads):
         chunks = [np.arange(s, min(s + 7, 30)) for s in range(0, 30, 7)]
-        work = lambda ix: [(X.copy(), V) for X, V in path_blocks(spec, 3, ix)]
+        work = lambda ix: path_blocks(spec, 3, ix)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = [b for chunk in pool.map(work, chunks) for b in chunk]
-        rows = [(x, V) for X, V in blocks for x in X]
+            blocks = list(pool.map(work, chunks))
+        rows = [r for X, V in blocks for r in zip(X, np.broadcast_to(V, X.shape))]
         assert len(rows) == 30
         for i, (x, v) in enumerate(rows):
+            # a Poisson row repeats its horizon point past the path's end
             path = generate(spec, 3, i)
-            assert np.array_equal(x, path.values)
-            assert np.array_equal(v, path.vproxy)
+            m = path.values.size
+            assert np.array_equal(x[:m], path.values)
+            assert np.array_equal(v[:m], path.vproxy)
+            assert np.all(x[m:] == x[m - 1]) and np.all(v[m:] == v[m - 1])
 
 
 # generate(spec, seed=2012, path_index=4).values, recorded before every grid
@@ -263,7 +266,7 @@ class TestStepDraws:
 
     @pytest.mark.parametrize("produce", [
         lambda spec: generate(spec, 3, 0),
-        lambda spec: list(path_blocks(spec, 3, range(4))),
+        lambda spec: path_blocks(spec, 3, range(4)),
         lambda spec: verify_optional_stopping(spec, walk_region_pair(), 4, 3),
     ], ids=["generate", "path_blocks", "verify_optional_stopping"])
     @pytest.mark.parametrize("sampler", [
@@ -296,8 +299,9 @@ class TestPoisson:
         lam, horizon, n = 1.0, 10.0, 100_000
         spec = PoissonCounting(lam, horizon)
         total = 0.0
-        for X, _ in path_blocks(spec, 42, range(n)):
-            total += X[0, -1]
+        for lo in range(0, n, 10_000):
+            X, _ = path_blocks(spec, 42, range(lo, lo + 10_000))
+            total += X[:, -1].sum()
         mean = total / n
         se = math.sqrt(lam * horizon / n)
         assert abs(mean - lam * horizon) <= 4.0 * se
@@ -344,8 +348,7 @@ class TestExpSupermartingale:
         cols = [10, 20, 30, 40, 50]
         acc = np.zeros((n, len(cols)))
         for lo in range(0, n, chunk):
-            ((X, V),) = path_blocks(Brownian(0.02, 1.0), 77,
-                                    range(lo, lo + chunk))
+            X, V = path_blocks(Brownian(0.02, 1.0), 77, range(lo, lo + chunk))
             acc[lo:lo + chunk] = np.exp(1.0 * X - ph * V)[:, cols]
         for j in range(len(cols)):
             mean = acc[:, j].mean()
@@ -358,11 +361,9 @@ class TestExpSupermartingale:
         s = math.log(2.0)
         horizon, n = 5.0, 50_000
         ph = float(np.asarray(phi.phi(s)))
-        total = 0.0
-        for X, V in path_blocks(PoissonCounting(lam, horizon, centered=True),
-                                13, range(n)):
-            total += np.exp(s * X[0] - ph * V)[-1]
-        mean = total / n
+        X, V = path_blocks(PoissonCounting(lam, horizon, centered=True), 13,
+                           range(n))
+        mean = np.exp(s * X[:, -1] - ph * V[:, -1]).mean()
         # terminal variance of exp(s X - phi(s) t): E Y^2 = exp((phi(2s)-2phi(s)) t)
         var = math.exp((2.0 * lam * (math.expm1(2 * s) - 2 * s) / 2
                         - 2 * lam * (math.expm1(s) - s)) * horizon) - 1.0
@@ -376,7 +377,7 @@ class TestMartingaleIncrements:
         for spec, cols in ((IidSum(UniformIncrements(), 100), (20, 80)),
                            (Brownian(0.01, 1.0), (30, 90))):
             t1, t2 = cols
-            ((X, _),) = path_blocks(spec, 21, range(n))
+            X, _ = path_blocks(spec, 21, range(n))
             vals = X[:, t2] - X[:, t1]
             se = vals.std(ddof=1) / math.sqrt(n)
             assert abs(vals.mean()) <= 4.0 * se
@@ -391,7 +392,7 @@ class TestMartingaleIncrements:
         ]
         n = 20_000
         for spec, phi, s in cases:
-            ((X, V),) = path_blocks(spec, 33, range(n))
+            X, (V,) = path_blocks(spec, 33, range(n))
             t1, t2 = V.size // 3, V.size - 1
             dv = V[t2] - V[t1]
             w = np.array([math.exp(x) for x in s * (X[:, t2] - X[:, t1])])

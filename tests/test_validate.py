@@ -109,6 +109,20 @@ class TestEventSpec:
         with pytest.raises(InvalidParameter):
             EventSpec(kind="line", stride=3)
 
+    @pytest.mark.parametrize("field", ["gamma", "v_tau", "slope", "eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_refused(self, field, value):
+        for kind in ("line", "vee", "eta_ray", "sup_level"):
+            with pytest.raises(InvalidParameter, match=field):
+                EventSpec(kind=kind, **{"gamma": 2.0, field: value})
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_sup_level_gamma_must_be_positive(self, gamma):
+        # log(gamma) would fail in a worker, after the paths were drawn
+        with pytest.raises(InvalidParameter, match="gamma"):
+            EventSpec(kind="sup_level", gamma=gamma)
+        EventSpec(kind="line", gamma=gamma)
+
 
 class TestEstimateCrossing:
     def test_doob_brownian_near_half(self):
@@ -295,6 +309,18 @@ class TestSweep:
         with pytest.raises(InvalidParameter, match=ev.kind):
             sweep(spec, [ok, ev], 100, seed=1)
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_raises_before_drawing(self, monkeypatch,
+                                                        chunk_size):
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr("crossbound.validate.path_blocks", no_draws)
+        ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0)
+        for spec in (IidSum(UniformIncrements(), 50), PoissonCounting(1.0, 5.0)):
+            with pytest.raises(InvalidParameter, match="chunk_size"):
+                sweep(spec, [ev], 100, seed=1, chunk_size=chunk_size)
+
     def test_poisson_sweep_matches_per_path_loop(self):
         spec = PoissonCounting(lam=2.0, horizon=5.0, centered=True)
         events = [EventSpec(kind="line", side="upper", gamma=1.0, v_tau=1.0,
@@ -307,7 +333,7 @@ class TestSweep:
         want = [0] * len(events)
         for i in range(300):
             path = generate(spec, 48, i)
-            stats = _RowStats(path.values[None, :], path.vproxy)
+            stats = _RowStats(path.values[None, :], path.vproxy[None, :])
             for j, ev in enumerate(events):
                 want[j] += bool(_event_rows(ev, stats, None)[0])
         assert [r.n_crossed for r in reps] == want
