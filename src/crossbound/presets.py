@@ -46,6 +46,7 @@ from .stopping import ContinuityRegion, RegionPair
 from .validate import (
     EventSpec,
     _check_run,
+    _sweep_groups,
     clopper_pearson,  # noqa: F401  (likewise)
     halving_allowance,
     stopping_row,
@@ -235,10 +236,13 @@ def theorem9_groups():
 
 def run_theorem9_all(paths: int = 50_000, seed: int = 0, alpha: float = 0.01,
                      threads: Optional[int] = None) -> list:
+    """Every group's sweep at seed + 7919 i, its chunks on one pool."""
+    groups = theorem9_groups()
+    per_group = _sweep_groups(
+        [(spec, events, seed + 7919 * i)
+         for i, (_, spec, events) in enumerate(groups)], paths, alpha, threads)
     reports = []
-    for i, (name, spec, events) in enumerate(theorem9_groups()):
-        reps = sweep(spec, events, n_paths=paths, seed=seed + 7919 * i,
-                     alpha=alpha, threads=threads)
+    for (name, _, _), reps in zip(groups, per_group):
         for rep in reps:
             rep.extra["group"] = name
         reports.extend(reps)

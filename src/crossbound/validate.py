@@ -9,7 +9,9 @@ A finite horizon can only under-count crossings, so a "violated" verdict
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,10 +36,13 @@ from .stopping import RegionPair, verify_optional_stopping
 SCHEMA_VERSION = "1"
 
 EVENT_KINDS = ("line", "vee", "eta_ray", "sup_level")
-# Elements per simulated chunk, and per block of rows in a row reduction:
-# together they bound the memory a chunk holds beyond its path matrix.
-_CHUNK_ELEMENTS = 3_000_000
-_REDUCE_ELEMENTS = 262_144
+# Elements per simulated chunk: a chunk and a full-pass temporary of its
+# size stay in cache-sized memory.
+_CHUNK_ELEMENTS = 1_000_000
+# Column blocks of the bounded row reduction, taken from _MIN_BLOCKS blocks
+# up: on shorter rows one full pass is faster.
+_BLOCK = 128
+_MIN_BLOCKS = 32
 
 
 def fmt17(x) -> str:
@@ -152,31 +157,65 @@ def _verdict(ci_lo: float, ci_hi: float, bound: float) -> str:
 
 class _RowStats:
     """Cached row statistics max/min of X -+ b max(V, floor), where V is one
-    time row shared by every row of X or one per row (Poisson jump times).
+    nondecreasing time row shared by every row of X or one per row (Poisson
+    jump times).  Events sharing (b, floor) share one result.
 
-    Events sharing (b, floor) reuse one pass over the chunk, which dominates
-    the evaluation cost for long grids.  The shifted X is formed a block of
-    rows at a time, so the pass needs no temporary the size of the chunk.
+    A row shorter than _MIN_BLOCKS blocks of _BLOCK columns takes one full
+    pass over X + shift.  A longer row is reduced blockwise: one reduceat of
+    X per op gives each block's extreme, and with the shift at the block's
+    two end columns it bounds every element of the block from both sides,
+    since fl(x + fl(c max(v, floor))) is monotone in x and in v for either
+    sign of c.  Only the blocks whose outer bound reaches the best inner
+    bound of the row are evaluated, with the full pass's arithmetic, so the
+    result is the full pass's, value for value.
     """
 
     def __init__(self, X: np.ndarray, V: np.ndarray):
         self.X = X
         self.V = V
         self._cache: dict = {}
+        n = X.shape[1]
+        self._starts = (np.arange(0, n, _BLOCK)
+                        if n >= _MIN_BLOCKS * _BLOCK else None)
+        self._extremes: dict = {}   # op -> per-block max or min of X
 
     def get(self, op: str, b: float, floor: float = 0.0):
         key = (op, float(b), float(floor))
         if key not in self._cache:
             reduce = np.maximum if op == "max" else np.minimum
-            shift = lambda V: (-b if op == "max" else b) * np.maximum(V, floor)
-            shared = shift(self.V) if len(self.V) == 1 else None
-            out = self._cache[key] = np.empty(len(self.X))
-            rows = max(1, _REDUCE_ELEMENTS // self.X.shape[1])
-            for r in range(0, out.size, rows):
-                add = shift(self.V[r:r + rows]) if shared is None else shared
-                reduce.reduce(self.X[r:r + rows] + add, axis=1,
-                              out=out[r:r + rows])
+            c = -b if op == "max" else b
+            if self._starts is None:
+                self._cache[key] = reduce.reduce(
+                    self.X + c * np.maximum(self.V, floor), axis=1)
+            else:
+                self._cache[key] = self._blockwise(op, c, floor)
         return self._cache[key]
+
+    def _blockwise(self, op: str, c: float, floor: float) -> np.ndarray:
+        X, V, starts = self.X, self.V, self._starts
+        n = X.shape[1]
+        reduce, other = ((np.maximum, np.minimum) if op == "max"
+                         else (np.minimum, np.maximum))
+        if op not in self._extremes:
+            self._extremes[op] = reduce.reduceat(X, starts, axis=1)
+        ext = self._extremes[op]
+        # the shift is monotone along a row, so its extremes over a block lie
+        # at the block's first and last columns
+        first = c * np.maximum(V[:, starts], floor)
+        last = c * np.maximum(V[:, np.minimum(starts + _BLOCK, n) - 1], floor)
+        # no element of a block lies beyond its reach, and the row's extreme
+        # lies at or beyond sure, so only blocks reaching sure can hold it
+        reach = ext + reduce(first, last)
+        sure = reduce.reduce(ext + other(first, last), axis=1)
+        rows, blocks = np.nonzero(reach >= sure[:, None] if op == "max"
+                                  else reach <= sure[:, None])
+        # a short last block repeats its last column, which moves no extreme
+        cols = np.minimum(starts[blocks][:, None] + np.arange(_BLOCK), n - 1)
+        v_rows = rows[:, None] if V.shape[0] > 1 else 0
+        found = reduce.reduce(X[rows[:, None], cols]
+                              + c * np.maximum(V[v_rows, cols], floor), axis=1)
+        # rows come sorted, and the block that gives sure is a candidate
+        return reduce.reduceat(found, np.flatnonzero(np.diff(rows, prepend=-1)))
 
 
 def _event_rows(event: EventSpec, st: _RowStats,
@@ -227,9 +266,14 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     """
     if not events:
         return []
-    n_workers = _check_run(n_paths, alpha, threads)
-    t0 = time.perf_counter()
+    return _sweep_groups([(spec, events, seed)], n_paths, alpha, threads,
+                         chunk_size)[0]
 
+
+def _chunk_jobs(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
+                seed: int, chunk_size: Optional[int]) -> list:
+    """Check one group before any path is drawn; return its chunks as
+    (elements, count function) pairs."""
     base, transform = spec, None
     if isinstance(spec, ExpSupermartingale):
         base = spec.base
@@ -239,8 +283,10 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     row_len = n_cols or base.lam * base.horizon + 2.0
     if chunk_size is None:
         chunk_size = max(16, min(8192, int(_CHUNK_ELEMENTS // row_len)))
-    elif chunk_size < 1:
-        raise InvalidParameter(f"chunk_size must be at least 1, got {chunk_size}")
+    elif (isinstance(chunk_size, bool)
+          or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1):
+        raise InvalidParameter(
+            f"chunk_size must be an integer of at least 1, got {chunk_size!r}")
     for ev in events:
         if (ev.kind == "sup_level") != (transform is not None):
             raise InvalidParameter(
@@ -250,27 +296,55 @@ def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
             ev.steps is None or 0 < ev.steps < n_cols)) for ev in events):
         raise InvalidParameter("steps/stride events need a uniform grid "
                                "and 1 <= steps <= its number of steps")
-    jobs = [np.arange(s, min(s + chunk_size, n_paths))
-            for s in range(0, n_paths, chunk_size)]
-    work = lambda ix: _count_chunk(base, events, seed, ix, transform)
+    return [(ix.size * row_len,
+             functools.partial(_count_chunk, base, events, seed, ix, transform))
+            for ix in (np.arange(s, min(s + chunk_size, n_paths))
+                       for s in range(0, n_paths, chunk_size))]
+
+
+def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
+                  threads: Optional[int],
+                  chunk_size: Optional[int] = None) -> list:
+    """sweep's reports for each (spec, events, seed) group, n_paths paths
+    each.  Every group is checked before any path is drawn, and the chunks
+    of all groups share one pool, largest first.  A row's runtime_seconds is
+    its group's summed chunk seconds over the group's event count."""
+    n_workers = _check_run(n_paths, alpha, threads)
+    jobs = sorted(((size, g, work) for g, (spec, events, seed)
+                   in enumerate(groups) for size, work
+                   in _chunk_jobs(spec, events, n_paths, seed, chunk_size)),
+                  key=lambda job: -job[0])
+
+    def timed(job):
+        t0 = time.perf_counter()
+        counts = job[2]()
+        return counts, time.perf_counter() - t0
+
     if n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            counts = np.sum(list(pool.map(work, jobs)), axis=0)
+            done = list(pool.map(timed, jobs))
     else:
-        counts = np.sum([work(ix) for ix in jobs], axis=0)
+        done = [timed(job) for job in jobs]
+    counts = [np.zeros(len(events), dtype=np.int64) for _, events, _ in groups]
+    seconds = [0.0] * len(groups)
+    for (_, g, _), (k, dt) in zip(jobs, done):
+        counts[g] += k
+        seconds[g] += dt
 
-    elapsed = time.perf_counter() - t0
     out = []
-    for ev, k in zip(events, counts.tolist()):
-        lo, hi = clopper_pearson(k, n_paths, alpha)
-        p_hat = k / n_paths
-        out.append(ValidationReport(
-            label=ev.label or ev.kind, n_paths=n_paths, n_crossed=k,
-            p_hat=p_hat, ci_lo=lo, ci_hi=hi, bound=ev.bound,
-            verdict=_verdict(lo, hi, ev.bound),
-            truncation_fraction=1.0 - p_hat,
-            runtime_seconds=elapsed / len(events),
-            alpha=alpha, seed=seed))
+    for (_, events, seed), k_group, secs in zip(groups, counts, seconds):
+        reps = []
+        for ev, k in zip(events, k_group.tolist()):
+            lo, hi = clopper_pearson(k, n_paths, alpha)
+            p_hat = k / n_paths
+            reps.append(ValidationReport(
+                label=ev.label or ev.kind, n_paths=n_paths, n_crossed=k,
+                p_hat=p_hat, ci_lo=lo, ci_hi=hi, bound=ev.bound,
+                verdict=_verdict(lo, hi, ev.bound),
+                truncation_fraction=1.0 - p_hat,
+                runtime_seconds=secs / len(events),
+                alpha=alpha, seed=seed))
+        out.append(reps)
     return out
 
 

@@ -1,8 +1,9 @@
 """The batched path blocks and the one-ray event reduction, checked against
 frozen copies of the forms they replaced: per-event column ranges (the vee
-split at V_tau, the b = 0 pass) over one shared time row, and one (1, m)
-block per Poisson path."""
+split at V_tau, the b = 0 pass) over one shared time row, one (1, m) block
+per Poisson path, and the full pass over every column of a long row."""
 
+import functools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from crossbound import (
     BernoulliIncrements,
+    Brownian,
     ContinuityRegion,
     ExpSupermartingale,
     Gaussian,
@@ -191,6 +193,64 @@ class TestCountsEqualOracle:
         assert all(0 < k < 400 for k in got)
 
 
+# --- blockwise row extremes ------------------------------------------------
+
+# four rows of 9001 or more points each, so that the stride-2 views are long
+# enough for blocks too; 9001 is not a multiple of the block width
+LONG = {
+    "walk": LazyWalk(1.0, 9000),    # lattice rows: X - b V ties often
+    "brownian": Brownian(dt=1e-3, horizon=9.0),
+    "poisson": PoissonCounting(60.0, 150.0, centered=True),  # V per row
+}
+VIEWS = [slice(None), slice(None, None, 2), slice(None, 8501),
+         slice(None, 8501, 2)]
+
+
+@functools.cache
+def _long_rows(name):
+    return path_blocks(LONG[name], 3, range(4))
+
+
+def _full_pass(X, V, op, b, floor):
+    reduce = np.maximum if op == "max" else np.minimum
+    return reduce.reduce(X + (-b if op == "max" else b)
+                         * np.maximum(V, floor), axis=1)
+
+
+class TestBlockwiseRowStats:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(LONG)), view=st.sampled_from(VIEWS),
+           op=st.sampled_from(["max", "min"]),
+           b=st.one_of(st.sampled_from([0.0, -0.5, 0.25, 1.0, 3.0]),
+                       st.floats(-4.0, 4.0)),
+           at=st.one_of(st.just(None), st.floats(0.0, 1.2)))
+    @example(name="walk", view=slice(None), op="max", b=0.0, at=None)
+    @example(name="walk", view=slice(None, None, 2), op="min", b=-0.5,
+             at=0.3)
+    @example(name="poisson", view=slice(None), op="max", b=1.0, at=1.1)
+    def test_blocks_give_the_full_pass_bit_for_bit(self, name, view, op, b,
+                                                   at):
+        # at: the floor as a share of the view's last time (None: no
+        # floor); below 1 it falls inside a block, above 1 past the row
+        X, V = _long_rows(name)
+        X, V = X[:, view], V[:, view]
+        assert X.shape[1] >= validate._MIN_BLOCKS * validate._BLOCK
+        assert X.shape[1] % validate._BLOCK
+        floor = 0.0 if at is None else at * float(V[:, -1].max())
+        got = validate._RowStats(X, V).get(op, b, floor)
+        want = _full_pass(X, V, op, b, floor)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_blocks_serve_every_key_of_a_view(self):
+        # the block extremes of X are shared between keys of one op
+        X, V = _long_rows("walk")
+        stats = validate._RowStats(X, V)
+        keys = [(op, b, floor) for op in ("max", "min")
+                for b in (0.0, 0.5, -1.0) for floor in (0.0, 4500.0)]
+        for key in keys * 2:
+            assert np.array_equal(stats.get(*key), _full_pass(X, V, *key))
+
+
 # --- Poisson rows --------------------------------------------------------
 
 
@@ -240,7 +300,9 @@ def _recorder(monkeypatch, module):
 class TestBudget:
     def test_sweep_chunks_hold_the_chunk_elements(self, monkeypatch):
         seen = _recorder(monkeypatch, validate)
-        spec = PoissonCounting(1.0, 1e5, centered=True)
+        # rows of about a 30th of the budget: more than 16 fit in a chunk
+        spec = PoissonCounting(1.0, validate._CHUNK_ELEMENTS / 30.0,
+                               centered=True)
         ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0)
         sweep(spec, [ev], 100, seed=1, threads=1)
         row_len = spec.lam * spec.horizon + 2.0

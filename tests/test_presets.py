@@ -4,8 +4,8 @@ import pytest
 
 from crossbound import bounds as B
 from crossbound.errors import InvalidParameter
-from crossbound.presets import _event, theorem9_groups
-from crossbound.validate import EventSpec
+from crossbound.presets import _event, run_theorem9_all, theorem9_groups
+from crossbound.validate import EventSpec, sweep
 
 # (group, label, kind, side, gamma, v_tau, slope, eta, bound) of every event
 # of the domination sweep, in sweep order; the group order fixes each group's
@@ -122,3 +122,17 @@ def test_event_rejects_cbb_reports(which):
     report = B.cbb_bounds(gamma=4.0, v_m=10.0, b=1.0, which=which)
     with pytest.raises(InvalidParameter, match=report.inequality):
         _event(report, "cbb")
+
+
+def test_pooled_groups_equal_separate_sweeps():
+    # one pool over every group's chunks counts what a sweep per group does
+    got = run_theorem9_all(paths=300, seed=5, threads=2)
+    want = [(name, rep.n_crossed) for i, (name, spec, events)
+            in enumerate(theorem9_groups())
+            for rep in sweep(spec, events, 300, seed=5 + 7919 * i, threads=1)]
+    assert len(got) == 43
+    assert [(rep.extra["group"], rep.n_crossed) for rep in got] == want
+    # a row's runtime_seconds is its group's, shared by the group's rows
+    for name in {rep.extra["group"] for rep in got}:
+        assert len({rep.runtime_seconds for rep in got
+                    if rep.extra["group"] == name}) == 1

@@ -319,6 +319,15 @@ class TestPoisson:
                        path_index=1)
         assert np.allclose(cen.values, raw.values - 2.0 * raw.times)
 
+    def test_scaled_standard_exponentials_are_the_exponential_draws(self):
+        # drawing a block of rows into one buffer needs the in-place draw
+        # to equal the scaled one that poisson_jump_times makes
+        lam, buf = 1.7, np.empty(64)
+        for i in range(200):
+            want = path_rng(23, i).exponential(1.0 / lam, 64)
+            path_rng(23, i).standard_exponential(out=buf)
+            assert np.array_equal(buf * (1.0 / lam), want)
+
 
 class TestExpSupermartingale:
     def test_starts_at_one(self):

@@ -255,8 +255,8 @@ class TestSweep:
 
 
     def test_prefix_and_stride_events_match_sliced_paths(self):
-        # 60 rows of 10 001 grid points: the full and stride-2 views both
-        # take more than one block of rows in the row reduction
+        # 60 rows of 10 001 grid points: every view but the 3-step prefix
+        # is long enough for the blockwise row reduction
         spec = Brownian(dt=1e-3, horizon=10.0)
         cases = [(steps, stride, side) for steps in (None, 9000, 3)
                  for stride in (1, 2) for side in ("upper", "lower")]
@@ -309,7 +309,7 @@ class TestSweep:
         with pytest.raises(InvalidParameter, match=ev.kind):
             sweep(spec, [ok, ev], 100, seed=1)
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
+    @pytest.mark.parametrize("chunk_size", [0, -5, 2.5, True])
     def test_chunk_size_below_one_raises_before_drawing(self, monkeypatch,
                                                         chunk_size):
         def no_draws(*args):
