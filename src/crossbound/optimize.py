@@ -33,7 +33,7 @@ _BOX = 1e-13  # relative width of the secant's box around the switch
 # Grids that depend on neither phi nor gamma (read-only: phi sees them).
 _POW2 = 2.0 ** np.arange(51)
 _HALVINGS = 2.0 ** -np.arange(1, 50, dtype=float)
-_PROBES_INF = np.unique(np.concatenate([np.geomspace(1e-9, _S_CAP, 80), [1e-6]]))
+_PROBES_INF = np.sort(np.concatenate([np.geomspace(1e-9, _S_CAP, 80), [1e-6]]))
 _RATIO_GRID_INF = np.geomspace(max(1e-12, _S_CAP * 1e-12), _S_CAP, 60)
 for _grid in (_POW2, _HALVINGS, _PROBES_INF, _RATIO_GRID_INF):
     _grid.flags.writeable = False
@@ -79,15 +79,24 @@ def _side_objective(phi: MgfBound, side: str) -> Tuple[Callable, float]:
     raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
 
 
+def _weight(fx: float, f_moved: float) -> float:
+    """Anderson-Bjorck factor 1 - fx/f_moved for the kept end's f when the
+    other end moves twice in a row; 0.5 (Illinois) when it is not positive
+    or f_moved is 0."""
+    m = 1.0 - fx / f_moved if f_moved != 0.0 else 0.0
+    return m if m > 0.0 else 0.5
+
+
 def _bisect(f: Callable[[float], float], above: Callable[[float], bool],
             lo: float, hi: float, done: Callable[[float, float], bool],
             f_lo: float, f_hi: float) -> Tuple[float, float]:
     """Halve [lo, hi] toward the switch of the monotone predicate above(f(s)),
     keeping it false at lo and true at hi, until done(lo, hi) or 200 steps.
 
-    First a bracketed secant (Illinois rule; a bisection step when it leaves
-    the bracket or fails to halve it in 3 steps) boxes the switch in [a, b],
-    above false at a and true at b, no wider than w = 1e-13 max(1, |a|, |b|).
+    First a bracketed secant (Anderson-Bjorck rule; a bisection step when it
+    leaves the bracket or fails to halve it in 3 steps) boxes the switch in
+    [a, b], above false at a and true at b, no wider than
+    w = 1e-13 max(1, |a|, |b|).
     Then the halvings are replayed from (lo, hi): a midpoint below a - w
     reads false, one above b + w reads true, and only those in between call
     f.  Midpoints depend only on (lo, hi) and the outcomes, so for a monotone
@@ -106,12 +115,12 @@ def _bisect(f: Callable[[float], float], above: Callable[[float], bool],
         x = min(max(x, a + 0.5 * w), b - 0.5 * w)
         fx = f(x)
         if above(fx):
-            if moved == 1:  # Illinois: a kept twice, halve its weight
-                fa *= 0.5
+            if moved == 1:  # a kept twice: scale its weight
+                fa *= _weight(fx, fb)
             b, fb, moved = x, fx, 1
         else:
             if moved == -1:
-                fb *= 0.5
+                fb *= _weight(fx, fa)
             a, fa, moved = x, fx, -1
     for _ in range(200):
         mid = 0.5 * (lo + hi)

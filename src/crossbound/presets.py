@@ -19,7 +19,6 @@ import time
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import bounds as B
 from .errors import InvalidParameter
@@ -269,6 +268,7 @@ def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
     pilot paths."""
     if paths <= 0:
         raise InvalidParameter("paths must be positive")
+    from scipy.special import ndtri  # loaded at the first horizon rule
     z = float(ndtri(1.0 - alpha / 2.0))
     T = t0
     for _ in range(3):

@@ -345,8 +345,8 @@ def step_draws(spec: ProcessSpec):
         return V, fill, lambda blk: blk
     if isinstance(law, LazyWalk):
         half = law.p_move / 2.0
-        steps = lambda u: np.where(u < half, 1.0, np.where(
-            u >= 1.0 - half, -1.0, 0.0)) + law.drift
+        steps = lambda u: ((u < half).astype(np.float64) - (u >= 1.0 - half)
+                           + law.drift)
     elif isinstance(law, BernoulliIncrements):
         steps = lambda u: (u < law.p).astype(np.float64) - law.p
     elif isinstance(law, UniformIncrements):
@@ -366,14 +366,23 @@ def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
 
 
 def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.ndarray:
-    """Exact jump times in (0, horizon], drawn in fixed-size blocks."""
+    """Exact jump times in (0, horizon), drawn in blocks of _EXP_BLOCK
+    interarrivals into one reused buffer.
+
+    A block is rng.exponential(1 / lam, _EXP_BLOCK) accumulated onto the
+    last jump, bit for bit, drawn in place as scaled standard exponentials.
+    """
+    buf = np.empty(_EXP_BLOCK)
     jumps, t = [], 0.0
     while True:
-        cum = t + np.cumsum(rng.exponential(1.0 / spec.lam, size=_EXP_BLOCK))
-        jumps.append(cum[cum <= spec.horizon])
-        if jumps[-1].size < _EXP_BLOCK:
-            return np.concatenate(jumps)
-        t = float(cum[-1])
+        rng.standard_exponential(out=buf)
+        buf *= 1.0 / spec.lam
+        np.add.accumulate(buf, out=buf)
+        buf += t
+        jumps.append(buf[(buf > 0.0) & (buf < spec.horizon)])
+        if buf[-1] > spec.horizon:
+            return np.concatenate(jumps) if len(jumps) > 1 else jumps[0]
+        t = float(buf[-1])
 
 
 def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
@@ -424,8 +433,7 @@ def path_blocks(spec: ProcessSpec, seed: int, indices):
     # one generator per call, re-stated per row: threads share no state
     streams = path_streams(seed, indices, [np.random.default_rng(0)])
     if isinstance(spec, PoissonCounting):
-        jumps = [j[(j > 0.0) & (j < spec.horizon)]
-                 for j in (poisson_jump_times(spec, rng) for rng in streams)]
+        jumps = [poisson_jump_times(spec, rng) for rng in streams]
         n_jumps = np.array([j.size for j in jumps])[:, None]
         cols = np.arange(n_jumps.max() + 2.0)
         V = np.full((len(jumps), cols.size), spec.horizon)

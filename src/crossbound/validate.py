@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import DomainViolation, InvalidParameter
 from .sim import (
@@ -59,6 +58,7 @@ def clopper_pearson(k: int, n: int, alpha: float) -> tuple:
         raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
     if n <= 0 or k < 0 or k > n:
         raise DomainViolation(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
+    from scipy.special import betaincinv  # loaded at the first interval
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi

@@ -110,14 +110,36 @@ class TestBoundCommand:
         assert code == 3 and out == "" and "decreases" in err
 
 
-def test_import_leaves_scipy_stats_out():
-    # the CLI needs two quantile functions, which scipy.special has
+_COLD_PROBE = """
+import contextlib, io, sys
+from crossbound.cli import main
+argv = {argv!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+print(code, *sorted(m for m in sys.modules
+                    if m.startswith(("scipy", "numpy.ma"))))
+"""
+
+
+@pytest.mark.parametrize("argv, banned", [
+    ([], ("scipy", "numpy.ma")),
+    (["bound", "--ineq", "opt_line_upper", "--gamma", "2", "--vtau", "1",
+      "--phi", '{"kind": "bernstein", "b": 1.0}'], ("scipy",)),
+    (["simulate", "--process", "poisson", "--lambda", "1", "--horizon", "5",
+      "--seed", "3"], ("scipy",)),
+], ids=["import", "bound", "simulate"])
+def test_cold_start_leaves_scipy_out(argv, banned):
+    # scipy.special serves only Clopper-Pearson intervals and the horizon
+    # rule, so importing the CLI, a bound and a path load none of scipy
     import subprocess
     import sys
-    probe = "import sys, crossbound.cli; print('scipy.stats' in sys.modules)"
-    got = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True)
-    assert got.stdout.strip() == "False"
+    got = subprocess.run([sys.executable, "-c", _COLD_PROBE.format(argv=argv)],
+                         capture_output=True, text=True, check=True)
+    code, *loaded = got.stdout.split()
+    assert code == "0", got.stderr
+    came = [m for m in loaded
+            if any(m == b or m.startswith(b + ".") for b in banned)]
+    assert not came, f"loaded: {came}"
 
 
 PHI_REC = '{"kind": "gaussian", "v": 1.0}'

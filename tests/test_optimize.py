@@ -244,6 +244,14 @@ class TestSlopeRoot:
             solve_slope_root(make_phi(Gaussian(1.0)), -1.0)
 
 
+def test_infinite_domain_probes_are_the_unique_grid():
+    # a sort of the 81 distinct points, without np.unique (which loads
+    # numpy.ma), is the array np.unique made, bit for bit
+    want = np.unique(np.concatenate([np.geomspace(1e-9, 1e9, 80), [1e-6]]))
+    assert optimize._PROBES_INF.tobytes() == want.tobytes()
+    assert optimize._PROBES_INF.dtype == want.dtype and want.size == 81
+
+
 def _one_call_bisect(f, above, lo, hi, done, f_lo, f_hi):
     """Frozen oracle: the bisection as it was before the secant box, one f
     call per midpoint."""
@@ -298,6 +306,13 @@ class TestRootFinder:
         phi, calls = _counting_phi(Gaussian(1.0))
         eta_bound(phi, 1.0, 0.5, variant="ray")
         assert calls["phi"] <= 16
+        # near Bernstein's pole phi(s)/s - gamma is about 1e12 at the
+        # bracket's upper end 3 - 3e-12; halving the kept end's f (Illinois)
+        # crept up from below in 40-46 calls
+        for gamma in (100.0, 300.0, 564.0, 1000.0):
+            phi, calls = _counting_phi(Bernstein(1.0))
+            solve_slope_root(phi, gamma)
+            assert calls["phi"] <= 12, (gamma, calls)
 
     def test_flat_tail_a_few_ulps_off_the_slope_at_infinity(self):
         # gamma = 1 - mu + 1.1e-16: rounding noise used to stop the doubling

@@ -233,6 +233,22 @@ class TestStepDraws:
             0.0, 1.1289789749500743, 1.2453644224480154, 1.8511980929722867,
             1.8767615674362998, 4.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(p_move=st.sampled_from([1.0, 0.5, 0.0]) | st.floats(0.0, 1.0),
+           drift=st.sampled_from([0.0, -0.1, 0.3]) | st.floats(-2.0, 2.0),
+           u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+    def test_lazy_walk_steps_are_the_three_way_map(self, p_move, drift, u):
+        # frozen oracle: +1 below half, -1 from 1 - half on, else 0, + drift;
+        # u exactly at both cut points and one ulp below each
+        half = p_move / 2.0
+        cuts = [half, 1.0 - half]
+        u = np.array(u + cuts + [np.nextafter(c, -1.0) for c in cuts])
+        want = np.where(u < half, 1.0, np.where(
+            u >= 1.0 - half, -1.0, 0.0)) + drift
+        got = step_draws(LazyWalk(p_move, 5, drift))[2](u)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_generate_refuses_a_negative_index(self):
         for spec in (Brownian(0.1, 1.0), PoissonCounting(1.0, 2.0)):
             with pytest.raises(InvalidParameter):
