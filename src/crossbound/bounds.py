@@ -36,8 +36,6 @@ class BoundReport:
 
 
 def _exp(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
     if x > 700.0:
         return math.inf
     return math.exp(x)
@@ -133,19 +131,22 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
 
     variant="ray":  inf_{s in feasible} e^{-eta s} = e^{-eta sup feasible};
     v_tau is ignored.
-    variant="vee":  inf_{s in feasible} e^{-eta s} [exp(phi(+-s) - gamma s)]^{V_tau}.
+    variant="vee":  inf_{s in feasible} e^{-eta s} [exp(phi(+-s) - gamma s)]^{V_tau},
+    the ray at V_tau = 0.  eta, and the vee's v_tau, must be >= 0, not NaN.
     Both return 1 (vacuous) when the feasible set is empty.  sup feasible is
     solve_slope_root's b* (a*), so a phi whose phi(+-s)/s decreases, which no
     convex phi with phi(0) = 0 does, raises MonotonicityViolation.
     """
     _check_positive(gamma=gamma)
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise InvalidParameter(f"eta must be nonnegative, got {eta}")
     if variant not in ("ray", "vee"):
         raise InvalidParameter(f"variant must be 'ray' or 'vee', got {variant!r}")
-    ineq = _side_id("eta_ray" if variant == "ray" else "eta_vee", side)
+    ineq = _side_id("eta_" + variant, side)
     params = {"gamma": gamma, "eta": eta, **phi.describe()}
     if variant == "vee":
+        if not v_tau >= 0.0:
+            raise InvalidParameter(f"v_tau must be nonnegative, got {v_tau}")
         params["v_tau"] = v_tau
 
     opt = minimize_tail_exponent(phi, gamma, side=side)
@@ -155,17 +156,10 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
     s_star = solve_slope_root(phi, gamma, side=side).s_root
     params["s_star"] = s_star
 
-    if variant == "ray":
-        exponent = -eta * s_star if math.isfinite(s_star) else -math.inf
-        if eta == 0.0:
-            exponent = 0.0
-        return _report(ineq, exponent, s_star, None, params)
-
-    if v_tau < 0.0:
-        raise InvalidParameter(f"v_tau must be nonnegative, got {v_tau}")
-    if v_tau == 0.0:
-        exponent = -eta * s_star if math.isfinite(s_star) else -math.inf
-        return _report(ineq, exponent, s_star, None, params)
+    if variant == "ray" or v_tau == 0.0:
+        # e^{-eta s*}: 0 at s* = inf unless eta = 0, where the event is certain
+        return _report(ineq, -eta * s_star if eta > 0.0 else 0.0, s_star, None,
+                       params)
     shifted = minimize_tail_exponent(phi, gamma + eta / v_tau, side=side)
     s_c = min(shifted.s_opt, s_star)
     if not math.isfinite(s_c):
@@ -359,13 +353,9 @@ def supermartingale_sup_bound(mean0: float, c: float, gamma: float,
     if not (c < gamma < math.inf):
         raise DomainViolation(
             f"gamma must be finite and exceed c, got gamma={gamma}, c={c}")
-    raw = (mean0 - c) / (gamma - c)
-    return BoundReport(
-        inequality="supermartingale_sup", bound=_clamp(raw), raw=raw,
-        s_used=None, slope_used=None,
-        params={"mean0": mean0, "c": c, "gamma": gamma},
-        exact=continuous_martingale,
-    )
+    return _report("supermartingale_sup", 0.0, None, None,
+                   {"mean0": mean0, "c": c, "gamma": gamma},
+                   exact=continuous_martingale, factor=(mean0 - c) / (gamma - c))
 
 
 def doob_exp_bound(gamma: float, phi: Optional[MgfBound] = None) -> BoundReport:
@@ -373,10 +363,9 @@ def doob_exp_bound(gamma: float, phi: Optional[MgfBound] = None) -> BoundReport:
     an equality for gamma >= 1 when phi is an exact log-MGF on a continuous
     process."""
     _check_positive(gamma=gamma)
-    raw = 1.0 / gamma
     exact = bool(gamma >= 1.0 and phi is not None and phi.claims_equality)
     params = {"gamma": gamma}
     if phi is not None:
         params.update(phi.describe())
-    return BoundReport(inequality="doob_exp", bound=_clamp(raw), raw=raw,
-                       s_used=None, slope_used=None, params=params, exact=exact)
+    return _report("doob_exp", 0.0, None, None, params, exact=exact,
+                   factor=1.0 / gamma)

@@ -196,13 +196,10 @@ def _cmd_validate(cfg: dict) -> int:
         raise ConfigError(
             f"unknown preset {name!r}; see 'crossbound presets list'")
     (seed,) = _need(cfg, "seed")
-    preset = PRESETS[name]
-    paths = cfg.get("paths")
-    alpha, threads = cfg.get("alpha"), cfg.get("threads")
-    reports = preset.runner(
-        paths=preset.default_paths if paths is None else paths,
-        seed=seed, alpha=0.01 if alpha is None else alpha,
-        threads=threads)
+    # a key left unset takes the runner's own default
+    reports = PRESETS[name].runner(seed=seed, **{
+        key: cfg[key] for key in ("paths", "alpha", "threads")
+        if cfg.get(key) is not None})
     out = cfg.get("out")
     out_dir = FsPath(os.environ.get(OUTPUT_DIR_ENV, ".") if out is None else out)
     out_dir.mkdir(parents=True, exist_ok=True)

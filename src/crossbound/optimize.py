@@ -188,11 +188,14 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
     # "phi < gamma |s| near 0" hypothesis.
     s_heur = 1e-6 * min(1.0, radius if finite else 1.0)
     if finite:
-        probes = np.unique(np.concatenate([
+        probes = np.sort(np.concatenate([
             np.geomspace(radius * 1e-9, radius * 0.5, 40),
             radius * (1.0 - _HALVINGS),
             [s_heur],
         ]))
+        # drop repeats (radius/2 is on both grids) as np.unique would,
+        # without the numpy.ma import np.unique costs
+        probes = probes[np.append(True, probes[1:] != probes[:-1])]
     else:
         probes = _PROBES_INF
     with np.errstate(over="ignore", invalid="ignore"):

@@ -56,7 +56,6 @@ from .validate import (
 @dataclasses.dataclass(frozen=True)
 class Preset:
     description: str
-    default_paths: int
     runner: Callable
 
 
@@ -352,19 +351,16 @@ PRESETS = {
     "theorem9_all": Preset(
         description="Domination sweep: every inequality family against its "
                     "matched process (~40 rows, expect all holds).",
-        default_paths=50_000,
         runner=run_theorem9_all,
     ),
     "expexact_brownian": Preset(
         description="Exactness of P{sup exp(W_t - t/2) >= gamma} = 1/gamma "
                     "with horizon doubling and dt-halving grid allowance.",
-        default_paths=200_000,
         runner=run_expexact_brownian,
     ),
     "optional_stopping": Preset(
         description="Nested first-exit expectations for the symmetric walk "
                     "(equality) and its drifted variant (inequality).",
-        default_paths=100_000,
         runner=run_optional_stopping,
     ),
 }

@@ -73,7 +73,9 @@ class TwoPointIncrements:
 
 @dataclass(frozen=True)
 class CustomIncrements:
-    """Arbitrary bounded increments drawn by sampler(rng, n). Not serializable."""
+    """Arbitrary bounded increments drawn by sampler(rng, n). Not serializable.
+    The stopping harvest draws 128 steps at a time, so it matches generate
+    only if sampler(rng, a + b) is sampler(rng, a) then sampler(rng, b)."""
 
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     label: str = "custom"
@@ -323,9 +325,9 @@ def step_draws(spec: ProcessSpec):
     row, and steps(blk) maps rows of any shape elementwise to increments.
     A step takes one normal (Brownian) or one uniform (walks and the
     Bernoulli, Uniform and TwoPoint laws); a CustomIncrements sampler is
-    called once per fill.  So a path filled a block at a time consumes the
-    stream of one fill of the whole path, and a (paths, steps) matrix maps
-    to the same increments as each row on its own.
+    called once per fill and must split as its docstring says.  So a path
+    filled a block at a time draws one whole-path fill's stream, and a
+    (paths, steps) matrix maps to each row's own increments.
     """
     if isinstance(spec, Brownian):
         scale = math.sqrt(spec.dt)

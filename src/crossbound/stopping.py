@@ -181,8 +181,9 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
     rows adds in generate's order and every value is generate's, bit for
     bit.  Poisson paths are read whole from path_blocks, in groups of
     rows that hold about as many elements as a grid block.  Every block
-    goes through the same exit search, against the region bounds at the
-    block's times.
+    goes through the same exit search from its column 0, against the
+    region bounds at the block's times: in the first block that column is
+    t = 0, and after it a column already searched, which adds no exit.
     """
     base = spec
     if isinstance(spec, ExpSupermartingale):
@@ -191,15 +192,11 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
         tested = lambda X, V: np.exp(s * X - ph * V)
     else:
         tested = lambda X, V: X
-    y0 = float(tested(0.0, 0.0))
-    # t = 0 tie: a region that already excludes the start stops at tau = 0
-    inside1 = pair.inner.lower_at(0.0) < y0 < pair.inner.upper_at(0.0)
-    inside2 = pair.outer.lower_at(0.0) < y0 < pair.outer.upper_at(0.0)
-    t1 = np.full(n_paths, math.inf if inside1 else 0.0)
-    t2 = np.full(n_paths, math.inf if inside2 else 0.0)
-    v1 = np.full(n_paths, y0); v2 = np.full(n_paths, y0)
-    last = np.full(n_paths, y0)          # value at the last time searched
-    open1 = np.full(n_paths, inside1)
+    t1 = np.full(n_paths, math.inf)
+    t2 = np.full(n_paths, math.inf)
+    v1 = np.empty(n_paths); v2 = np.empty(n_paths)
+    last = np.empty(n_paths)             # value at the last time searched
+    open1 = np.ones(n_paths, dtype=bool)
 
     def search(rows, t, vals):
         """Record the exits in vals (paths ``rows``, grid times t shared
@@ -218,15 +215,14 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
         last[rows] = vals[:, -1]
         return hit
 
-    todo = range(n_paths if inside2 else 0)
     if isinstance(base, PoissonCounting):
         # as many rows as fill a grid block's elements at the mean length
         group = max(1, int(HARVEST_ROWS * HARVEST_BLOCK
                            // (base.lam * base.horizon + 2.0)))
-        for g0 in todo[::group]:
+        for g0 in range(0, n_paths, group):
             rows = np.arange(g0, min(g0 + group, n_paths))
             X, V = path_blocks(base, seed, rows)
-            search(rows, V[:, 1:], tested(X[:, 1:], V[:, 1:]))
+            search(rows, V, tested(X, V))
     else:
         V, fill, steps = step_draws(base)
         n_steps = V.size - 1
@@ -235,9 +231,9 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
         # each row's running sum: zeros keep what it maps there finite
         buf = np.zeros((rows, HARVEST_BLOCK + 1))
         # one pool of generators per call, re-stated for each group of rows
-        streams = path_streams(seed, todo, [np.random.default_rng(0)
-                                            for _ in range(min(rows, n_paths))])
-        for g0 in todo[::rows]:
+        pool = [np.random.default_rng(0) for _ in range(min(rows, n_paths))]
+        streams = path_streams(seed, range(n_paths), pool)
+        for g0 in range(0, n_paths, rows):
             rngs = list(itertools.islice(streams, rows))
             x = np.zeros(len(rngs))
             live = np.arange(len(rngs))
@@ -251,8 +247,8 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
                 cum[:, 0] = x[live]
                 np.cumsum(cum, axis=1, out=cum)
                 x[live] = cum[:, -1]
-                cols = slice(step + 1, step + m + 1)
-                hit = search(g0 + live, V[cols], tested(cum[:, 1:], V[cols]))
+                cols = slice(step, step + m + 1)
+                hit = search(g0 + live, V[cols], tested(cum, V[cols]))
                 live = live[~hit]
                 step += m
     # truncated: the last value stands in for X_tau

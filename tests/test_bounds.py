@@ -128,8 +128,41 @@ class TestEtaBound:
         assert r.bound == 1.0 and r.vacuous
 
     def test_negative_eta_rejected(self):
-        with pytest.raises(InvalidParameter):
-            eta_bound(PHI_G, gamma=1.0, eta=-0.5, variant="ray")
+        # NaN too: it used to give a bound of 0
+        for eta in (-0.5, math.nan):
+            for variant in ("ray", "vee"):
+                with pytest.raises(InvalidParameter, match="eta"):
+                    eta_bound(PHI_G, gamma=1.0, eta=eta, v_tau=1.0,
+                              variant=variant)
+
+    @pytest.mark.parametrize("v_tau", [-1.0, math.nan])
+    def test_bad_vtau_rejected_before_phi(self, v_tau):
+        # phi(s) = 2|s| makes gamma = 0.5 vacuous: the check comes first, so
+        # a negative or NaN v_tau is not answered with a bound of 1, and NaN
+        # is not reported as a bad gamma
+        from crossbound import Custom
+        phi = make_phi(Custom(phi=lambda s: 2.0 * np.abs(s), a=9.0, b=9.0))
+        for p in (phi, PHI_G):
+            with pytest.raises(InvalidParameter, match="v_tau"):
+                eta_bound(p, 0.5, 1.0, v_tau=v_tau, variant="vee")
+
+    @pytest.mark.parametrize("kind, gamma, eta, side", [
+        # s* = inf, and eta = 0: X_0 = 0 already meets the boundary
+        (HoeffdingBernoulli(0.3), 0.8, 0.0, "upper"),
+        (HoeffdingBernoulli(0.3), 0.8, 0.0, "lower"),
+        (HoeffdingBernoulli(0.3), 0.8, 0.5, "upper"),
+        (Gaussian(1.0), 2.0, 0.0, "lower"),
+        (Gaussian(1.0), 2.0, 1.0, "upper"),
+        (Bernstein(1.0), 1.0, 0.7, "upper"),
+    ])
+    def test_vee_from_vtau_zero_is_the_ray(self, kind, gamma, eta, side):
+        phi = make_phi(kind)
+        vee = eta_bound(phi, gamma, eta, v_tau=0.0, side=side, variant="vee")
+        ray = eta_bound(phi, gamma, eta, side=side, variant="ray")
+        assert (vee.bound, vee.raw, vee.s_used, vee.vacuous) == \
+            (ray.bound, ray.raw, ray.s_used, ray.vacuous)
+        if eta == 0.0:
+            assert vee.bound == 1.0
 
 
 class TestSlopeRootFailures:

@@ -81,6 +81,32 @@ class TestBoundCommand:
         assert code == 3 and out == ""
         assert "gamma" in err
 
+    @pytest.mark.parametrize("ineq, eta, vtau, named", [
+        ("eta_ray_upper", "nan", "0", "eta"),
+        ("eta_vee_lower", "nan", "0", "eta"),
+        ("eta_vee_upper", "1", "nan", "v_tau"),
+    ], ids=["ray_eta", "vee_eta", "vee_vtau"])
+    def test_nan_eta_or_vtau_exit_3(self, capsys, ineq, eta, vtau, named):
+        code, out, err = run_cli(capsys, "bound", "--ineq", ineq, "--gamma",
+                                 "1", "--eta", eta, "--vtau", vtau,
+                                 "--phi", PHI_REC)
+        assert code == 3 and out == "" and named in err
+
+    def test_eta_vee_at_default_vtau_is_the_ray(self, capsys):
+        # eta = 0 and V_tau = 0: X_0 = 0 already meets the boundary, so
+        # P = 1; with this phi s* is infinite, where the vee read 0
+        phi = '{"kind": "hoeffding_bernoulli", "mu": 0.3}'
+        reps = {}
+        for ineq in ("eta_vee_upper", "eta_ray_upper"):
+            code, out, _ = run_cli(capsys, "bound", "--ineq", ineq, "--gamma",
+                                   "0.8", "--eta", "0", "--phi", phi,
+                                   "--format", "json")
+            assert code == 0
+            reps[ineq] = json.loads(out)
+        vee, ray = reps["eta_vee_upper"], reps["eta_ray_upper"]
+        assert (vee["bound"], vee["raw"]) == (ray["bound"], ray["raw"]) == \
+            (1.0, 1.0)
+
     # phi records decode like process records: a tag, key or type error
     # exits 2 and names the key; an out-of-range value exits 3
     @pytest.mark.parametrize("phi, code, named", [
@@ -124,13 +150,14 @@ print(code, *sorted(m for m in sys.modules
 @pytest.mark.parametrize("argv, banned", [
     ([], ("scipy", "numpy.ma")),
     (["bound", "--ineq", "opt_line_upper", "--gamma", "2", "--vtau", "1",
-      "--phi", '{"kind": "bernstein", "b": 1.0}'], ("scipy",)),
+      "--phi", '{"kind": "bernstein", "b": 1.0}'], ("scipy", "numpy.ma")),
     (["simulate", "--process", "poisson", "--lambda", "1", "--horizon", "5",
       "--seed", "3"], ("scipy",)),
 ], ids=["import", "bound", "simulate"])
 def test_cold_start_leaves_scipy_out(argv, banned):
     # scipy.special serves only Clopper-Pearson intervals and the horizon
-    # rule, so importing the CLI, a bound and a path load none of scipy
+    # rule, so importing the CLI, a bound and a path load none of scipy; a
+    # bound on a finite domain (Bernstein) loads no numpy.ma either
     import subprocess
     import sys
     got = subprocess.run([sys.executable, "-c", _COLD_PROBE.format(argv=argv)],
@@ -642,7 +669,7 @@ class TestValidateCommand:
             raise AssertionError("the preset ran")
 
         monkeypatch.setitem(cli_mod.PRESETS, "fake", Preset(
-            description="synthetic", default_paths=10, runner=no_run))
+            description="synthetic", runner=no_run))
         monkeypatch.chdir(tmp_path)
         argv = ["--preset", "fake", "--seed", "1"]
         if from_file:
@@ -660,7 +687,7 @@ class TestValidateCommand:
         from crossbound.presets import Preset
         from crossbound.validate import ValidationReport
 
-        def fake_runner(paths, seed, alpha, threads):
+        def fake_runner(seed, paths=10, alpha=0.01, threads=None):
             return [ValidationReport(
                 label="fake", n_paths=paths, n_crossed=paths,
                 p_hat=1.0, ci_lo=0.9, ci_hi=1.0, bound=0.5,
@@ -669,11 +696,32 @@ class TestValidateCommand:
 
         monkeypatch.setitem(
             cli_mod.PRESETS, "fake",
-            Preset(description="synthetic", default_paths=10,
-                   runner=fake_runner))
+            Preset(description="synthetic", runner=fake_runner))
         code, _, _ = run_cli(capsys, "validate", "--preset", "fake",
                              "--seed", "1", "--out", str(tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("flags, passed", [
+        ([], {}),
+        (["--paths", "5", "--alpha", "0.05", "--threads", "2"],
+         {"paths": 5, "alpha": 0.05, "threads": 2}),
+    ], ids=["unset", "set"])
+    def test_only_set_keys_reach_the_runner(self, capsys, tmp_path,
+                                            monkeypatch, flags, passed):
+        # an unset paths, alpha or threads takes the runner's own default
+        import crossbound.cli as cli_mod
+        from crossbound.presets import Preset
+        got = []
+
+        def recording(**kwargs):
+            got.append(kwargs)
+            return []
+
+        monkeypatch.setitem(cli_mod.PRESETS, "fake",
+                            Preset(description="synthetic", runner=recording))
+        code, _, _ = run_cli(capsys, "validate", "--preset", "fake",
+                             "--seed", "1", "--out", str(tmp_path), *flags)
+        assert code == 0 and got == [{"seed": 1, **passed}]
 
 
 class TestPresetsCommand:

@@ -252,6 +252,30 @@ def test_infinite_domain_probes_are_the_unique_grid():
     assert optimize._PROBES_INF.dtype == want.dtype and want.size == 81
 
 
+@pytest.mark.parametrize("phi", [
+    make_phi(Bernstein(1.0)), make_phi(Bernstein(0.7)),
+    make_phi(Custom(phi=lambda s: s * s, a=1e-3, b=7.0)),
+    make_phi(Custom(phi=lambda s: s * s, a=1.0, b=1e-3)),
+], ids=["bernstein", "bernstein_0.7", "custom_b7", "custom_b1e-3"])
+def test_finite_domain_probes_are_the_unique_grid(phi):
+    # the first phi call gets the probe grid; sorted with repeats dropped
+    # (radius / 2 is on both of its grids), it is the array np.unique made,
+    # bit for bit
+    seen = []
+
+    def recording(s):
+        seen.append(np.array(s, dtype=float))
+        return phi.phi(s)
+    minimize_tail_exponent(dataclasses.replace(phi, phi=recording), 0.5)
+    radius = phi.b
+    parts = [np.geomspace(radius * 1e-9, radius * 0.5, 40),
+             radius * (1.0 - 2.0 ** -np.arange(1, 50, dtype=float)),
+             [1e-6 * min(1.0, radius)]]
+    want = np.unique(np.concatenate(parts))
+    assert seen[0].tobytes() == want.tobytes()
+    assert want.size < sum(map(len, parts))
+
+
 def _one_call_bisect(f, above, lo, hi, done, f_lo, f_hi):
     """Frozen oracle: the bisection as it was before the secant box, one f
     call per midpoint."""

@@ -266,10 +266,17 @@ ENGINE_CASES = [
     (ExpSupermartingale(PoissonCounting(lam=2.0, horizon=4.0, centered=True),
                         s=0.5, phi=make_phi(PoissonCentered(2.0))),
      _pw_pair(0.02, 0.15, shift=1.0)),
+    # the last two start on the inner region's boundary, X_0 = 0 on L(0) = 0
+    # and Y_0 = 1 on U(0) = 1, as two LazyWalk cases in HARVEST_CASES do:
+    # the search of each block from its column 0 finds those exits at t = 0
+    (PoissonCounting(lam=2.0, horizon=4.0), _pw_pair(0.02, 1.0, shift=3.0)),
+    (ExpSupermartingale(Brownian(dt=0.01, horizon=3.0), s=1.0, phi=PHI_G),
+     _pw_pair(0.01, 0.25, shift=0.25)),
 ]
 ENGINE_IDS = ["walk", "bernoulli", "bernoulli_lattice", "brownian",
               "exp_brownian", "exp_walk", "poisson_centered", "poisson",
-              "exp_poisson"]
+              "exp_poisson", "poisson_start_on_boundary",
+              "exp_brownian_start_on_boundary"]
 
 
 class TestOneEngine:
@@ -280,7 +287,8 @@ class TestOneEngine:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("spec,pair", ENGINE_CASES, ids=ENGINE_IDS)
+    @pytest.mark.parametrize("spec,pair", ENGINE_CASES[:-2],
+                             ids=ENGINE_IDS[:-2])
     def test_cases_cover_exits_and_truncation(self, spec, pair):
         # each case has paths that leave both regions, after the first block
         # and after a breakpoint, and paths that never leave the outer one
@@ -291,6 +299,16 @@ class TestOneEngine:
         assert np.isinf(t2).any()
         if not isinstance(spec, PoissonCounting):
             assert np.any(np.isfinite(t2) & (t2 > _horizon(spec) * 128 / 300))
+
+    @pytest.mark.parametrize("spec,pair", ENGINE_CASES[-2:],
+                             ids=ENGINE_IDS[-2:])
+    def test_start_on_boundary_cases_exit_at_zero(self, spec, pair):
+        # every inner exit is at t = 0, and the outer exits still come after
+        # the first block and after a breakpoint, or never
+        t1, v1, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300, 78)
+        assert np.all(t1 == 0.0) and np.all(v1 == v1[0])
+        assert np.all(t2 > 0.0) and np.isinf(t2).any()
+        assert np.any(np.isfinite(t2) & (t2 > pair.outer.breakpoints[1]))
 
     @pytest.mark.filterwarnings("ignore:truncation fraction")
     def test_verify_reads_the_harvest(self, monkeypatch):
