@@ -133,9 +133,10 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
     v_tau is ignored.
     variant="vee":  inf_{s in feasible} e^{-eta s} [exp(phi(+-s) - gamma s)]^{V_tau},
     the ray at V_tau = 0.  eta, and the vee's v_tau, must be >= 0, not NaN.
-    Both return 1 (vacuous) when the feasible set is empty.  sup feasible is
-    solve_slope_root's b* (a*), so a phi whose phi(+-s)/s decreases, which no
-    convex phi with phi(0) = 0 does, raises MonotonicityViolation.
+    Both return 1 (vacuous) when solve_slope_root, whose b* (a*) is sup
+    feasible, reports the feasible set empty; only the vee's shifted gamma
+    calls the minimizer.  A phi whose phi(+-s)/s decreases, which no convex
+    phi with phi(0) = 0 does, raises MonotonicityViolation.
     """
     _check_positive(gamma=gamma)
     if not eta >= 0.0:
@@ -149,12 +150,10 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
             raise InvalidParameter(f"v_tau must be nonnegative, got {v_tau}")
         params["v_tau"] = v_tau
 
-    opt = minimize_tail_exponent(phi, gamma, side=side)
-    if opt.value >= 0.0:
+    root = solve_slope_root(phi, gamma, side=side)
+    if root.empty:
         return _report(ineq, 0.0, None, None, params, vacuous=True)
-
-    s_star = solve_slope_root(phi, gamma, side=side).s_root
-    params["s_star"] = s_star
+    params["s_star"] = s_star = root.s_root
 
     if variant == "ray" or v_tau == 0.0:
         # e^{-eta s*}: 0 at s* = inf unless eta = 0, where the event is certain

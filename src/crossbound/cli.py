@@ -120,7 +120,8 @@ def _bound_table() -> dict:
     """Inequality id -> (evaluator, required config keys, fixed keywords).
 
     A fixed keyword that is also a config key is a default the config may
-    override (vtau of the eta families, phi of doob_exp).
+    override (vtau of eta_vee, phi of doob_exp).  Any other key set besides
+    ineq and format is one the inequality does not read.
     """
     expfam = lambda **kw: B.expfam_bound(B.bernoulli_family(), **kw)
     table = {
@@ -149,10 +150,11 @@ def _bound_table() -> dict:
             f"poisson_{side}": (B.poisson_bounds, ("lam", "gamma", "tau"),
                                 {"side": side}),
         })
-        for variant in ("ray", "vee"):
-            table[f"eta_{variant}_{side}"] = (
-                B.eta_bound, ("phi", "gamma", "eta"),
-                {"side": side, "variant": variant, "vtau": 0.0})
+        table[f"eta_ray_{side}"] = (B.eta_bound, ("phi", "gamma", "eta"),
+                                    {"side": side, "variant": "ray"})
+        table[f"eta_vee_{side}"] = (B.eta_bound, ("phi", "gamma", "eta"),
+                                    {"side": side, "variant": "vee",
+                                     "vtau": 0.0})
     return table
 
 
@@ -166,6 +168,11 @@ def _compute_bound(cfg: dict) -> B.BoundReport:
     if ineq not in _BOUNDS:
         raise ConfigError(f"unknown inequality {ineq!r}")
     fn, keys, fixed = _BOUNDS[ineq]
+    unread = [key for key, val in sorted(cfg.items()) if val is not None
+              and key not in ("ineq", "format", *keys, *fixed)]
+    if unread:
+        raise ConfigError(f"{ineq} does not read key(s) "
+                          f"{', '.join(map(repr, unread))}")
     kwargs = dict(fixed)
     kwargs.update((key, cfg[key]) for key in fixed if cfg.get(key) is not None)
     kwargs.update(zip(keys, _need(cfg, *keys)))

@@ -58,7 +58,9 @@ class OptResult:
 
 @dataclass(frozen=True)
 class SlopeRoot:
-    """Largest usable s on a side: interior root of phi(+-s)/s = gamma or the edge."""
+    """Largest usable s on a side: interior root of phi(+-s)/s = gamma or the
+    edge; ``empty`` when phi(+-s)/s > gamma already at s <= 1e-9 (no
+    feasible s), which eta_bound reads as a vacuous bound."""
 
     s_root: float
     side: str

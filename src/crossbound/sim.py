@@ -426,11 +426,13 @@ def increments_matrix(spec: ProcessSpec, seed: int,
 def path_blocks(spec: ProcessSpec, seed: int, indices):
     """(X, V) of a base process (not an ExpSupermartingale): row i of X is
     the path of index indices[i], and V the times and variance proxy of X's
-    columns.  This is the one place a path is built.  On a shared uniform
-    grid V is one (1, n + 1) row.  Poisson paths are built in one batch, X
-    and V (len(indices), m) on each row's own jump times, where m is the
-    longest row's length and a shorter row repeats its horizon point to the
-    end, which moves no max, min or first exit.
+    columns.  Every path is built here but the grid paths of the stopping
+    harvest (stopping._harvest_exits_blockwise), which stop drawing at
+    their outer exit.  On a shared uniform grid V is one (1, n + 1) row.
+    Poisson paths are built in one batch, X and V (len(indices), m) on each
+    row's own jump times, where m is the longest row's length and a shorter
+    row repeats its horizon point to the end, which moves no max, min or
+    first exit.
     """
     # one generator per call, re-stated per row: threads share no state
     streams = path_streams(seed, indices, [np.random.default_rng(0)])

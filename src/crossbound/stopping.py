@@ -224,6 +224,10 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
             X, V = path_blocks(base, seed, rows)
             search(rows, V, tested(X, V))
     else:
+        # Its own block loop, not path_blocks: here the streams are hashed
+        # once per call and a path draws only while it is live.  Prefixes
+        # of doubling length read from path_blocks give the same exits, but
+        # pay the stream hash on every call and redraw each prefix.
         V, fill, steps = step_draws(base)
         n_steps = V.size - 1
         rows = HARVEST_ROWS

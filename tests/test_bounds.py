@@ -165,6 +165,69 @@ class TestEtaBound:
             assert vee.bound == 1.0
 
 
+    @pytest.mark.parametrize("kind, var", [
+        (Gaussian(1.0), 1.0),
+        (PoissonCentered(1.0), 1.0),
+        (Uniform24(), 1.0 / 12.0),
+        (CbbExp(1.0), 1.0),
+        (HoeffdingBernoulli(0.3), 0.21),
+        (Bernstein(1.0), 1.0),
+    ], ids=["gaussian", "poisson", "uniform24", "cbb_exp", "hoeffding",
+            "bernstein"])
+    def test_tiny_gamma_ray_is_not_vacuous(self, kind, var):
+        # phi(s) ~ var s^2 / 2 near 0, so s* = 2 gamma / var; the minimizer's
+        # absolute "origin" tolerance used to call this set empty (bound 1)
+        gamma, eta = 1e-8, 1.0
+        r = eta_bound(make_phi(kind), gamma, eta, variant="ray")
+        s_star = 2.0 * gamma / var
+        assert not r.vacuous and r.bound < 1.0
+        assert r.params["s_star"] == pytest.approx(s_star, rel=0.1)
+        assert r.bound == pytest.approx(math.exp(-eta * s_star), abs=1e-8)
+
+
+class TestMinimizerCalls:
+    """eta_bound reads vacuity and s* from the slope root; the minimizer
+    serves only the vee's shifted gamma."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import crossbound.bounds as bounds_mod
+        seen = []
+        real = bounds_mod.minimize_tail_exponent
+
+        def counted(phi, gamma, **kwargs):
+            seen.append(gamma)
+            return real(phi, gamma, **kwargs)
+        monkeypatch.setattr(bounds_mod, "minimize_tail_exponent", counted)
+        return seen
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_calls_per_evaluator(self, calls, side):
+        for call, n in [
+            (lambda: eta_bound(PHI_G, 2.0, 1.0, side=side, variant="ray"), 0),
+            (lambda: eta_bound(PHI_G, 2.0, 1.0, v_tau=1.0, side=side,
+                               variant="vee"), 1),
+            (lambda: vee_bound(PHI_G, 2.0, 1.0, side=side), 1),
+            (lambda: optimized_line_bound(PHI_G, 2.0, 1.0, side=side), 1),
+        ]:
+            calls.clear()
+            call()
+            assert len(calls) == n
+        # the vee's one call is at the shifted gamma + eta / V_tau
+        calls.clear()
+        eta_bound(PHI_G, 2.0, 1.0, v_tau=0.5, side=side, variant="vee")
+        assert calls == [4.0]
+
+    def test_empty_set_is_vacuous_without_the_minimizer(self, calls):
+        from crossbound import Custom
+        phi = make_phi(Custom(phi=lambda s: 2.0 * np.abs(s), a=9.0, b=9.0))
+        for variant, v_tau in (("ray", 0.0), ("vee", 1.0)):
+            r = eta_bound(phi, gamma=1.0, eta=1.0, v_tau=v_tau,
+                          variant=variant)
+            assert (r.bound, r.raw, r.vacuous) == (1.0, 1.0, True)
+        assert calls == []
+
+
 class TestSlopeRootFailures:
     CALLS = [
         lambda: eta_bound(PHI_G, gamma=2.0, eta=1.0, variant="ray"),

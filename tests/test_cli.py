@@ -82,15 +82,31 @@ class TestBoundCommand:
         assert "gamma" in err
 
     @pytest.mark.parametrize("ineq, eta, vtau, named", [
-        ("eta_ray_upper", "nan", "0", "eta"),
+        ("eta_ray_upper", "nan", None, "eta"),
         ("eta_vee_lower", "nan", "0", "eta"),
         ("eta_vee_upper", "1", "nan", "v_tau"),
     ], ids=["ray_eta", "vee_eta", "vee_vtau"])
     def test_nan_eta_or_vtau_exit_3(self, capsys, ineq, eta, vtau, named):
+        # only the vee reads V_tau, so the ray gets no --vtau
+        extra = [] if vtau is None else ["--vtau", vtau]
         code, out, err = run_cli(capsys, "bound", "--ineq", ineq, "--gamma",
-                                 "1", "--eta", eta, "--vtau", vtau,
-                                 "--phi", PHI_REC)
+                                 "1", "--eta", eta, *extra, "--phi", PHI_REC)
         assert code == 3 and out == "" and named in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--ineq", "eta_ray_upper", "--gamma", "1", "--eta", "1",
+          "--vtau", "nan", "--phi", '{"kind": "gaussian", "v": 1.0}'],
+         ["'vtau'"]),
+        (["--ineq", "azuma_upper", "--gamma", "2", "--vtau", "1",
+          "--eta", "5"], ["'eta'"]),
+        (["--ineq", "doob_exp", "--gamma", "2", "--s", "1", "--m", "3"],
+         ["'m'", "'s'"]),
+    ], ids=["eta_ray_vtau", "azuma_eta", "doob_s_m"])
+    def test_unread_key_exit_2(self, capsys, argv, named):
+        # a key the inequality does not read is refused, not ignored
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 2 and out == ""
+        assert all(name in err for name in named)
 
     def test_eta_vee_at_default_vtau_is_the_ray(self, capsys):
         # eta = 0 and V_tau = 0: X_0 = 0 already meets the boundary, so
@@ -233,8 +249,8 @@ def test_bound_table_matches_evaluators(capsys, ineq):
 
 def test_bound_table_covers_every_id():
     assert sorted(_BOUNDS) == sorted(BOUND_CASES) and len(BOUND_CASES) == 22
-    # vtau stays optional for the eta families, and phi for doob_exp; the
-    # phi of a merged config is decoded
+    # vtau stays optional for eta_vee, and phi for doob_exp; the phi of a
+    # merged config is decoded
     phi = {"phi": _G}
     assert _compute_bound({"ineq": "eta_vee_upper", "gamma": 2.0, "eta": 0.5,
                            "vtau": 1.5, **phi}) == B.eta_bound(
