@@ -48,7 +48,7 @@ from .validate import (
     _sweep_groups,
     clopper_pearson,  # noqa: F401  (likewise)
     halving_allowance,
-    stopping_row,
+    stopping_rows,
     sweep,
 )
 
@@ -336,15 +336,16 @@ def walk_region_pair() -> RegionPair:
 def run_optional_stopping(paths: int = 100_000, seed: int = 0,
                           alpha: float = 0.01,
                           threads: Optional[int] = None) -> list:
-    """One stopping row per 10 000-step walk; the harvest is serial, and
-    threads is checked like every preset's."""
+    """One stopping row per 10 000-step walk, both from one serial harvest
+    pass that draws each path once (validate.stopping_rows); threads is
+    checked like every preset's."""
     _check_run(paths, alpha, threads)
-    pair = walk_region_pair()
-    return [stopping_row(LazyWalk(p_move=1.0, n=10_000, drift=drift), pair,
-                         paths, seed, kind=kind, label=label, alpha=alpha)
-            for label, drift, kind in (
-                ("walk_martingale", 0.0, "martingale"),
-                ("walk_supermartingale", -0.1, "supermartingale"))]
+    return stopping_rows(
+        [(LazyWalk(p_move=1.0, n=10_000, drift=drift), kind, label)
+         for label, drift, kind in (
+             ("walk_martingale", 0.0, "martingale"),
+             ("walk_supermartingale", -0.1, "supermartingale"))],
+        walk_region_pair(), paths, seed, alpha=alpha)
 
 
 PRESETS = {

@@ -75,7 +75,8 @@ class TwoPointIncrements:
 class CustomIncrements:
     """Arbitrary bounded increments drawn by sampler(rng, n). Not serializable.
     The stopping harvest draws 128 steps at a time, so it matches generate
-    only if sampler(rng, a + b) is sampler(rng, a) then sampler(rng, b)."""
+    only if sampler(rng, a + b) is sampler(rng, a) then sampler(rng, b).
+    Its fill is its own, so it shares a harvest pass with no other spec."""
 
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     label: str = "custom"
@@ -318,6 +319,14 @@ def path_streams(seed: int, indices, gens: list):
 # --- step draws: every grid producer draws through step_draws -------------
 
 
+def _fill_uniform(rng, row):
+    rng.random(out=row)
+
+
+def _fill_normal(rng, row):
+    rng.standard_normal(out=row)
+
+
 def step_draws(spec: ProcessSpec):
     """(V, fill, steps) of a process on a shared uniform grid V (V_t = t).
 
@@ -327,13 +336,14 @@ def step_draws(spec: ProcessSpec):
     Bernoulli, Uniform and TwoPoint laws); a CustomIncrements sampler is
     called once per fill and must split as its docstring says.  So a path
     filled a block at a time draws one whole-path fill's stream, and a
-    (paths, steps) matrix maps to each row's own increments.
+    (paths, steps) matrix maps to each row's own increments.  Specs whose
+    fill is the same object (a custom one never is) on equal grids V draw
+    the same stream.
     """
     if isinstance(spec, Brownian):
         scale = math.sqrt(spec.dt)
         V = np.arange(round(spec.horizon / spec.dt) + 1.0) * spec.dt
-        return (V, lambda rng, row: rng.standard_normal(out=row),
-                lambda blk: blk * scale)
+        return V, _fill_normal, lambda blk: blk * scale
     if not isinstance(spec, (IidSum, LazyWalk)):
         raise InvalidSpec(f"{type(spec).__name__} has no shared uniform grid")
     V = np.arange(spec.n + 1.0)
@@ -357,7 +367,7 @@ def step_draws(spec: ProcessSpec):
         steps = lambda u: np.where(u < law.p_hi, law.hi, law.lo)
     else:
         raise InvalidSpec(f"unknown increment law {law!r}")
-    return V, (lambda rng, row: rng.random(out=row)), steps
+    return V, _fill_uniform, steps
 
 
 def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
@@ -427,8 +437,8 @@ def path_blocks(spec: ProcessSpec, seed: int, indices):
     """(X, V) of a base process (not an ExpSupermartingale): row i of X is
     the path of index indices[i], and V the times and variance proxy of X's
     columns.  Every path is built here but the grid paths of the stopping
-    harvest (stopping._harvest_exits_blockwise), which stop drawing at
-    their outer exit.  On a shared uniform grid V is one (1, n + 1) row.
+    harvest (stopping._harvest_exits), which stop drawing at their outer
+    exit.  On a shared uniform grid V is one (1, n + 1) row.
     Poisson paths are built in one batch, X and V (len(indices), m) on each
     row's own jump times, where m is the longest row's length and a shorter
     row repeats its horizon point to the end, which moves no max, min or

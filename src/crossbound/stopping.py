@@ -9,6 +9,7 @@ the first grid time with X_t <= L(t) or X_t >= U(t).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -169,38 +170,44 @@ def _first_out(vals, t, region):
     return j, out[np.arange(j.size), j]
 
 
-def _harvest_exits_blockwise(spec, pair, n_paths, seed):
-    """First exits of every path from both regions of ``pair`` within the
-    spec's horizon, with early exit.  The regions test X, or exp(s X -
-    phi(s) V) for an ExpSupermartingale over X.
+def _tested(spec):
+    """(base, f): the regions test f(X, V) of the base process's X."""
+    if isinstance(spec, ExpSupermartingale):
+        s, ph = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
+        return spec.base, lambda X, V: np.exp(s * X - ph * V)
+    return spec, lambda X, V: X
+
+
+def _harvest_exits(specs, pair, n_paths, seed):
+    """(t1, v1, t2, v2) of each spec: the first exits of every path from
+    both regions of ``pair`` within the horizon, with early exit.  The
+    specs share one pass, so they must draw one stream (the same fill on
+    equal grids; a Poisson spec goes alone): else InvalidParameter.
 
     On a uniform grid the paths go HARVEST_ROWS at a time: path i draws the
     stream of generate(spec, seed, i) through sim.step_draws, HARVEST_BLOCK
-    steps per block and only while its outer exit is pending.  Column 0 of
-    a mapped block holds each row's running sum, so one cumsum along the
-    rows adds in generate's order and every value is generate's, bit for
-    bit.  Poisson paths are read whole from path_blocks, in groups of
-    rows that hold about as many elements as a grid block.  Every block
+    steps per block and only while the outer exit of some spec on it is
+    pending, and each spec maps and searches only its own pending rows.
+    Column 0 of a mapped block holds each row's running sum, so one cumsum
+    along the rows adds in generate's order and every value is generate's,
+    bit for bit.  Poisson paths are read whole from path_blocks, in groups
+    of rows that hold about as many elements as a grid block.  Every block
     goes through the same exit search from its column 0, against the
     region bounds at the block's times: in the first block that column is
     t = 0, and after it a column already searched, which adds no exit.
     """
-    base = spec
-    if isinstance(spec, ExpSupermartingale):
-        base = spec.base
-        s, ph = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
-        tested = lambda X, V: np.exp(s * X - ph * V)
-    else:
-        tested = lambda X, V: X
-    t1 = np.full(n_paths, math.inf)
-    t2 = np.full(n_paths, math.inf)
-    v1 = np.empty(n_paths); v2 = np.empty(n_paths)
-    last = np.empty(n_paths)             # value at the last time searched
-    open1 = np.ones(n_paths, dtype=bool)
+    bases, tests = zip(*map(_tested, specs))
+    # per spec: t1, v1, t2, v2, the value at the last time searched, and
+    # whether the inner exit is pending
+    exits = [(np.full(n_paths, math.inf), np.empty(n_paths),
+              np.full(n_paths, math.inf), np.empty(n_paths),
+              np.empty(n_paths), np.ones(n_paths, dtype=bool))
+             for _ in specs]
 
-    def search(rows, t, vals):
-        """Record the exits in vals (paths ``rows``, grid times t shared
+    def search(k, rows, t, vals):
+        """Record spec k's exits in vals (paths ``rows``, grid times t shared
         by every row or one row each); True where the outer exit was found."""
+        t1, v1, t2, v2, last, open1 = exits[k]
         times = np.broadcast_to(t, vals.shape)
         pending = open1[rows]
         if pending.any():
@@ -215,20 +222,27 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
         last[rows] = vals[:, -1]
         return hit
 
-    if isinstance(base, PoissonCounting):
+    if any(isinstance(base, PoissonCounting) for base in bases):
+        if len(specs) > 1:
+            raise InvalidParameter("a Poisson spec shares no harvest pass")
+        base = bases[0]
         # as many rows as fill a grid block's elements at the mean length
         group = max(1, int(HARVEST_ROWS * HARVEST_BLOCK
                            // (base.lam * base.horizon + 2.0)))
         for g0 in range(0, n_paths, group):
             rows = np.arange(g0, min(g0 + group, n_paths))
             X, V = path_blocks(base, seed, rows)
-            search(rows, V, tested(X, V))
+            search(0, rows, V, tests[0](X, V))
     else:
+        draws = [step_draws(base) for base in bases]
+        V, fill, _ = draws[0]
+        if any(f is not fill or not np.array_equal(v, V) for v, f, _ in draws):
+            raise InvalidParameter("the specs of one harvest pass must draw "
+                                   "one stream: one fill on one grid")
         # Its own block loop, not path_blocks: here the streams are hashed
         # once per call and a path draws only while it is live.  Prefixes
         # of doubling length read from path_blocks give the same exits, but
         # pay the stream hash on every call and redraw each prefix.
-        V, fill, steps = step_draws(base)
         n_steps = V.size - 1
         rows = HARVEST_ROWS
         # steps maps whole blocks, column 0 too, before that column takes
@@ -239,27 +253,38 @@ def _harvest_exits_blockwise(spec, pair, n_paths, seed):
         streams = path_streams(seed, range(n_paths), pool)
         for g0 in range(0, n_paths, rows):
             rngs = list(itertools.islice(streams, rows))
-            x = np.zeros(len(rngs))
-            live = np.arange(len(rngs))
+            x = [np.zeros(len(rngs)) for _ in specs]
+            live = [np.arange(len(rngs))] * len(specs)
+            drawn = live[0]                  # rows some spec searches
             step = 0
-            while live.size and step < n_steps:
+            while drawn.size and step < n_steps:
                 m = min(HARVEST_BLOCK, n_steps - step)
-                blk = buf[:live.size, :m + 1]
-                for row, j in zip(blk[:, 1:], live.tolist()):
+                blk = buf[:drawn.size, :m + 1]
+                for row, j in zip(blk[:, 1:], drawn.tolist()):
                     fill(rngs[j], row)
-                cum = steps(blk)
-                cum[:, 0] = x[live]
-                np.cumsum(cum, axis=1, out=cum)
-                x[live] = cum[:, -1]
                 cols = slice(step, step + m + 1)
-                hit = search(g0 + live, V[cols], tested(cum, V[cols]))
-                live = live[~hit]
+                for k, own in enumerate(live):
+                    # spec k maps and searches its own rows, a subset of drawn
+                    cum = draws[k][2](blk if own.size == drawn.size else
+                                      blk[np.searchsorted(drawn, own)])
+                    cum[:, 0] = x[k][own]
+                    np.cumsum(cum, axis=1, out=cum)
+                    x[k][own] = cum[:, -1]
+                    hit = search(k, g0 + own, V[cols], tests[k](cum, V[cols]))
+                    live[k] = own[~hit]
+                drawn = functools.reduce(np.union1d, live)
                 step += m
-    # truncated: the last value stands in for X_tau
-    trunc = np.isinf(t2)
-    v2[trunc] = last[trunc]
-    v1[open1] = last[open1]
-    return t1, v1, t2, v2
+    for t1, v1, t2, v2, last, open1 in exits:
+        # truncated: the last value stands in for X_tau
+        trunc = np.isinf(t2)
+        v2[trunc] = last[trunc]
+        v1[open1] = last[open1]
+    return [e[:4] for e in exits]
+
+
+def _harvest_exits_blockwise(spec, pair, n_paths, seed):
+    """_harvest_exits of one spec."""
+    return _harvest_exits([spec], pair, n_paths, seed)[0]
 
 
 def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
@@ -273,32 +298,44 @@ def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
     spec's horizon is truncated: it contributes its terminal value, and a
     warning is issued when their fraction exceeds 1%.
     """
-    if kind not in ("martingale", "supermartingale"):
-        raise InvalidParameter(f"kind must be martingale|supermartingale, got {kind!r}")
+    return verify_shared_stopping([(spec, kind)], pair, n_paths, seed)[0]
+
+
+def verify_shared_stopping(checks, pair: RegionPair, n_paths: int,
+                           seed: int) -> list:
+    """verify_optional_stopping of each (spec, kind) in checks, from one
+    harvest pass: path i of every spec draws the same stream, seeded and
+    drawn once (_harvest_exits says which specs may share one)."""
+    for _, kind in checks:
+        if kind not in ("martingale", "supermartingale"):
+            raise InvalidParameter(
+                f"kind must be martingale|supermartingale, got {kind!r}")
     if n_paths <= 1:
         raise InvalidParameter("need at least 2 paths")
-    t1, v1, t2, v2 = _harvest_exits_blockwise(spec, pair, n_paths, seed)
-    diff = v2 - v1
-    n = n_paths
-    rep = OsReport(
-        n_paths=n,
-        mean_inner=float(v1.mean()), se_inner=float(v1.std(ddof=1) / math.sqrt(n)),
-        mean_outer=float(v2.mean()), se_outer=float(v2.std(ddof=1) / math.sqrt(n)),
-        mean_diff=float(diff.mean()), se_diff=float(diff.std(ddof=1) / math.sqrt(n)),
-        truncated_inner=float(np.mean(np.isinf(t1))),
-        truncated_outer=float(np.mean(np.isinf(t2))),
-        kind=kind, ci_multiple=3.0,
-        verdict="",
-    )
-    allowance = rep.ci_multiple * rep.se_diff
-    if kind == "martingale":
-        verdict = "holds" if abs(rep.mean_diff) <= allowance else "violated"
-    else:
-        verdict = "holds" if rep.mean_diff <= allowance else "violated"
-    rep = dataclasses.replace(rep, verdict=verdict)
-    if rep.truncated_outer > TRUNCATION_WARN_FRACTION:
-        warnings.warn(
-            f"truncation fraction {rep.truncated_outer:.3%} exceeds "
-            f"{TRUNCATION_WARN_FRACTION:.0%}; expectations are biased toward "
-            "terminal values", stacklevel=2)
-    return rep
+    if not checks:
+        return []
+    exits = _harvest_exits([spec for spec, _ in checks], pair, n_paths, seed)
+    reps = []
+    for (t1, v1, t2, v2), (_, kind) in zip(exits, checks):
+        diff = v2 - v1
+        rep = OsReport(
+            n_paths=n_paths, mean_inner=float(v1.mean()), se_inner=_se(v1),
+            mean_outer=float(v2.mean()), se_outer=_se(v2),
+            mean_diff=float(diff.mean()), se_diff=_se(diff),
+            truncated_inner=float(np.mean(np.isinf(t1))),
+            truncated_outer=float(np.mean(np.isinf(t2))),
+            kind=kind, ci_multiple=3.0, verdict="")
+        excess = abs(rep.mean_diff) if kind == "martingale" else rep.mean_diff
+        holds = excess <= rep.ci_multiple * rep.se_diff
+        reps.append(dataclasses.replace(
+            rep, verdict="holds" if holds else "violated"))
+        if rep.truncated_outer > TRUNCATION_WARN_FRACTION:
+            warnings.warn(
+                f"truncation fraction {rep.truncated_outer:.3%} exceeds "
+                f"{TRUNCATION_WARN_FRACTION:.0%}; expectations are biased "
+                "toward terminal values", stacklevel=3)
+    return reps
+
+
+def _se(a):
+    return float(a.std(ddof=1) / math.sqrt(a.size))

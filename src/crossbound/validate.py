@@ -30,7 +30,8 @@ from .sim import (
     path_blocks,
     step_draws,
 )
-from .stopping import RegionPair, verify_optional_stopping
+from .stopping import RegionPair, verify_shared_stopping
+from .stopping import verify_optional_stopping  # noqa: F401  (likewise)
 
 SCHEMA_VERSION = "1"
 
@@ -361,28 +362,40 @@ def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1) -> int:
     return n_workers
 
 
-def stopping_row(spec: ProcessSpec, pair: RegionPair, n_paths: int,
-                 seed: int, kind: str = "martingale", label: str = "stopping",
-                 alpha: float = 0.01) -> ValidationReport:
-    """One optional-stopping check as a report row.
+def stopping_rows(rows: Sequence[tuple], pair: RegionPair, n_paths: int,
+                  seed: int, alpha: float = 0.01) -> list:
+    """A report row per (spec, kind, label) of rows, from one harvest pass
+    (stopping.verify_shared_stopping) that draws each path once.
 
     n_crossed counts the paths that left the outer region within the
     spec's horizon; p_hat, ci_lo and ci_hi are their fraction and its
     Clopper-Pearson interval, to which alone alpha applies.  The verdict is
     verify_optional_stopping's fixed paired-SE rule, and extra is its
-    OsReport.
+    OsReport.  runtime_seconds is the whole pass's measured time, in
+    every row, not a share of it.
     """
     _check_run(n_paths, alpha)
     t0 = time.perf_counter()
-    rep = verify_optional_stopping(spec, pair, n_paths, seed, kind=kind)
-    k = int(round((1.0 - rep.truncated_outer) * n_paths))
-    lo, hi = clopper_pearson(k, n_paths, alpha)
-    return ValidationReport(
-        label=label, n_paths=n_paths, n_crossed=k, p_hat=k / n_paths,
-        ci_lo=lo, ci_hi=hi, bound=math.nan, verdict=rep.verdict,
-        truncation_fraction=rep.truncated_outer,
-        runtime_seconds=time.perf_counter() - t0, alpha=alpha, seed=seed,
-        extra=rep.to_dict())
+    reps = verify_shared_stopping([(spec, kind) for spec, kind, _ in rows],
+                                  pair, n_paths, seed)
+    secs = time.perf_counter() - t0
+    out = []
+    for (_, _, label), rep in zip(rows, reps):
+        k = int(round((1.0 - rep.truncated_outer) * n_paths))
+        lo, hi = clopper_pearson(k, n_paths, alpha)
+        out.append(ValidationReport(
+            label=label, n_paths=n_paths, n_crossed=k, p_hat=k / n_paths,
+            ci_lo=lo, ci_hi=hi, bound=math.nan, verdict=rep.verdict,
+            truncation_fraction=rep.truncated_outer, runtime_seconds=secs,
+            alpha=alpha, seed=seed, extra=rep.to_dict()))
+    return out
+
+
+def stopping_row(spec: ProcessSpec, pair: RegionPair, n_paths: int,
+                 seed: int, kind: str = "martingale", label: str = "stopping",
+                 alpha: float = 0.01) -> ValidationReport:
+    """One optional-stopping check as a report row: stopping_rows of one."""
+    return stopping_rows([(spec, kind, label)], pair, n_paths, seed, alpha)[0]
 
 
 def halving_allowance(p_fine: float, p_coarse: float) -> float:

@@ -362,3 +362,67 @@ class TestHarvest:
             got = stopping._harvest_exits_blockwise(spec, pair, n_paths, seed)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+# Spec sets that draw one stream (one fill on one grid), each against one
+# pair: some paths leave the outer region within the first 128-step block
+# under one spec and after it, or never, under another; some are truncated.
+BM = Brownian(dt=0.01, horizon=3.0)
+SHARED_SETS = [
+    ([LazyWalk(1.0, 300), LazyWalk(1.0, 300, drift=-0.1),
+      LazyWalk(0.5, 300, drift=0.05)], _pair(-5.0, 5.0, -15.0, 15.0)),
+    ([IidSum(BernoulliIncrements(0.3), 300),
+      IidSum(BernoulliIncrements(0.5), 300), IidSum(UniformIncrements(), 300),
+      IidSum(TwoPointIncrements(hi=1.0, lo=-0.5, p_hi=1.0 / 3.0), 300)],
+     _pair(-3.0, 3.0, -8.0, 8.0)),
+    ([BM, ExpSupermartingale(BM, s=1.0, phi=PHI_G)],
+     _pair(-0.5, 1.5, -1.0, 2.5)),
+]
+SHARED_IDS = ["walks", "uniform_laws", "brownian_and_exp"]
+
+
+class TestSharedHarvest:
+    @pytest.mark.parametrize("seed", [77, 6007])
+    @pytest.mark.parametrize("specs,pair", SHARED_SETS, ids=SHARED_IDS)
+    def test_equals_one_harvest_per_spec(self, specs, pair, seed):
+        got = stopping._harvest_exits(specs, pair, 300, seed)
+        assert len(got) == len(specs)
+        for spec, exits in zip(specs, got):
+            want = stopping._harvest_exits_blockwise(spec, pair, 300, seed)
+            for g, w in zip(exits, want):
+                assert np.array_equal(g, w)
+        # the set covers what a shared pass must keep apart
+        first_block = _horizon(specs[0]) * 128 / 300
+        t2 = np.array([t for _, _, t, _ in got])
+        assert np.isinf(t2).any() and np.isfinite(t2).any()
+        assert np.any((t2.min(axis=0) <= first_block)
+                      & (t2.max(axis=0) > first_block))
+
+    @pytest.mark.parametrize("specs", [
+        [BM, LazyWalk(1.0, 300)],
+        [LazyWalk(1.0, 300), LazyWalk(1.0, 200)],
+        [BM, Brownian(dt=0.02, horizon=3.0)],
+        [BM, Brownian(dt=0.02, horizon=6.0)],       # same step count
+        [IidSum(CustomIncrements(_normal_half), 300)] * 2,
+        [PoissonCounting(lam=2.0, horizon=4.0),
+         PoissonCounting(lam=2.0, horizon=4.0, centered=True)],
+        [PoissonCounting(lam=2.0, horizon=4.0), LazyWalk(1.0, 300)],
+    ], ids=["brownian_walk", "walk_n", "brownian_dt", "brownian_dt_same_n",
+            "two_custom", "two_poisson", "poisson_walk"])
+    def test_other_streams_refused_before_drawing(self, monkeypatch, specs):
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(stopping, "path_streams", no_draws)
+        monkeypatch.setattr(stopping, "path_blocks", no_draws)
+        with pytest.raises(InvalidParameter, match="harvest pass"):
+            stopping.verify_shared_stopping(
+                [(spec, "martingale") for spec in specs], PAIR_3_5, 200, 1)
+
+    def test_one_spec_is_verify_optional_stopping(self):
+        spec = LazyWalk(1.0, 300, drift=-0.1)
+        shared = stopping.verify_shared_stopping(
+            [(LazyWalk(1.0, 300), "martingale"), (spec, "supermartingale")],
+            PAIR_3_5, 500, 21)
+        assert shared[1] == verify_optional_stopping(
+            spec, PAIR_3_5, 500, 21, kind="supermartingale")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from crossbound.validate import (
     _RowStats,
     _verdict,
     stopping_row,
+    stopping_rows,
 )
 
 
@@ -184,6 +186,38 @@ class TestStoppingRow:
             assert got.pop("runtime_seconds") >= 0.0
             assert math.isnan(got.pop("bound"))
             assert got == want
+
+    def test_preset_seeds_each_path_once(self, monkeypatch):
+        # both rows read path_rng(42, i): one shared pass sets up each
+        # stream once, not once per row
+        streams = stopping.path_streams
+        made = []
+
+        def counting(*args):
+            for gen in streams(*args):
+                made.append(gen)
+                yield gen
+
+        monkeypatch.setattr(stopping, "path_streams", counting)
+        rows = run_optional_stopping(paths=4000, seed=42)
+        assert len(made) == 4000
+        # each row reports the shared pass's measured time, not a share
+        assert rows[0].runtime_seconds == rows[1].runtime_seconds > 0.0
+
+    def test_rows_equal_one_row_each(self):
+        pair = walk_region_pair()
+        checks = [(LazyWalk(1.0, 300), "martingale", "a"),
+                  (LazyWalk(1.0, 300, drift=-0.1), "supermartingale", "b")]
+        shared = stopping_rows(checks, pair, 500, seed=5, alpha=0.05)
+        for row, (spec, kind, label) in zip(shared, checks):
+            one = stopping_row(spec, pair, 500, seed=5, kind=kind,
+                               label=label, alpha=0.05)
+            assert (dataclasses.replace(row, runtime_seconds=0.0)
+                    == dataclasses.replace(one, runtime_seconds=0.0))
+
+    def test_no_rows_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(stopping, "path_streams", None)
+        assert stopping_rows([], walk_region_pair(), 100, seed=1) == []
 
     @pytest.mark.filterwarnings("ignore:truncation fraction")
     def test_counts_outer_exits(self):
