@@ -99,8 +99,16 @@ class MgfBound:
     """A phi function together with its open domain (-a, b) and validity flags.
 
     ``phi`` accepts scalars or numpy arrays and is not domain-checked; callers
-    check s with :meth:`contains`.  Instances are immutable and safe to share
-    across workers.
+    check s with :meth:`contains`.  It must be a pure function of s, because
+    what is derived from it is cached on the instance, in ``memo``: the record
+    :meth:`describe` echoes, and per side (``"upper"``, ``"lower"``) the
+    optimizer's gamma-free work (its probe grid and phi on it, the slope
+    root's monotonicity verdict and its doubling ratios or edge limit, and
+    phi(s)/s at the domain edge and at infinity), each filled on first use.
+    Filling is idempotent: threads that race compute the same values and one
+    is kept, so an instance stays safe to share across workers.  The other
+    fields are frozen; a ``dataclasses.replace`` copy starts with an empty
+    memo.
     """
 
     a: float
@@ -111,17 +119,22 @@ class MgfBound:
     lower_tail_supported: bool = True
     label: str = "custom"
     kind: Optional[PhiKind] = field(default=None, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def contains(self, s) -> bool:
         s = np.asarray(s, dtype=float)
         return bool(np.all(s > -self.a) and np.all(s < self.b))
 
     def describe(self) -> dict:
-        """Serializable parameter echo for reports."""
-        rec = {"phi": self.label, "a": self.a, "b": self.b}
-        if self.kind is not None and not isinstance(self.kind, Custom):
-            rec.update(phi_kind_to_dict(self.kind))
-        return rec
+        """Serializable parameter echo for reports (a fresh copy per call)."""
+        rec = self.memo.get("describe")
+        if rec is None:
+            rec = {"phi": self.label, "a": self.a, "b": self.b}
+            if self.kind is not None and not isinstance(self.kind, Custom):
+                rec.update(phi_kind_to_dict(self.kind))
+            rec = self.memo.setdefault("describe", rec)
+        return dict(rec)
 
 
 def _positive(name: str, value: float) -> float:
@@ -129,6 +142,28 @@ def _positive(name: str, value: float) -> float:
     if not (value > 0.0) or not math.isfinite(value):
         raise InvalidParameter(f"{name} must be a positive finite number, got {value}")
     return value
+
+
+_SMALL_S = 1e-3  # below this |s|, _near_zero's second form serves
+
+
+def _near_zero(phi_big: Callable, phi_small: Callable) -> Callable:
+    """phi_big(s), but phi_small(s) at |s| < _SMALL_S.
+
+    phi_big's terms of order s cancel near 0 and leave rounding noise as
+    large as the order-s^2 value (Hoeffding's phi read -8.5e-17 at s = 1e-8);
+    the log1p/expm1 form keeps the digits there but overflows at large s.
+    Values at |s| >= _SMALL_S are phi_big's, bit for bit.
+    """
+    def phi(s):
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 0:
+            return (phi_small if abs(s) < _SMALL_S else phi_big)(s)
+        small = np.abs(s) < _SMALL_S
+        if not small.any():
+            return phi_big(s)
+        return np.where(small, phi_small(np.where(small, s, 0.0)), phi_big(s))
+    return phi
 
 
 def make_phi(kind: PhiKind) -> MgfBound:
@@ -149,13 +184,17 @@ def make_phi(kind: PhiKind) -> MgfBound:
         ws = sigma2 / (b * b + sigma2)
         r = sigma2 / b
 
-        def phi(s, wb=wb, ws=ws, r=r, b=b):
-            s = np.asarray(s, dtype=float)
+        def phi_big(s, wb=wb, ws=ws, r=r, b=b):
             # log-sum-exp for numerical stability at large |s|
             e1 = -r * s + np.log(wb)
             e2 = b * s + np.log(ws)
             m = np.maximum(e1, e2)
             return m + np.log(np.exp(e1 - m) + np.exp(e2 - m))
+
+        phi = _near_zero(
+            phi_big,
+            lambda s, wb=wb, ws=ws, r=r, b=b:
+                np.log1p(wb * np.expm1(-r * s) + ws * np.expm1(b * s)))
 
         def phi_deriv(s, wb=wb, ws=ws, r=r, b=b):
             s = np.asarray(s, dtype=float)
@@ -173,10 +212,11 @@ def make_phi(kind: PhiKind) -> MgfBound:
         if not (0.0 < mu < 1.0):
             raise InvalidParameter(f"mu must lie in (0, 1), got {mu}")
 
-        def phi(s, mu=mu):
-            s = np.asarray(s, dtype=float)
-            # ln(1 - mu + mu e^s) - mu s, stable for large positive s
-            return np.logaddexp(np.log(1.0 - mu), np.log(mu) + s) - mu * s
+        # ln(1 - mu + mu e^s) - mu s, stable for large positive s
+        phi = _near_zero(
+            lambda s, mu=mu:
+                np.logaddexp(np.log(1.0 - mu), np.log(mu) + s) - mu * s,
+            lambda s, mu=mu: np.log1p(mu * np.expm1(s)) - mu * s)
 
         def phi_deriv(s, mu=mu):
             s = np.asarray(s, dtype=float)

@@ -2,10 +2,11 @@
 
 The two consumers are the tail-exponent infimum  inf_{s in (0, R)} phi(+-s) - gamma s
 and the largest usable s on a side, i.e. the domain edge or the root of
-phi(+-s)/s = gamma.  Each probe grid is one array call of phi; the minimizer
-and the root then come from one shared bisection of a monotone predicate,
-which calls phi only inside a box that a bracketed secant puts around the
-switch (see ``_bisect``).  Central differences (a Custom phi without
+phi(+-s)/s = gamma.  Each probe grid is one array call of phi, made once per
+(phi, side) and kept with the rest of the gamma-free work in ``MgfBound.memo``
+(``_SideTable``).  The minimizer and the root then come from one shared
+bisection of a monotone predicate, which calls phi only inside a box that a
+bracketed secant puts around the switch (see ``_bisect``).  Central differences (a Custom phi without
 phi_deriv) may move s* by up to 1e-9 relative from the plain bisection's.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -68,17 +70,95 @@ class SlopeRoot:
     empty: bool = False
 
 
-def _side_objective(phi: MgfBound, side: str) -> Tuple[Callable, float]:
-    """phi(+-s) as an array function of s > 0, and the domain radius on the side."""
-    if side == "upper":
-        return (lambda s: np.asarray(phi.phi(s), dtype=float)), phi.b
-    if side == "lower":
-        if not phi.lower_tail_supported:
-            raise UnsupportedSide(
-                f"{phi.label} is defined for upper-tail use only"
-            )
-        return (lambda s: np.asarray(phi.phi(np.negative(s)), dtype=float)), phi.a
-    raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
+class _SideTable:
+    """What both entry points compute from (phi, side) alone: ``g``, phi(+-s)
+    as an array function of s > 0, the domain radius on the side, and parts
+    that are each filled on first use and then read at every gamma."""
+
+    def __init__(self, phi: MgfBound, side: str):
+        if side not in ("upper", "lower"):
+            raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
+        if side == "lower" and not phi.lower_tail_supported:
+            raise UnsupportedSide(f"{phi.label} is defined for upper-tail use only")
+        p = phi.phi
+        if side == "upper":
+            self.g, self.radius = (lambda s: np.asarray(p(s), dtype=float)), phi.b
+        else:
+            self.g, self.radius = (
+                lambda s: np.asarray(p(np.negative(s)), dtype=float)), phi.a
+        self.finite = math.isfinite(self.radius)
+        # top of the slope root's ratio grid: just inside a finite edge
+        self.hi_probe = (self.radius * (1.0 - 2.0 ** -40) if self.finite
+                         else _S_CAP)
+
+    @cached_property
+    def probes(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The minimizer's decrease probes, phi(+-s) on them, and phi(s)/s at
+        the small-s point among them that proxies "phi < gamma |s" near 0"."""
+        radius = self.radius
+        # log-spaced grid, on a finite domain also radius (1 - 2^-k) up to k = 49
+        s_heur = 1e-6 * min(1.0, radius if self.finite else 1.0)
+        if self.finite:
+            probes = np.sort(np.concatenate([
+                np.geomspace(radius * 1e-9, radius * 0.5, 40),
+                radius * (1.0 - _HALVINGS),
+                [s_heur],
+            ]))
+            # drop repeats (radius/2 is on both grids) as np.unique would,
+            # without the numpy.ma import np.unique costs
+            probes = probes[np.append(True, probes[1:] != probes[:-1])]
+        else:
+            probes = _PROBES_INF
+        with np.errstate(over="ignore", invalid="ignore"):
+            gv = self.g(probes)
+        return probes, gv, float(gv[np.searchsorted(probes, s_heur)]) / s_heur
+
+    @cached_property
+    def edge_ratio(self) -> float:
+        """Richardson-extrapolated lim_{s -> radius-} phi(+-s)/s from
+        s = radius (1 - 2^-k), k = 43, 44."""
+        s = self.radius * (1.0 - _HALVINGS[42:44])
+        r_prev, r_last = self.g(s) / s
+        return float(r_last + (r_last - r_prev))
+
+    @cached_property
+    def infinity_ratio(self) -> float:
+        """lim_{s -> inf} phi(+-s)/s read along s = 2^k, k <= 40 (may be +inf)."""
+        s = _POW2[:41]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self.g(s) / s
+            settled = np.abs(np.diff(r)) <= 1e-12 * (1.0 + np.abs(r[1:]))
+        return float(r[1:][settled][0] if settled.any() else r[-1])
+
+    @cached_property
+    def ratio_drop(self) -> float:
+        """Where phi(+-s)/s first decreases on the slope root's probe grid,
+        or NaN when it never does."""
+        hi = self.hi_probe
+        pts = (np.geomspace(max(1e-12, hi * 1e-12), hi, 60) if self.finite
+               else _RATIO_GRID_INF)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rv = self.g(pts) / pts
+        keep = np.isfinite(rv)
+        pts, rv = pts[keep], rv[keep]
+        drops = np.nonzero(np.diff(rv) < -1e-9 * (1.0 + np.abs(rv[1:])))[0]
+        return float(pts[drops[0] + 1]) if drops.size else math.nan
+
+    @cached_property
+    def doubling_ratios(self) -> np.ndarray:
+        """phi(+-s)/s along s = 2^k, k < 40, where an unbounded domain's
+        slope root looks for its bracket."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.g(_POW2[:40]) / _POW2[:40]
+
+
+def _side_table(phi: MgfBound, side: str) -> _SideTable:
+    """phi's table for the side, made on first use (a side phi does not
+    support raises and stores nothing)."""
+    table = phi.memo.get(side)
+    if table is None:
+        table = phi.memo.setdefault(side, _SideTable(phi, side))
+    return table
 
 
 def _weight(fx: float, f_moved: float) -> float:
@@ -90,10 +170,11 @@ def _weight(fx: float, f_moved: float) -> float:
 
 
 def _bisect(f: Callable[[float], float], above: Callable[[float], bool],
-            lo: float, hi: float, done: Callable[[float, float], bool],
+            lo: float, hi: float, rtol: float,
             f_lo: float, f_hi: float) -> Tuple[float, float]:
     """Halve [lo, hi] toward the switch of the monotone predicate above(f(s)),
-    keeping it false at lo and true at hi, until done(lo, hi) or 200 steps.
+    keeping it false at lo and true at hi, until hi - lo <= rtol max(1, lo)
+    or 200 steps.
 
     First a bracketed secant (Anderson-Bjorck rule; a bisection step when it
     leaves the bracket or fails to halve it in 3 steps) boxes the switch in
@@ -124,32 +205,16 @@ def _bisect(f: Callable[[float], float], above: Callable[[float], bool],
             if moved == -1:
                 fb *= _weight(fx, fa)
             a, fa, moved = x, fx, -1
+    below, beyond = a - w, b + w
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid > b + w or (mid >= a - w and above(f(mid))):
+        if mid > beyond or (mid >= below and above(f(mid))):
             hi = mid
         else:
             lo = mid
-        if done(lo, hi):
+        if hi - lo <= rtol * (lo if lo > 1.0 else 1.0):  # rtol max(1, lo)
             break
     return lo, hi
-
-
-def _limit_ratio_at_edge(g: Callable, radius: float) -> float:
-    """Richardson-extrapolated lim_{s -> radius-} g(s)/s from s = radius (1 - 2^-k),
-    k = 43, 44."""
-    s = radius * (1.0 - _HALVINGS[42:44])
-    r_prev, r_last = g(s) / s
-    return float(r_last + (r_last - r_prev))
-
-
-def _limit_ratio_at_infinity(g: Callable) -> float:
-    """lim_{s -> inf} g(s)/s read along s = 2^k, k <= 40 (may be +inf)."""
-    s = _POW2[:41]
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = g(s) / s
-        settled = np.abs(np.diff(r)) <= 1e-12 * (1.0 + np.abs(r[1:]))
-    return float(r[1:][settled][0] if settled.any() else r[-1])
 
 
 def _limit_value_at_infinity(h: Callable) -> float:
@@ -181,31 +246,15 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
     """
     if not (gamma > 0.0):
         raise DomainViolation(f"gamma must be positive, got {gamma}")
-    g, radius = _side_objective(phi, side)
+    table = _side_table(phi, side)
+    g, radius, finite = table.g, table.radius, table.finite
     h = lambda s: g(s) - gamma * s
 
-    finite = math.isfinite(radius)
-    # Decrease probe: log-spaced grid (on a finite domain also radius (1 - 2^-k)
-    # up to k = 49) plus the small-s heuristic point used to proxy the
-    # "phi < gamma |s| near 0" hypothesis.
-    s_heur = 1e-6 * min(1.0, radius if finite else 1.0)
-    if finite:
-        probes = np.sort(np.concatenate([
-            np.geomspace(radius * 1e-9, radius * 0.5, 40),
-            radius * (1.0 - _HALVINGS),
-            [s_heur],
-        ]))
-        # drop repeats (radius/2 is on both grids) as np.unique would,
-        # without the numpy.ma import np.unique costs
-        probes = probes[np.append(True, probes[1:] != probes[:-1])]
-    else:
-        probes = _PROBES_INF
+    probes, gv, slope0 = table.probes
     with np.errstate(over="ignore", invalid="ignore"):
-        gv = g(probes)
         hv = gv - gamma * probes
     hv = np.where(np.isnan(hv), np.inf, hv)
     if np.all(hv >= -1e-13 * (1.0 + np.abs(hv))):
-        slope0 = float(gv[np.searchsorted(probes, s_heur)]) / s_heur
         return OptResult(s_opt=0.0, value=0.0, slope=slope0,
                          attained=False, location="origin", side=side)
 
@@ -230,11 +279,11 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
         if s > _S_CAP or (d_hi := dh(hi_b)) < 0.0:
             return OptResult(s_opt=math.inf,
                              value=min(_limit_value_at_infinity(h), 0.0),
-                             slope=_limit_ratio_at_infinity(g), attained=False,
+                             slope=table.infinity_ratio, attained=False,
                              location="boundary", side=side)
     elif i == probes.size - 1:
         # The argmin hugs the edge: the infimum is at the boundary.
-        slope_limit = _limit_ratio_at_edge(g, radius)
+        slope_limit = table.edge_ratio
         value = radius * (slope_limit - gamma)
         return OptResult(s_opt=radius, value=min(value, 0.0),
                          slope=slope_limit, attained=False,
@@ -251,9 +300,7 @@ def minimize_tail_exponent(phi: MgfBound, gamma: float,
     if not d_lo < 0.0 <= d_hi:
         raise NotUnimodal(
             f"h' does not change sign on [{lo_b:g}, {hi_b:g}] on the {side} side")
-    lo, hi = _bisect(dh, lambda d: not d < 0.0, lo_b, hi_b,
-                     lambda a, b: b - a <= 1e-15 * max(1.0, a),
-                     d_lo, d_hi)
+    lo, hi = _bisect(dh, lambda d: not d < 0.0, lo_b, hi_b, 1e-15, d_lo, d_hi)
     s_opt = 0.5 * (lo + hi)
     pts = np.append(np.linspace(lo_b, hi_b, 33)[1:-1], s_opt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,43 +331,29 @@ def solve_slope_root(phi: MgfBound, gamma: float,
     """
     if not (gamma > 0.0):
         raise DomainViolation(f"gamma must be positive, got {gamma}")
-    g, radius = _side_objective(phi, side)
-    f = lambda s: float(g(s)) / s - gamma  # > 0 exactly where phi(s)/s > gamma
-
-    finite = math.isfinite(radius)
-    hi_probe = radius * (1.0 - 2.0 ** -40) if finite else _S_CAP
-    pts = (np.geomspace(max(1e-12, hi_probe * 1e-12), hi_probe, 60) if finite
-           else _RATIO_GRID_INF)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rv = g(pts) / pts
-    keep = np.isfinite(rv)
-    pts, rv = pts[keep], rv[keep]
-    drops = np.nonzero(np.diff(rv) < -1e-9 * (1.0 + np.abs(rv[1:])))[0]
-    if drops.size:
-        s_bad = float(pts[drops[0] + 1])
+    table = _side_table(phi, side)
+    if not math.isnan(s_bad := table.ratio_drop):
         raise MonotonicityViolation(
             f"phi(s)/s decreases near s={s_bad:g} on the {side} side"
         )
+    g, radius = table.g, table.radius
+    f = lambda s: float(g(s)) / s - gamma  # > 0 exactly where phi(s)/s > gamma
 
-    if finite:
-        if _limit_ratio_at_edge(g, radius) <= gamma:
+    if table.finite:
+        if table.edge_ratio <= gamma:
             return SlopeRoot(s_root=radius, side=side, is_boundary=True)
-        hi = hi_probe
+        hi = table.hi_probe
         while (f_hi := f(hi)) <= 0.0:  # push the bracket into the unchecked sliver
             hi = radius - (radius - hi) / 2.0
     else:
-        doubling = _POW2[:40]
-        with np.errstate(over="ignore", invalid="ignore"):
-            above = ~(g(doubling) / doubling <= gamma)
+        above = ~(table.doubling_ratios <= gamma)
         if not above.any():
             return SlopeRoot(s_root=math.inf, side=side, is_boundary=True)
-        hi = float(doubling[np.argmax(above)])
+        hi = float(_POW2[np.argmax(above)])
         f_hi = f(hi)
     lo = min(1e-9, hi * 1e-9)
     if (f_lo := f(lo)) >= 0.0:
         # phi(s)/s already above gamma arbitrarily close to 0: empty side set.
         return SlopeRoot(s_root=0.0, side=side, is_boundary=False, empty=True)
-    lo, hi = _bisect(f, lambda v: v > 0.0, lo, hi,
-                     lambda a, b: b - a <= _TOL * max(1.0, a),
-                     f_lo, f_hi)
+    lo, hi = _bisect(f, lambda v: v > 0.0, lo, hi, _TOL, f_lo, f_hi)
     return SlopeRoot(s_root=0.5 * (lo + hi), side=side, is_boundary=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,64 @@ def test_catalog_examples():
     assert make_phi(Uniform24()).phi(0.0) == 0.0
     val = make_phi(PoissonCentered(1.0)).phi(math.log(2.0))
     assert val == pytest.approx(1.0 - math.log(2.0), rel=1e-15)
+
+
+# phis whose log-sum-exp form cancels its terms of order s near 0, with phi''(0)
+NEAR_ZERO = [(HoeffdingBernoulli(0.3), 0.21), (Bennett(1.0, 1.0), 1.0),
+             (Bennett(1.0, 2.0), 1.0), (Bennett(2.0, 0.5), 2.0)]
+
+
+def _log_sum_exp_phi(kind, s):
+    """Frozen reference: the log-sum-exp forms, which make_phi keeps for
+    |s| >= 1e-3."""
+    s = np.asarray(s, dtype=float)
+    if isinstance(kind, HoeffdingBernoulli):
+        mu = kind.mu
+        return np.logaddexp(np.log(1.0 - mu), np.log(mu) + s) - mu * s
+    b, sigma2 = kind.b, kind.sigma2
+    wb, ws, r = b * b / (b * b + sigma2), sigma2 / (b * b + sigma2), sigma2 / b
+    e1 = -r * s + np.log(wb)
+    e2 = b * s + np.log(ws)
+    m = np.maximum(e1, e2)
+    return m + np.log(np.exp(e1 - m) + np.exp(e2 - m))
+
+
+@pytest.mark.parametrize("kind, var", NEAR_ZERO, ids=repr)
+class TestNearZero:
+    def test_keeps_the_s2_term(self, kind, var):
+        # the log-sum-exp form read phi(1e-8) = -8.5e-17 for Hoeffding(0.3)
+        phi = make_phi(kind)
+        for s in (1e-8, -1e-8, 1e-7, -1e-7):
+            v = float(phi.phi(s))
+            assert v > 0.0
+            assert v == pytest.approx(0.5 * var * s * s, rel=1e-6, abs=0.0)
+
+    def test_same_bits_from_the_cut_up(self, kind, var):
+        s = np.array([-800.0, -40.0, -3.0, -0.5, -1e-3, 1e-3, 2e-3, 0.5,
+                      3.0, 40.0, 800.0])
+        phi = make_phi(kind)
+        want = _log_sum_exp_phi(kind, s)
+        mixed = np.asarray(phi.phi(np.concatenate([s, [1e-8, -1e-7]])))
+        assert mixed[:s.size].tobytes() == want.tobytes()
+        assert [float(phi.phi(x)) for x in s] == [float(w) for w in want]
+        assert mixed[s.size:].tolist() == [float(phi.phi(1e-8)),
+                                           float(phi.phi(-1e-7))]
+
+    def test_valid_across_the_cut(self, kind, var):
+        grid = [-2.0, -1e-3, -9.99e-4, -1e-8, 1e-8, 9.99e-4, 1e-3, 1.1e-3,
+                0.5, 2.0]
+        report = check_phi_validity(make_phi(kind), grid)
+        assert report.ok, report.violations
+
+
+def test_describe_hands_out_copies():
+    phi = make_phi(Bennett(1.0, 2.0))
+    want = phi.describe()
+    got = phi.describe()
+    got["phi"] = "edited"
+    assert phi.describe() == want and want["phi"] == "bennett"
+    # a copy with another label starts with an empty memo
+    assert dataclasses.replace(phi, label="other").describe()["phi"] == "other"
 
 
 def test_domains():

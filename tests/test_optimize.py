@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -24,11 +26,13 @@ from crossbound import (
     azuma_bound,
     cbb_bounds,
     eta_bound,
+    line_bound,
     make_phi,
     minimize_tail_exponent,
     optimized_line_bound,
     poisson_bounds,
     solve_slope_root,
+    vee_bound,
 )
 from crossbound import optimize
 
@@ -276,7 +280,7 @@ def test_finite_domain_probes_are_the_unique_grid(phi):
     assert want.size < sum(map(len, parts))
 
 
-def _one_call_bisect(f, above, lo, hi, done, f_lo, f_hi):
+def _one_call_bisect(f, above, lo, hi, rtol, f_lo, f_hi):
     """Frozen oracle: the bisection as it was before the secant box, one f
     call per midpoint."""
     for _ in range(200):
@@ -285,7 +289,7 @@ def _one_call_bisect(f, above, lo, hi, done, f_lo, f_hi):
             hi = mid
         else:
             lo = mid
-        if done(lo, hi):
+        if hi - lo <= rtol * max(1.0, lo):
             break
     return lo, hi
 
@@ -338,6 +342,19 @@ class TestRootFinder:
             solve_slope_root(phi, gamma)
             assert calls["phi"] <= 12, (gamma, calls)
 
+    def test_warm_call_budget(self):
+        # a second call reads the probe grids from phi's table
+        phi, calls = _counting_phi(Gaussian(1.0))
+        eta_bound(phi, 1.0, 0.5, variant="ray")
+        first = calls["phi"]
+        eta_bound(phi, 2.0, 0.5, variant="ray")
+        assert calls["phi"] - first <= 4, (first, calls)
+        phi, calls = _counting_phi(Gaussian(1.0))
+        vee_bound(phi, 1.0, 1.0)
+        first = calls["phi"]
+        vee_bound(phi, 2.0, 1.0)
+        assert calls["phi"] - first < first, (first, calls)
+
     def test_flat_tail_a_few_ulps_off_the_slope_at_infinity(self):
         # gamma = 1 - mu + 1.1e-16: rounding noise used to stop the doubling
         # with h' < 0 at both ends and raise NotUnimodal
@@ -345,3 +362,85 @@ class TestRootFinder:
         r = optimized_line_bound(make_phi(HoeffdingBernoulli(mu)),
                                  0.17333333333333345, 3.0)
         assert r.bound == pytest.approx(mu ** 3, abs=1e-9)
+
+
+# (gamma, eta, v_tau) from gamma = 1e-3 to 1e3
+TABLE_GRID = [(g, eta, v) for g, (eta, v) in zip(
+    np.geomspace(1e-3, 1e3, 13).tolist(),
+    [(0.5, 1.0), (2.0, 0.3), (0.1, 5.0)] * 5)]
+EVALUATORS = {
+    "minimize": lambda phi, g, eta, v, side: minimize_tail_exponent(phi, g, side),
+    "slope_root": lambda phi, g, eta, v, side: solve_slope_root(phi, g, side),
+    "line": lambda phi, g, eta, v, side: line_bound(
+        phi, min(g, 0.5 * (phi.b if side == "upper" else phi.a), 10.0), g, v,
+        side),
+    "opt_line": lambda phi, g, eta, v, side: optimized_line_bound(phi, g, v, side),
+    "vee": lambda phi, g, eta, v, side: vee_bound(phi, g, v, side),
+    "eta_ray": lambda phi, g, eta, v, side: eta_bound(
+        phi, g, eta, side=side, variant="ray"),
+    "eta_vee": lambda phi, g, eta, v, side: eta_bound(
+        phi, g, eta, v, side=side, variant="vee"),
+}
+
+
+class TestSideTable:
+    """What optimize computes from (phi, side) alone is kept in phi.memo."""
+
+    @pytest.mark.parametrize("kind", CATALOG + (
+        Custom(phi=lambda s: s * s, a=1.0, b=7.0),), ids=repr)
+    def test_warm_phi_same_outcomes_as_fresh(self, kind):
+        shared = make_phi(kind)
+        for side in ("upper", "lower"):
+            for gamma, eta, v in TABLE_GRID:
+                for name, fn in EVALUATORS.items():
+                    args = (gamma, eta, v, side)
+                    assert (_outcome(fn, shared, *args)
+                            == _outcome(fn, make_phi(kind), *args)), (name, args)
+
+    def test_decreasing_ratio_raises_on_every_call(self):
+        phi, calls = _counting_phi(Custom(
+            phi=lambda s: np.abs(s) * (2.0 + np.sin(5.0 * s)), a=20.0, b=20.0))
+        seen = set()
+        for gamma in (2.0, 2.0, 0.5):
+            with pytest.raises(MonotonicityViolation) as info:
+                eta_bound(phi, gamma, 1.0, variant="ray")
+            seen.add(str(info.value))
+        assert len(seen) == 1
+        assert calls["phi"] == 1  # the verdict is read from the table
+
+    def test_replace_copy_starts_empty(self):
+        phi = make_phi(Bernstein(1.0))
+        minimize_tail_exponent(phi, 0.5)
+        seen = []
+
+        def recording(s):
+            seen.append(np.array(s, dtype=float))
+            return phi.phi(s)
+        minimize_tail_exponent(dataclasses.replace(phi, phi=recording), 0.5)
+        assert seen and seen[0].size > 80  # the probe grid, phi'd again
+
+    def test_shared_cold_phi_across_threads(self):
+        kinds = (Gaussian(1.0), Bernstein(1.0), HoeffdingBernoulli(0.3))
+        jobs = [(kind, side, name, args)
+                for kind in kinds for side in ("upper", "lower")
+                for name in EVALUATORS for args in TABLE_GRID[::4]]
+        want = [_outcome(EVALUATORS[name], make_phi(kind), *args, side)
+                for kind, side, name, args in jobs]
+        shared = {kind: make_phi(kind) for kind in kinds}
+        got = [[] for _ in range(6)]
+
+        def work(out):
+            out.extend(_outcome(EVALUATORS[name], shared[kind], *args, side)
+                       for kind, side, name, args in jobs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(out == want for out in got)
