@@ -147,19 +147,20 @@ def _positive(name: str, value: float) -> float:
 _SMALL_S = 1e-3  # below this |s|, _near_zero's second form serves
 
 
-def _near_zero(phi_big: Callable, phi_small: Callable) -> Callable:
-    """phi_big(s), but phi_small(s) at |s| < _SMALL_S.
+def _near_zero(phi_big: Callable, phi_small: Callable,
+               cut: float = _SMALL_S) -> Callable:
+    """phi_big(s), but phi_small(s) at |s| < cut (cut <= _SMALL_S).
 
     phi_big's terms of order s cancel near 0 and leave rounding noise as
     large as the order-s^2 value (Hoeffding's phi read -8.5e-17 at s = 1e-8);
     the log1p/expm1 form keeps the digits there but overflows at large s.
-    Values at |s| >= _SMALL_S are phi_big's, bit for bit.
+    Values at |s| >= cut are phi_big's, bit for bit.
     """
     def phi(s):
         s = np.asarray(s, dtype=float)
         if s.ndim == 0:
-            return (phi_small if abs(s) < _SMALL_S else phi_big)(s)
-        small = np.abs(s) < _SMALL_S
+            return (phi_small if abs(s) < cut else phi_big)(s)
+        small = np.abs(s) < cut
         if not small.any():
             return phi_big(s)
         return np.where(small, phi_small(np.where(small, s, 0.0)), phi_big(s))
@@ -191,10 +192,13 @@ def make_phi(kind: PhiKind) -> MgfBound:
             m = np.maximum(e1, e2)
             return m + np.log(np.exp(e1 - m) + np.exp(e2 - m))
 
+        # The expm1 terms overflow once b|s| or r|s| passes ~709.8, which a
+        # large b or sigma2/b reaches below |s| = 1e-3; keep both at most 1.
         phi = _near_zero(
             phi_big,
             lambda s, wb=wb, ws=ws, r=r, b=b:
-                np.log1p(wb * np.expm1(-r * s) + ws * np.expm1(b * s)))
+                np.log1p(wb * np.expm1(-r * s) + ws * np.expm1(b * s)),
+            cut=min(_SMALL_S, 1.0 / max(b, r)))
 
         def phi_deriv(s, wb=wb, ws=ws, r=r, b=b):
             s = np.asarray(s, dtype=float)

@@ -37,14 +37,18 @@ def test_catalog_examples():
     assert val == pytest.approx(1.0 - math.log(2.0), rel=1e-15)
 
 
-# phis whose log-sum-exp form cancels its terms of order s near 0, with phi''(0)
-NEAR_ZERO = [(HoeffdingBernoulli(0.3), 0.21), (Bennett(1.0, 1.0), 1.0),
-             (Bennett(1.0, 2.0), 1.0), (Bennett(2.0, 0.5), 2.0)]
+# phis whose log-sum-exp form cancels its terms of order s near 0, with
+# phi''(0) and the scale M of the exponents (max(1, b, sigma2/b) for Bennett):
+# the log1p/expm1 form serves below |s| = min(1e-3, 1/M), so its expm1 terms
+# stay far from overflow (at about 709.8) for a large b or sigma2/b.
+NEAR_ZERO = [(HoeffdingBernoulli(0.3), 0.21, 1.0), (Bennett(1.0, 1.0), 1.0, 1.0),
+             (Bennett(1.0, 2.0), 1.0, 2.0), (Bennett(2.0, 0.5), 2.0, 4.0),
+             (Bennett(1.0, 1e6), 1.0, 1e6), (Bennett(1e12, 1e6), 1e12, 1e6)]
 
 
 def _log_sum_exp_phi(kind, s):
-    """Frozen reference: the log-sum-exp forms, which make_phi keeps for
-    |s| >= 1e-3."""
+    """Frozen reference: the log-sum-exp forms, which make_phi keeps from
+    the cut up."""
     s = np.asarray(s, dtype=float)
     if isinstance(kind, HoeffdingBernoulli):
         mu = kind.mu
@@ -57,32 +61,44 @@ def _log_sum_exp_phi(kind, s):
     return m + np.log(np.exp(e1 - m) + np.exp(e2 - m))
 
 
-@pytest.mark.parametrize("kind, var", NEAR_ZERO, ids=repr)
+@pytest.mark.parametrize("kind, var, scale", NEAR_ZERO, ids=repr)
 class TestNearZero:
-    def test_keeps_the_s2_term(self, kind, var):
+    def test_keeps_the_s2_term(self, kind, var, scale):
         # the log-sum-exp form read phi(1e-8) = -8.5e-17 for Hoeffding(0.3)
         phi = make_phi(kind)
         for s in (1e-8, -1e-8, 1e-7, -1e-7):
-            v = float(phi.phi(s))
+            v = float(phi.phi(s / scale))
             assert v > 0.0
-            assert v == pytest.approx(0.5 * var * s * s, rel=1e-6, abs=0.0)
+            assert v == pytest.approx(0.5 * var * (s / scale) ** 2,
+                                      rel=1e-6, abs=0.0)
 
-    def test_same_bits_from_the_cut_up(self, kind, var):
-        s = np.array([-800.0, -40.0, -3.0, -0.5, -1e-3, 1e-3, 2e-3, 0.5,
-                      3.0, 40.0, 800.0])
+    def test_same_bits_from_the_cut_up(self, kind, var, scale):
+        # 8e-4 and 9.99e-4 lie above 709.8 / M for M = 1e6, where the
+        # log1p/expm1 form would overflow to inf
+        cut = min(1e-3, 1.0 / scale)
+        s = np.array(sorted({x for x in [1e-3, 2e-3, 0.5, 3.0, 40.0, 800.0,
+                                         8e-4, 9.99e-4, cut, 2 * cut, 10 * cut]
+                             if x >= cut}))
+        s = np.concatenate([-s[::-1], s])
         phi = make_phi(kind)
         want = _log_sum_exp_phi(kind, s)
-        mixed = np.asarray(phi.phi(np.concatenate([s, [1e-8, -1e-7]])))
+        assert np.all(np.isfinite(want))
+        small = [1e-8 / scale, -1e-7 / scale]
+        mixed = np.asarray(phi.phi(np.concatenate([s, small])))
         assert mixed[:s.size].tobytes() == want.tobytes()
         assert [float(phi.phi(x)) for x in s] == [float(w) for w in want]
-        assert mixed[s.size:].tolist() == [float(phi.phi(1e-8)),
-                                           float(phi.phi(-1e-7))]
+        assert mixed[s.size:].tolist() == [float(phi.phi(x)) for x in small]
 
-    def test_valid_across_the_cut(self, kind, var):
-        grid = [-2.0, -1e-3, -9.99e-4, -1e-8, 1e-8, 9.99e-4, 1e-3, 1.1e-3,
-                0.5, 2.0]
+    def test_valid_across_the_cut(self, kind, var, scale):
+        cut = min(1e-3, 1.0 / scale)
+        grid = [-2.0, -cut, -0.999 * cut, -1e-8 / scale, 1e-8 / scale,
+                0.999 * cut, cut, 1.1 * cut, 0.5, 2.0]
         report = check_phi_validity(make_phi(kind), grid)
-        assert report.ok, report.violations
+        # the derivative check's finite-difference step, 1e-6 (1 + |s|), moves
+        # b s by 1 at M = 1e6, so there only phi(0), sign and convexity count
+        bad = [v for v in report.violations
+               if scale < 1e3 or v.check != "derivative"]
+        assert not bad, report.violations
 
 
 def test_describe_hands_out_copies():
