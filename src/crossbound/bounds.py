@@ -87,7 +87,11 @@ def line_bound(phi: MgfBound, s: float, gamma: float, v_tau: float,
         raise DomainViolation(
             f"s={s} outside the open interval (0, {radius}) for side={side}"
         )
-    ph = _phi_side(phi, s, side)
+    with np.errstate(over="ignore"):
+        ph = _phi_side(phi, s, side)
+    if not math.isfinite(ph):
+        raise DomainViolation(
+            f"phi is {ph} at s={s} for side={side}: no finite bound there")
     exponent = v_tau * (ph - gamma * s)
     return _report(ineq, exponent, s, ph / s,
                    {"gamma": gamma, "v_tau": v_tau, "s": s, **phi.describe()})

@@ -127,14 +127,19 @@ class MgfBound:
         return bool(np.all(s > -self.a) and np.all(s < self.b))
 
     def describe(self) -> dict:
-        """Serializable parameter echo for reports (a fresh copy per call)."""
+        """Serializable parameter echo for reports (a fresh copy per call):
+        the label, the domain radii ``a`` and ``b``, and for a catalog kind
+        its tagged record under ``phi_kind``, which ``--phi`` reads back."""
         rec = self.memo.get("describe")
         if rec is None:
             rec = {"phi": self.label, "a": self.a, "b": self.b}
             if self.kind is not None and not isinstance(self.kind, Custom):
-                rec.update(phi_kind_to_dict(self.kind))
+                rec["phi_kind"] = phi_kind_to_dict(self.kind)
             rec = self.memo.setdefault("describe", rec)
-        return dict(rec)
+        rec = dict(rec)
+        if "phi_kind" in rec:
+            rec["phi_kind"] = dict(rec["phi_kind"])
+        return rec
 
 
 def _positive(name: str, value: float) -> float:
@@ -387,7 +392,8 @@ def check_phi_validity(phi: MgfBound, grid: Sequence[float]) -> DiagnosticReport
 
     Checks phi(0) = 0, nonnegativity, convexity (midpoint test with slack
     1e-12 * (1 + |phi|)), and, when an analytic derivative is attached,
-    agreement with central finite differences to 1e-6 relative.
+    agreement with central finite differences to 1e-6 relative at the step
+    h = 1e-6 (1 + |s|) or, where that misses, at any of h 4^-k, k = 1..5.
     """
     grid = np.asarray(sorted(float(s) for s in grid), dtype=float)
     if grid.size and not phi.contains(grid):
@@ -422,14 +428,28 @@ def check_phi_validity(phi: MgfBound, grid: Sequence[float]) -> DiagnosticReport
         h = 1e-6 * (1.0 + np.abs(grid))
         inside = (grid - h > -phi.a) & (grid + h < phi.b)
         s, h = grid[inside], h[inside]
-        f_hi, f_lo = np.split(
-            np.asarray(phi.phi(np.concatenate([s + h, s - h])), dtype=float), 2)
-        fd = (f_hi - f_lo) / (2 * h)
         an = np.asarray(phi.phi_deriv(s), dtype=float)
-        for q in np.flatnonzero(np.abs(fd - an) > 1e-6 * (1.0 + np.abs(an))):
+        fd = _central_difference(phi, s, h)
+        miss = np.abs(fd - an) > 1e-6 * (1.0 + np.abs(an))
+        # a large exponent scale curves phi across the step: a point that
+        # misses is retried at steps h 4^-k, and fails only if every one does
+        for k in range(1, 6):
+            q = np.flatnonzero(miss)
+            if not q.size:
+                break
+            fd_k = _central_difference(phi, s[q], h[q] / 4.0 ** k)
+            miss[q] = np.abs(fd_k - an[q]) > 1e-6 * (1.0 + np.abs(an[q]))
+        for q in np.flatnonzero(miss):
             out.append(PhiViolation(
                 "derivative", float(s[q]),
                 f"finite diff {float(fd[q])!r} vs analytic {float(an[q])!r}"
             ))
 
     return DiagnosticReport(violations=tuple(out))
+
+
+def _central_difference(phi: MgfBound, s: np.ndarray, h: np.ndarray):
+    """(phi(s + h) - phi(s - h)) / 2h, from one phi call."""
+    f_hi, f_lo = np.split(
+        np.asarray(phi.phi(np.concatenate([s + h, s - h])), dtype=float), 2)
+    return (f_hi - f_lo) / (2 * h)

@@ -28,6 +28,7 @@ from .sim import (
     generate,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     increments_matrix,  # noqa: F401  (likewise)
     path_blocks,
+    row_blocks,
     step_draws,
 )
 from .stopping import RegionPair, verify_shared_stopping
@@ -36,8 +37,7 @@ from .stopping import verify_optional_stopping  # noqa: F401  (likewise)
 SCHEMA_VERSION = "1"
 
 EVENT_KINDS = ("line", "vee", "eta_ray", "sup_level")
-# Elements per simulated chunk: a chunk and a full-pass temporary of its
-# size stay in cache-sized memory.
+# Elements per simulated chunk: a chunk stays in cache-sized memory.
 _CHUNK_ELEMENTS = 1_000_000
 # Column blocks of the bounded row reduction, taken from _MIN_BLOCKS blocks
 # up: on shorter rows one full pass is faster.
@@ -162,7 +162,8 @@ class _RowStats:
     jump times).  Events sharing (b, floor) share one result.
 
     A row shorter than _MIN_BLOCKS blocks of _BLOCK columns takes one full
-    pass over X + shift.  A longer row is reduced blockwise: one reduceat of
+    pass over X + shift, one row block of sim.row_blocks at a time into a
+    preallocated result, with no chunk-sized temporary.  A longer row is reduced blockwise: one reduceat of
     X per op gives each block's extreme, and with the shift at the block's
     two end columns it bounds every element of the block from both sides,
     since fl(x + fl(c max(v, floor))) is monotone in x and in v for either
@@ -186,8 +187,13 @@ class _RowStats:
             reduce = np.maximum if op == "max" else np.minimum
             c = -b if op == "max" else b
             if self._starts is None:
-                self._cache[key] = reduce.reduce(
-                    self.X + c * np.maximum(self.V, floor), axis=1)
+                X, V = self.X, self.V
+                out = np.empty(X.shape[0])
+                for rows in row_blocks(X.shape[0], X.shape[1]):
+                    v = V[rows] if V.shape[0] > 1 else V
+                    reduce.reduce(X[rows] + c * np.maximum(v, floor), axis=1,
+                                  out=out[rows])
+                self._cache[key] = out
             else:
                 self._cache[key] = self._blockwise(op, c, floor)
         return self._cache[key]

@@ -25,6 +25,7 @@ from crossbound import (
     TwoPointIncrements,
     generate,
     make_phi,
+    sim,
     stopping,
     sweep,
     validate,
@@ -249,6 +250,37 @@ class TestBlockwiseRowStats:
                 for b in (0.0, 0.5, -1.0) for floor in (0.0, 4500.0)]
         for key in keys * 2:
             assert np.array_equal(stats.get(*key), _full_pass(X, V, *key))
+
+
+# --- row blocks of the full pass ------------------------------------------
+
+# short rows (under _MIN_BLOCKS blocks): a lattice walk on one shared time
+# row, and centered Poisson paths on a time row each
+SHORT = {"walk": LazyWalk(1.0, 40),
+         "poisson": PoissonCounting(1.5, 12.0, centered=True)}
+
+
+class TestRowBlockedFullPass:
+    @pytest.mark.parametrize("name", sorted(SHORT))
+    @pytest.mark.parametrize("n_rows", [7, 9])
+    @pytest.mark.parametrize("per", [1, 2, 4])
+    def test_blocks_equal_the_oracle_bit_for_bit(self, monkeypatch, name,
+                                                 n_rows, per):
+        # per rows a block: 7 and 9 rows leave a short last block
+        X, V = path_blocks(SHORT[name], 3, range(n_rows))
+        monkeypatch.setattr(sim, "_ROW_BLOCK", per * X.shape[1])
+        stats = validate._RowStats(X, V)
+        assert stats._starts is None
+        for op in ("max", "min"):
+            for b in (-0.5, 0.75):
+                for floor in (0.0, 0.4 * float(V.max())):
+                    got = stats.get(op, b, floor)
+                    # the oracle reads one shared row: max(V, floor) is it
+                    want = np.concatenate([
+                        _OracleRowStats(x[None, :], np.maximum(v, floor))
+                        .get(op, b, 0, None)
+                        for x, v in zip(X, np.broadcast_to(V, X.shape))])
+                    assert got.tobytes() == want.tobytes()
 
 
 # --- Poisson rows --------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestLineBound:
             line_bound(phi, s=3.0, gamma=1.0, v_tau=1.0)
         with pytest.raises(DomainViolation):
             line_bound(PHI_G, s=-1.0, gamma=1.0, v_tau=1.0)
+
+    @pytest.mark.parametrize("kind", [PoissonCentered(1.0), CbbExp(1.0)],
+                             ids=lambda k: type(k).__name__)
+    def test_phi_overflow_refuses_without_a_warning(self, kind):
+        # expm1(1000) overflows: the bound would read a raw inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match="s=1000.0"):
+                line_bound(make_phi(kind), 1000.0, 1000.0, 1.0)
 
 
 class TestOptimizedLineBound:

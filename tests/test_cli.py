@@ -74,6 +74,25 @@ class TestBoundCommand:
         assert code == 3
         assert "gamma" in err
 
+    def test_phi_overflow_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--ineq", "gen_line_upper", "--s", "1000",
+            "--gamma", "1000", "--vtau", "1",
+            "--phi", '{"kind": "poisson_centered", "lam": 1.0}')
+        assert code == 3 and out == "" and "s=1000.0" in err
+
+    def test_phi_kind_echo_reads_back_as_phi(self, capsys):
+        # the domain edge b = 1.5 and the kind's own b = 2.0 both survive
+        argv = ["bound", "--ineq", "opt_line_upper", "--gamma", "0.5",
+                "--vtau", "1", "--format", "json", "--phi"]
+        code, out, _ = run_cli(capsys, *argv,
+                               '{"kind": "bernstein", "b": 2.0}')
+        params = json.loads(out)["params"]
+        assert code == 0 and params["b"] == 1.5
+        assert params["phi_kind"] == {"kind": "bernstein", "b": 2.0}
+        code, again, _ = run_cli(capsys, *argv, json.dumps(params["phi_kind"]))
+        assert code == 0 and again == out
+
     @pytest.mark.parametrize("gamma", ["inf", "nan"])
     def test_non_finite_gamma_exit_3(self, capsys, gamma):
         code, out, err = run_cli(capsys, "bound", "--ineq", "azuma_upper",

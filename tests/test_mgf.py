@@ -93,12 +93,10 @@ class TestNearZero:
         cut = min(1e-3, 1.0 / scale)
         grid = [-2.0, -cut, -0.999 * cut, -1e-8 / scale, 1e-8 / scale,
                 0.999 * cut, cut, 1.1 * cut, 0.5, 2.0]
+        # the derivative's first step, 1e-6 (1 + |s|), moves b s by 1 at
+        # M = 1e6, so those points pass at a smaller step
         report = check_phi_validity(make_phi(kind), grid)
-        # the derivative check's finite-difference step, 1e-6 (1 + |s|), moves
-        # b s by 1 at M = 1e6, so there only phi(0), sign and convexity count
-        bad = [v for v in report.violations
-               if scale < 1e3 or v.check != "derivative"]
-        assert not bad, report.violations
+        assert report.ok, report.violations
 
 
 def test_describe_hands_out_copies():
@@ -106,9 +104,23 @@ def test_describe_hands_out_copies():
     want = phi.describe()
     got = phi.describe()
     got["phi"] = "edited"
+    got["phi_kind"]["b"] = -1.0
     assert phi.describe() == want and want["phi"] == "bennett"
     # a copy with another label starts with an empty memo
     assert dataclasses.replace(phi, label="other").describe()["phi"] == "other"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+def test_describe_keeps_the_domain_and_nests_the_kind(kind):
+    # Bernstein(2.0)'s own b once overwrote its domain edge 1.5
+    phi = make_phi(kind)
+    rec = phi.describe()
+    assert (rec["a"], rec["b"]) == (phi.a, phi.b)
+    assert rec["phi_kind"] == phi_kind_to_dict(kind)
+    assert phi_kind_from_dict(rec["phi_kind"]) == kind
+    assert set(rec) == {"phi", "a", "b", "phi_kind"}
+    custom = make_phi(Custom(phi=np.square, a=2.0, b=3.0)).describe()
+    assert custom == {"phi": "custom", "a": 2.0, "b": 3.0}
 
 
 def test_domains():
@@ -151,13 +163,25 @@ def test_claims_equality_flags():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
 def test_builtin_validity_checks(kind):
-    phi = make_phi(kind)
+    phi, calls = _counted(make_phi(kind))
     hi = min(phi.b, 3.0) * 0.9
     grid = np.linspace(-min(phi.a, 3.0) * 0.9, hi, 21)
     if not phi.lower_tail_supported:
         grid = np.linspace(hi * 1e-3, hi, 21)
     report = check_phi_validity(phi, grid)
     assert report.ok, report.violations
+    # phi(0), the grid, the midpoints, one difference step: no retry
+    assert len(calls) == 4
+
+
+def _counted(phi):
+    """phi, with the sizes of the s arrays its phi is called on recorded."""
+    calls = []
+
+    def counting(s, inner=phi.phi):
+        calls.append(np.size(s))
+        return inner(s)
+    return dataclasses.replace(phi, phi=counting), calls
 
 
 def test_validity_flags_negative_phi():
@@ -220,6 +244,17 @@ def test_validity_flags_bad_derivative():
     report = check_phi_validity(phi, [-edge, -1.0, 0.0, 0.5, 1.0, edge])
     assert [v.s for v in report.violations if v.check == "derivative"] == [
         -1.0, 0.5, 1.0]
+
+
+def test_validity_retries_only_the_points_that_miss():
+    # wrong for s > 0 only: both points miss at the first step and at every
+    # one of the five smaller steps, which see those two points alone
+    phi, calls = _counted(make_phi(Custom(
+        phi=np.square, phi_deriv=lambda s: np.where(s > 0, 2.5, 2.0) * s,
+        a=3.0, b=3.0)))
+    report = check_phi_validity(phi, [-1.0, -0.5, 0.5, 1.0])
+    assert [v.s for v in report.violations] == [0.5, 1.0]
+    assert calls == [1, 4, 6, 8] + [4] * 5
 
 
 def test_validity_details_print_plain_floats():

@@ -27,6 +27,7 @@ from crossbound import (
     UniformIncrements,
     generate,
     make_phi,
+    sim,
     transform_exp_martingale,
     verify_optional_stopping,
 )
@@ -188,6 +189,59 @@ class TestPathBlocks:
             assert np.array_equal(x[:m], path.values)
             assert np.array_equal(v[:m], path.vproxy)
             assert np.all(x[m:] == x[m - 1]) and np.all(v[m:] == v[m - 1])
+
+
+# every grid law; 40 steps a row, 30 rows from index 5
+ROW_BLOCK_SPECS = {
+    "bernoulli": IidSum(BernoulliIncrements(0.3), 40),
+    "uniform": IidSum(UniformIncrements(), 40),
+    "two_point": IidSum(TwoPointIncrements(hi=1.0, lo=-0.5, p_hi=1.0 / 3.0),
+                        40),
+    "lazy_walk": LazyWalk(0.8, 40, drift=0.1),
+    "custom": IidSum(CustomIncrements(_normal_half), 40),
+    "brownian": Brownian(0.05, 2.0),
+}
+
+
+def _count_maps(monkeypatch):
+    """Record the shape of each block that path_blocks's step map maps."""
+    maps = []
+
+    def counting_step_draws(spec):
+        V, fill, steps = step_draws(spec)
+        return V, fill, lambda blk: maps.append(blk.shape) or steps(blk)
+
+    monkeypatch.setattr(sim, "step_draws", counting_step_draws)
+    return maps
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("kind", list(ROW_BLOCK_SPECS))
+    @pytest.mark.parametrize("budget, per", [(80, 2), (175, 4), (39, 1)],
+                             ids=["2_rows", "4_rows", "under_a_row"])
+    def test_blocks_equal_the_per_row_oracle(self, monkeypatch, kind, budget,
+                                             per):
+        # 30 rows of 40 steps: 15 blocks of 2, 8 of 4 (the last one of 2),
+        # or one row a block where the budget holds less than a row
+        spec = ROW_BLOCK_SPECS[kind]
+        _, fill, steps = step_draws(spec)
+        monkeypatch.setattr(sim, "_ROW_BLOCK", budget)
+        maps = _count_maps(monkeypatch)
+        indices = range(5, 35)
+        X, _ = path_blocks(spec, 2012, indices)
+        # frozen oracle: each path's own stream, step map and cumsum
+        for x, i in zip(X, indices):
+            row = np.empty(40)
+            fill(path_rng(2012, i), row)
+            want = np.concatenate([[0.0], np.cumsum(steps(row))])
+            assert x.tobytes() == want.tobytes()
+        assert maps == [(per, 40)] * (30 // per) + [(30 % per, 40)] * (
+            30 % per > 0)
+
+    def test_default_budget_maps_a_short_chunk_once(self, monkeypatch):
+        maps = _count_maps(monkeypatch)
+        path_blocks(ROW_BLOCK_SPECS["bernoulli"], 2012, range(30))
+        assert maps == [(30, 40)]
 
 
 # generate(spec, seed=2012, path_index=4).values, recorded before every grid
