@@ -163,13 +163,14 @@ class _RowStats:
 
     A row shorter than _MIN_BLOCKS blocks of _BLOCK columns takes one full
     pass over X + shift, one row block of sim.row_blocks at a time into a
-    preallocated result, with no chunk-sized temporary.  A longer row is reduced blockwise: one reduceat of
-    X per op gives each block's extreme, and with the shift at the block's
-    two end columns it bounds every element of the block from both sides,
-    since fl(x + fl(c max(v, floor))) is monotone in x and in v for either
-    sign of c.  Only the blocks whose outer bound reaches the best inner
-    bound of the row are evaluated, with the full pass's arithmetic, so the
-    result is the full pass's, value for value.
+    preallocated result, with no chunk-sized temporary.  A longer row is
+    reduced blockwise: one reduceat of X per op gives each block's extreme,
+    and with the shift at the block's two end columns it bounds every
+    element of the block from both sides, since fl(x + fl(c max(v, floor)))
+    is monotone in x and in v for either sign of c.  Only the blocks whose
+    outer bound reaches the best inner bound of the row are evaluated, with
+    the full pass's arithmetic, so the result is the full pass's, value for
+    value.
     """
 
     def __init__(self, X: np.ndarray, V: np.ndarray):
