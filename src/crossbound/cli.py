@@ -16,11 +16,11 @@ import sys
 from pathlib import Path as FsPath
 
 from . import bounds as B
-from .errors import ConfigError, CrossboundError, InvalidParameter
+from .errors import ConfigError, CrossboundError
 from .mgf import (_CASTS, MgfBound, make_phi, phi_kind_from_dict,
                   phi_kind_to_dict)
 from .presets import PRESETS
-from .sim import generate, spec_from_dict, spec_to_dict
+from .sim import check_whole, generate, spec_from_dict, spec_to_dict
 from .validate import SCHEMA_VERSION, ValidationReport, fmt17
 
 OUTPUT_DIR_ENV = "CROSSBOUND_OUTPUT_DIR"
@@ -255,8 +255,7 @@ def _cmd_simulate(cfg: dict) -> int:
     (seed,) = _need(cfg, "seed")
     spec = _spec_from_cfg(cfg)
     n_paths = 1 if cfg.get("paths") is None else cfg["paths"]
-    if n_paths < 1:
-        raise InvalidParameter(f"paths must be at least 1, got {n_paths}")
+    check_whole("paths", n_paths, 1)
     out = cfg.get("out")
     if out is None:
         if n_paths != 1:

@@ -39,6 +39,7 @@ from .sim import (
     PoissonCounting,
     TwoPointIncrements,
     UniformIncrements,
+    check_whole,
     path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
 )
 from .stopping import ContinuityRegion, RegionPair
@@ -265,8 +266,7 @@ def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
     crossing-probability change from T to 2T is below half the main run's CI
     width for every gamma; the T crossings are a prefix event on the same 2T
     pilot paths."""
-    if paths <= 0:
-        raise InvalidParameter("paths must be positive")
+    check_whole("paths", paths, 1)
     from scipy.special import ndtri  # loaded at the first horizon rule
     z = float(ndtri(1.0 - alpha / 2.0))
     T = t0

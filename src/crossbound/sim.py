@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
-from typing import Callable, Union
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -39,6 +39,15 @@ def _typed(spec):
         if want and (not isinstance(val, want) or is_bool != (f.type == "bool")):
             raise InvalidSpec(f"{type(spec).__name__}.{f.name} must be "
                               f"{f.type}, got {val!r}")
+
+
+def check_whole(name: str, value, least: int) -> None:
+    """Raise InvalidParameter unless value is a whole number (an int or a
+    numpy integer, no bool) of at least ``least``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
+        raise InvalidParameter(f"{name} must be a whole number of at least "
+                               f"{least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,9 +177,20 @@ class Brownian:
                               f"whole number >= 1 of dt = {self.dt} steps")
 
 
+class Tilt(NamedTuple):
+    """The map (X, V) -> exp(s X - phi_s V), with phi_s = phi(s)."""
+
+    s: float
+    phi_s: float
+
+    def __call__(self, X, V):
+        return np.exp(self.s * X - self.phi_s * V)
+
+
 @dataclass(frozen=True)
 class ExpSupermartingale:
-    """Pointwise transform Y_t = exp(s X_t - phi(s) V_t) of a base process."""
+    """Pointwise transform Y_t = exp(s X_t - phi(s) V_t) of a base process,
+    its ``tilt``: phi(s) is evaluated once, when the spec is built."""
 
     base: "ProcessSpec"
     s: float
@@ -181,6 +201,8 @@ class ExpSupermartingale:
         if not self.phi.contains(self.s):
             raise InvalidSpec(
                 f"s={self.s} outside the domain of phi {self.phi.label}")
+        object.__setattr__(self, "tilt", Tilt(self.s, float(np.asarray(
+            self.phi.phi(self.s)))))
 
 
 ProcessSpec = Union[IidSum, LazyWalk, PoissonCounting, Brownian, ExpSupermartingale]
@@ -402,10 +424,11 @@ def poisson_jump_times(spec: PoissonCounting, rng: np.random.Generator) -> np.nd
 
 def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
     """One path, a pure function of (spec, seed, path_index): the row of
-    path_blocks(spec, seed, [path_index]), transformed for an ExpSupermartingale."""
+    path_blocks(spec, seed, [path_index]), or for an ExpSupermartingale its
+    base's path through its tilt."""
     if isinstance(spec, ExpSupermartingale):
-        return transform_exp_martingale(generate(spec.base, seed, path_index),
-                                        spec.s, spec.phi)
+        path = generate(spec.base, seed, path_index)
+        return replace(path, values=spec.tilt(path.values, path.vproxy))
     X, V = path_blocks(spec, seed, [path_index])
     return Path(times=V[0], values=X[0], vproxy=V[0].copy())
 
@@ -416,9 +439,8 @@ def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
         raise DomainViolation(
             f"s={s} outside the open domain (-{phi.a}, {phi.b}) of {phi.label}"
         )
-    ph = float(np.asarray(phi.phi(s)))
-    values = np.exp(s * path.values - ph * path.vproxy)
-    return Path(times=path.times, values=values, vproxy=path.vproxy)
+    tilt = Tilt(s, float(np.asarray(phi.phi(s))))
+    return replace(path, values=tilt(path.values, path.vproxy))
 
 
 def increments_matrix(spec: ProcessSpec, seed: int,

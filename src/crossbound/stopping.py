@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .sim import (
-    ExpSupermartingale,
     Path,
     PoissonCounting,
     ProcessSpec,
+    check_whole,
     path_blocks,
     path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     path_streams,
@@ -170,14 +170,6 @@ def _first_out(vals, t, region):
     return j, out[np.arange(j.size), j]
 
 
-def _tested(spec):
-    """(base, f): the regions test f(X, V) of the base process's X."""
-    if isinstance(spec, ExpSupermartingale):
-        s, ph = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
-        return spec.base, lambda X, V: np.exp(s * X - ph * V)
-    return spec, lambda X, V: X
-
-
 def _harvest_exits(specs, pair, n_paths, seed):
     """(t1, v1, t2, v2) of each spec: the first exits of every path from
     both regions of ``pair`` within the horizon, with early exit.  The
@@ -196,7 +188,9 @@ def _harvest_exits(specs, pair, n_paths, seed):
     region bounds at the block's times: in the first block that column is
     t = 0, and after it a column already searched, which adds no exit.
     """
-    bases, tests = zip(*map(_tested, specs))
+    # the regions test X, or an ExpSupermartingale's tilt of its base's X
+    bases = [getattr(spec, "base", spec) for spec in specs]
+    tests = [getattr(spec, "tilt", lambda X, V: X) for spec in specs]
     # per spec: t1, v1, t2, v2, the value at the last time searched, and
     # whether the inner exit is pending
     exits = [(np.full(n_paths, math.inf), np.empty(n_paths),
@@ -282,11 +276,6 @@ def _harvest_exits(specs, pair, n_paths, seed):
     return [e[:4] for e in exits]
 
 
-def _harvest_exits_blockwise(spec, pair, n_paths, seed):
-    """_harvest_exits of one spec."""
-    return _harvest_exits([spec], pair, n_paths, seed)[0]
-
-
 def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,
                              n_paths: int, seed: int,
                              kind: str = "martingale") -> OsReport:
@@ -310,25 +299,24 @@ def verify_shared_stopping(checks, pair: RegionPair, n_paths: int,
         if kind not in ("martingale", "supermartingale"):
             raise InvalidParameter(
                 f"kind must be martingale|supermartingale, got {kind!r}")
-    if n_paths <= 1:
-        raise InvalidParameter("need at least 2 paths")
+    check_whole("n_paths", n_paths, 2)
     if not checks:
         return []
     exits = _harvest_exits([spec for spec, _ in checks], pair, n_paths, seed)
     reps = []
     for (t1, v1, t2, v2), (_, kind) in zip(exits, checks):
         diff = v2 - v1
+        mean_diff, se_diff, ci_multiple = float(diff.mean()), _se(diff), 3.0
+        excess = abs(mean_diff) if kind == "martingale" else mean_diff
         rep = OsReport(
-            n_paths=n_paths, mean_inner=float(v1.mean()), se_inner=_se(v1),
+            n_paths=int(n_paths), mean_inner=float(v1.mean()), se_inner=_se(v1),
             mean_outer=float(v2.mean()), se_outer=_se(v2),
-            mean_diff=float(diff.mean()), se_diff=_se(diff),
+            mean_diff=mean_diff, se_diff=se_diff,
             truncated_inner=float(np.mean(np.isinf(t1))),
             truncated_outer=float(np.mean(np.isinf(t2))),
-            kind=kind, ci_multiple=3.0, verdict="")
-        excess = abs(rep.mean_diff) if kind == "martingale" else rep.mean_diff
-        holds = excess <= rep.ci_multiple * rep.se_diff
-        reps.append(dataclasses.replace(
-            rep, verdict="holds" if holds else "violated"))
+            kind=kind, ci_multiple=ci_multiple,
+            verdict="holds" if excess <= ci_multiple * se_diff else "violated")
+        reps.append(rep)
         if rep.truncated_outer > TRUNCATION_WARN_FRACTION:
             warnings.warn(
                 f"truncation fraction {rep.truncated_outer:.3%} exceeds "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,9 +21,10 @@ import numpy as np
 
 from .errors import DomainViolation, InvalidParameter
 from .sim import (
-    ExpSupermartingale,
     PoissonCounting,
     ProcessSpec,
+    Tilt,
+    check_whole,
     generate,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     increments_matrix,  # noqa: F401  (likewise)
     path_blocks,
@@ -37,7 +37,7 @@ from .stopping import verify_optional_stopping  # noqa: F401  (likewise)
 SCHEMA_VERSION = "1"
 
 EVENT_KINDS = ("line", "vee", "eta_ray", "sup_level")
-# Elements per simulated chunk: a chunk stays in cache-sized memory.
+# Elements per simulated chunk of 16 to 8192 rows: it stays in cache.
 _CHUNK_ELEMENTS = 1_000_000
 # Column blocks of the bounded row reduction, taken from _MIN_BLOCKS blocks
 # up: on shorter rows one full pass is faster.
@@ -97,13 +97,35 @@ class EventSpec:
             raise InvalidParameter(f"unknown side {self.side!r}")
         if self.side == "two_sided" and self.kind != "line":
             raise InvalidParameter("two_sided applies to line events only")
-        if self.stride not in (1, 2):
+        if self.steps is not None:
+            check_whole("steps", self.steps, 1)
+        check_whole("stride", self.stride, 1)
+        if self.stride > 2:
             raise InvalidParameter(f"stride must be 1 or 2, got {self.stride}")
         for name in ("gamma", "v_tau", "slope", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(f"event {name} must be finite")
         if self.kind == "sup_level" and not self.gamma > 0.0:
             raise InvalidParameter(f"sup_level gamma must be > 0, got {self.gamma}")
+
+    def ray(self, tilt: Optional[Tilt]) -> tuple:
+        """(side, b, floor, c): the event as X crossing the ray c + b max(V,
+        floor), upward where max(X - b max(V, floor)) >= c, downward where
+        min(X + b max(V, floor)) <= -c.  A vee is the ray from the floor
+        V_tau.  sup_level Y >= gamma on an ExpSupermartingale's tilt Y is X
+        crossing the ray log(gamma)/|s| + (phi(s)/|s|) V, upper if s > 0."""
+        if (self.kind == "sup_level") != (tilt is not None):
+            raise InvalidParameter(
+                f"a {self.kind} event cannot be counted on this process:"
+                " sup_level needs an ExpSupermartingale, the rest a plain process")
+        if tilt is not None:
+            s, phi_s = tilt
+            return ("upper" if s > 0 else "lower", phi_s / abs(s), 0.0,
+                    math.log(self.gamma) / abs(s))
+        return (self.side, *{
+            "line": (self.slope, 0.0, (self.gamma - self.slope) * self.v_tau),
+            "eta_ray": (self.gamma, 0.0, self.eta),
+            "vee": (self.gamma, self.v_tau, self.eta)}[self.kind])
 
 
 @dataclass(frozen=True)
@@ -226,31 +248,16 @@ class _RowStats:
         return reduce.reduceat(found, np.flatnonzero(np.diff(rows, prepend=-1)))
 
 
-def _event_rows(event: EventSpec, st: _RowStats,
-                transform: Optional[tuple]) -> np.ndarray:
-    """Boolean crossed-indicator per path row for one event: each kind is
-    the ray c + b max(V, floor), crossed upward where max(X - b max(V,
-    floor)) >= c and downward where min(X + b max(V, floor)) <= -c.  A vee
-    eta + gamma (V_tau v V_t) is the ray from the floor V_tau, and sup_level
-    Y >= gamma on Y = exp(s X - phi(s) V) is X crossing the upper (s > 0)
-    or lower ray log(gamma)/|s| + (phi(s)/|s|) V."""
-    if event.kind == "sup_level":
-        s, phi_s = transform
-        side = "upper" if s > 0 else "lower"
-        b, floor, c = phi_s / abs(s), 0.0, math.log(event.gamma) / abs(s)
-    else:
-        side, (b, floor, c) = event.side, {
-            "line": (event.slope, 0.0, (event.gamma - event.slope) * event.v_tau),
-            "eta_ray": (event.gamma, 0.0, event.eta),
-            "vee": (event.gamma, event.v_tau, event.eta)}[event.kind]
+def _event_rows(ray: tuple, st: _RowStats) -> np.ndarray:
+    """Crossed-indicator per path row of one event's ray (EventSpec.ray)."""
+    side, b, floor, c = ray
     up = st.get("max", b, floor) >= c if side != "lower" else False
     down = st.get("min", b, floor) <= -c if side != "upper" else False
     return up | down
 
 
-def _count_chunk(base, events, seed, indices, transform) -> np.ndarray:
-    """Crossing counts per event over the paths ``indices`` of the base
-    process; transform = (s, phi(s)) for an exponential supermartingale."""
+def _count_chunk(base, events, rays, seed, indices) -> np.ndarray:
+    """Crossing counts of each event's ray over the paths ``indices``."""
     X, V = path_blocks(base, seed, indices)
     views = {}   # one cache of passes per (steps, stride) view
     for ev in events:
@@ -258,61 +265,46 @@ def _count_chunk(base, events, seed, indices, transform) -> np.ndarray:
             cols = slice(None, None if ev.steps is None else ev.steps + 1,
                          ev.stride)
             views[ev.steps, ev.stride] = _RowStats(X[:, cols], V[:, cols])
-    return np.array([_event_rows(ev, views[ev.steps, ev.stride], transform)
-                     .sum() for ev in events], dtype=np.int64)
+    return np.array([_event_rows(ray, views[ev.steps, ev.stride]).sum()
+                     for ev, ray in zip(events, rays)], dtype=np.int64)
 
 
 def sweep(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
           seed: int = 0, alpha: float = 0.01,
-          threads: Optional[int] = None,
-          chunk_size: Optional[int] = None) -> list:
+          threads: Optional[int] = None) -> list:
     """Estimate every event on one shared set of simulated paths.
 
     Identical (spec, seed) always reproduces identical p_hat values whether
     events are estimated together or one at a time, and whatever the thread
-    count (None: one per CPU; at least 1) and chunk size.
+    count (None: one per CPU; at least 1).
     """
     if not events:
         return []
-    return _sweep_groups([(spec, events, seed)], n_paths, alpha, threads,
-                         chunk_size)[0]
+    return _sweep_groups([(spec, events, seed)], n_paths, alpha, threads)[0]
 
 
 def _chunk_jobs(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
-                seed: int, chunk_size: Optional[int]) -> list:
+                seed: int) -> list:
     """Check one group before any path is drawn; return its chunks as
     (elements, count function) pairs."""
-    base, transform = spec, None
-    if isinstance(spec, ExpSupermartingale):
-        base = spec.base
-        transform = spec.s, float(np.asarray(spec.phi.phi(spec.s)))
+    base, tilt = getattr(spec, "base", spec), getattr(spec, "tilt", None)
+    rays = [ev.ray(tilt) for ev in events]
     # rows of a chunk from the mean row length: n + 1, or lam T + 2 points
     n_cols = None if isinstance(base, PoissonCounting) else step_draws(base)[0].size
     row_len = n_cols or base.lam * base.horizon + 2.0
-    if chunk_size is None:
-        chunk_size = max(16, min(8192, int(_CHUNK_ELEMENTS // row_len)))
-    elif (isinstance(chunk_size, bool)
-          or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1):
-        raise InvalidParameter(
-            f"chunk_size must be an integer of at least 1, got {chunk_size!r}")
-    for ev in events:
-        if (ev.kind == "sup_level") != (transform is not None):
-            raise InvalidParameter(
-                f"a {ev.kind} event cannot be counted on {type(spec).__name__}:"
-                " sup_level needs an ExpSupermartingale, the rest a plain process")
+    rows = max(16, min(8192, int(_CHUNK_ELEMENTS // row_len)))
     if any((ev.steps, ev.stride) != (None, 1) and (n_cols is None or not (
-            ev.steps is None or 0 < ev.steps < n_cols)) for ev in events):
+            ev.steps is None or ev.steps < n_cols)) for ev in events):
         raise InvalidParameter("steps/stride events need a uniform grid "
                                "and 1 <= steps <= its number of steps")
     return [(ix.size * row_len,
-             functools.partial(_count_chunk, base, events, seed, ix, transform))
-            for ix in (np.arange(s, min(s + chunk_size, n_paths))
-                       for s in range(0, n_paths, chunk_size))]
+             functools.partial(_count_chunk, base, events, rays, seed, ix))
+            for ix in (np.arange(s, min(s + rows, n_paths))
+                       for s in range(0, n_paths, rows))]
 
 
 def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
-                  threads: Optional[int],
-                  chunk_size: Optional[int] = None) -> list:
+                  threads: Optional[int]) -> list:
     """sweep's reports for each (spec, events, seed) group, n_paths paths
     each.  Every group is checked before any path is drawn, and the chunks
     of all groups share one pool, largest first.  A row's runtime_seconds is
@@ -320,7 +312,7 @@ def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
     n_workers = _check_run(n_paths, alpha, threads)
     jobs = sorted(((size, g, work) for g, (spec, events, seed)
                    in enumerate(groups) for size, work
-                   in _chunk_jobs(spec, events, n_paths, seed, chunk_size)),
+                   in _chunk_jobs(spec, events, n_paths, seed)),
                   key=lambda job: -job[0])
 
     def timed(job):
@@ -346,7 +338,7 @@ def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
             lo, hi = clopper_pearson(k, n_paths, alpha)
             p_hat = k / n_paths
             reps.append(ValidationReport(
-                label=ev.label or ev.kind, n_paths=n_paths, n_crossed=k,
+                label=ev.label or ev.kind, n_paths=int(n_paths), n_crossed=k,
                 p_hat=p_hat, ci_lo=lo, ci_hi=hi, bound=ev.bound,
                 verdict=_verdict(lo, hi, ev.bound),
                 truncation_fraction=1.0 - p_hat,
@@ -359,13 +351,11 @@ def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
 def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1) -> int:
     """Check the run settings before any path is drawn; return the worker
     thread count (threads None: one per CPU)."""
-    if n_paths <= 0:
-        raise InvalidParameter("n_paths must be positive")
+    check_whole("n_paths", n_paths, 1)
     if not (0 < alpha < 1):
         raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
     n_workers = (os.cpu_count() or 1) if threads is None else threads
-    if n_workers < 1:
-        raise InvalidParameter(f"threads must be at least 1, got {threads}")
+    check_whole("threads", n_workers, 1)
     return n_workers
 
 
@@ -391,7 +381,7 @@ def stopping_rows(rows: Sequence[tuple], pair: RegionPair, n_paths: int,
         k = int(round((1.0 - rep.truncated_outer) * n_paths))
         lo, hi = clopper_pearson(k, n_paths, alpha)
         out.append(ValidationReport(
-            label=label, n_paths=n_paths, n_crossed=k, p_hat=k / n_paths,
+            label=label, n_paths=int(n_paths), n_crossed=k, p_hat=k / n_paths,
             ci_lo=lo, ci_hi=hi, bound=math.nan, verdict=rep.verdict,
             truncation_fraction=rep.truncated_outer, runtime_seconds=secs,
             alpha=alpha, seed=seed, extra=rep.to_dict()))

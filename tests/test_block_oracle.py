@@ -159,12 +159,15 @@ class TestCountsEqualOracle:
     @settings(max_examples=60, deadline=None)
     @given(base=st.sampled_from(sorted(BASES)),
            events=st.lists(EVENTS, min_size=1, max_size=6),
-           seed=st.integers(0, 2 ** 32), chunk=st.sampled_from([None, 7]))
-    @example(base="bernoulli", events=[BERN_ETA_VEE], seed=11, chunk=None)
-    @example(base="two_point", events=[BERN_ETA_VEE], seed=11, chunk=None)
-    def test_plain_events(self, base, events, seed, chunk):
+           seed=st.integers(0, 2 ** 32), small=st.booleans())
+    @example(base="bernoulli", events=[BERN_ETA_VEE], seed=11, small=False)
+    @example(base="two_point", events=[BERN_ETA_VEE], seed=11, small=False)
+    def test_plain_events(self, base, events, seed, small):
         spec = BASES[base]
-        got = sweep(spec, events, 60, seed=seed, threads=1, chunk_size=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            if small:
+                mp.setattr(validate, "_CHUNK_ELEMENTS", 1)   # 16-row chunks
+            got = sweep(spec, events, 60, seed=seed, threads=1)
         assert [r.n_crossed for r in got] == _oracle_counts(spec, events,
                                                             seed, 60)
 

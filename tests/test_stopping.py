@@ -282,7 +282,7 @@ ENGINE_IDS = ["walk", "bernoulli", "bernoulli_lattice", "brownian",
 class TestOneEngine:
     @pytest.mark.parametrize("spec,pair", ENGINE_CASES, ids=ENGINE_IDS)
     def test_matches_generate_loop(self, spec, pair):
-        got = stopping._harvest_exits_blockwise(spec, pair, 300, 78)
+        got = stopping._harvest_exits([spec], pair, 300, 78)[0]
         want = _generate_loop(spec, pair, 300, 78)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -292,7 +292,7 @@ class TestOneEngine:
     def test_cases_cover_exits_and_truncation(self, spec, pair):
         # each case has paths that leave both regions, after the first block
         # and after a breakpoint, and paths that never leave the outer one
-        t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300, 78)
+        t1, _, t2, _ = stopping._harvest_exits([spec], pair, 300, 78)[0]
         late = pair.inner.breakpoints[1]
         assert np.any(np.isfinite(t1) & (t1 >= late))
         assert np.any(np.isfinite(t2) & (t2 > pair.outer.breakpoints[1]))
@@ -305,7 +305,7 @@ class TestOneEngine:
     def test_start_on_boundary_cases_exit_at_zero(self, spec, pair):
         # every inner exit is at t = 0, and the outer exits still come after
         # the first block and after a breakpoint, or never
-        t1, v1, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300, 78)
+        t1, v1, t2, _ = stopping._harvest_exits([spec], pair, 300, 78)[0]
         assert np.all(t1 == 0.0) and np.all(v1 == v1[0])
         assert np.all(t2 > 0.0) and np.isinf(t2).any()
         assert np.any(np.isfinite(t2) & (t2 > pair.outer.breakpoints[1]))
@@ -318,8 +318,7 @@ class TestOneEngine:
         monkeypatch.setattr("crossbound.sim.generate", None)
         for spec, pair in ENGINE_CASES:
             rep = verify_optional_stopping(spec, pair, 50, 79)
-            t1, v1, t2, v2 = stopping._harvest_exits_blockwise(spec, pair, 50,
-                                                               79)
+            t1, v1, t2, v2 = stopping._harvest_exits([spec], pair, 50, 79)[0]
             assert rep.mean_inner == v1.mean() and rep.mean_outer == v2.mean()
             assert rep.truncated_outer == np.isinf(t2).mean()
 
@@ -329,7 +328,7 @@ class TestHarvest:
     @pytest.mark.parametrize("spec,pair", HARVEST_CASES)
     def test_matches_serial_loop(self, spec, pair, horizon):
         spec = dataclasses.replace(spec, n=horizon)
-        got = stopping._harvest_exits_blockwise(spec, pair, 300, 77)
+        got = stopping._harvest_exits([spec], pair, 300, 77)[0]
         want = _generate_loop(spec, pair, 300, 77)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -337,15 +336,14 @@ class TestHarvest:
     def test_truncation_and_ties_covered(self):
         # horizon 20 truncates some paths; at horizon 300 some paths exit in
         # the third, partial block and some are truncated after it
-        t1, _, t2, _ = stopping._harvest_exits_blockwise(
-            LazyWalk(1.0, 20), PAIR_3_5, 300, 77)
+        t1, _, t2, _ = stopping._harvest_exits([LazyWalk(1.0, 20)], PAIR_3_5,
+                                               300, 77)[0]
         assert np.isinf(t2).any() and np.isfinite(t2).any()
         for spec, pair in HARVEST_CASES[2], HARVEST_CASES[5]:
-            t1, _, t2, _ = stopping._harvest_exits_blockwise(spec, pair, 300,
-                                                             77)
+            t1, _, t2, _ = stopping._harvest_exits([spec], pair, 300, 77)[0]
             assert np.any(np.isfinite(t2) & (t2 > 256)) and np.isinf(t2).any()
-        t1, _, t2, _ = stopping._harvest_exits_blockwise(
-            *HARVEST_CASES[-2], 300, 77)
+        spec, pair = HARVEST_CASES[-2]
+        t1, _, t2, _ = stopping._harvest_exits([spec], pair, 300, 77)[0]
         assert np.all(t1 == 0.0) and np.all(t2 > 0.0)
 
     @settings(max_examples=15, deadline=None)
@@ -356,10 +354,10 @@ class TestHarvest:
                                            seed):
         spec, pair = case
         spec = _cut(spec, steps)
-        want = stopping._harvest_exits_blockwise(spec, pair, n_paths, seed)
+        want = stopping._harvest_exits([spec], pair, n_paths, seed)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stopping, "HARVEST_ROWS", rows)
-            got = stopping._harvest_exits_blockwise(spec, pair, n_paths, seed)
+            got = stopping._harvest_exits([spec], pair, n_paths, seed)[0]
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -388,7 +386,7 @@ class TestSharedHarvest:
         got = stopping._harvest_exits(specs, pair, 300, seed)
         assert len(got) == len(specs)
         for spec, exits in zip(specs, got):
-            want = stopping._harvest_exits_blockwise(spec, pair, 300, seed)
+            want = stopping._harvest_exits([spec], pair, 300, seed)[0]
             for g, w in zip(exits, want):
                 assert np.array_equal(g, w)
         # the set covers what a shared pass must keep apart

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from crossbound import (
     Brownian,
+    ContinuityRegion,
+    Custom,
     DomainViolation,
     ExpSupermartingale,
     Gaussian,
@@ -15,6 +17,7 @@ from crossbound import (
     InvalidParameter,
     LazyWalk,
     PoissonCounting,
+    RegionPair,
     Uniform24,
     UniformIncrements,
     clopper_pearson,
@@ -23,9 +26,11 @@ from crossbound import (
     make_phi,
     optimized_line_bound,
     sweep,
+    verify_optional_stopping,
 )
-from crossbound import stopping
+from crossbound import stopping, validate
 from crossbound.presets import (
+    choose_horizon_by_doubling,
     run_expexact_brownian,
     run_optional_stopping,
     walk_region_pair,
@@ -110,6 +115,18 @@ class TestEventSpec:
             EventSpec(kind="stopping")   # stopping_row builds those rows
         with pytest.raises(InvalidParameter):
             EventSpec(kind="line", stride=3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", 10.0), ("steps", True),
+        ("stride", 2.0), ("stride", True)])
+    def test_steps_and_stride_must_be_whole(self, field, value):
+        # a float reached the chunk's slice only after its paths were
+        # drawn, and a bool counted as 1
+        with pytest.raises(InvalidParameter, match=field):
+            EventSpec(kind="line", gamma=1.0, v_tau=1.0, **{field: value})
+        ok = EventSpec(kind="line", gamma=1.0, v_tau=1.0,
+                       **{field: np.int64(2)})
+        assert sweep(IidSum(UniformIncrements(), 50), [ok], 20, seed=1)
 
     @pytest.mark.parametrize("field", ["gamma", "v_tau", "slope", "eta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -242,6 +259,83 @@ class TestStoppingRow:
                          seed=1, alpha=alpha)
 
 
+WALK_EVENT = EventSpec(kind="line", gamma=1.0, v_tau=1.0)
+# each takes a path or thread count and must refuse a bad one before drawing
+COUNTED_RUNS = {
+    "sweep_n_paths": lambda n: sweep(LazyWalk(1.0, 50), [WALK_EVENT], n),
+    "sweep_threads": lambda n: sweep(LazyWalk(1.0, 50), [WALK_EVENT], 100,
+                                     threads=n),
+    "stopping_row": lambda n: stopping_row(LazyWalk(1.0, 50),
+                                           walk_region_pair(), n, seed=1),
+    "stopping_threads": lambda n: run_optional_stopping(paths=100, threads=n),
+    "verify_optional_stopping": lambda n: verify_optional_stopping(
+        LazyWalk(1.0, 50), walk_region_pair(), n, seed=1),
+    "verify_shared_stopping": lambda n: stopping.verify_shared_stopping(
+        [(LazyWalk(1.0, 50), "martingale")], walk_region_pair(), n, seed=1),
+    "horizon_paths": lambda n: choose_horizon_by_doubling(
+        [2.0], n, seed=1, dt=0.1, t0=1.0, pilot_paths=20),
+}
+
+
+class TestWholeCounts:
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 100.0, True])
+    @pytest.mark.parametrize("run", sorted(COUNTED_RUNS))
+    def test_bad_count_raises_before_drawing(self, monkeypatch, run, value):
+        # a bool ran as a count of 1 (a report read n_paths true), and a
+        # float failed inside numpy or, as a thread count, ran
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        for module in (validate, stopping):
+            monkeypatch.setattr(module, "path_blocks", no_draws)
+        monkeypatch.setattr(stopping, "path_streams", no_draws)
+        with pytest.raises(InvalidParameter, match="whole number"):
+            COUNTED_RUNS[run](value)
+
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    @pytest.mark.parametrize("run", sorted(COUNTED_RUNS))
+    def test_numpy_integer_counts_run(self, run):
+        COUNTED_RUNS[run](np.int64(2))
+
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    def test_numpy_count_is_reported_as_an_int(self):
+        # an np.int64 count would reach the JSON report as a string
+        row = sweep(LazyWalk(1.0, 50), [WALK_EVENT], np.int64(20))[0]
+        stop = stopping_row(LazyWalk(1.0, 50), walk_region_pair(),
+                            np.int64(20), seed=1)
+        for rec in (row.to_dict(), stop.to_dict(), stop.extra):
+            assert type(rec["n_paths"]) is int
+
+
+class TestTilt:
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    def test_phi_is_evaluated_once_per_spec(self):
+        # generate, a sweep of several chunks and a harvest pass all read
+        # the spec's tilt, evaluated when the spec was built
+        calls = []
+
+        def phi(s):
+            calls.append(s)
+            return np.square(s) / 2.0
+
+        gaussian = make_phi(Custom(phi, label="counting"))
+        calls.clear()
+        spec = ExpSupermartingale(Brownian(dt=0.01, horizon=1.0), 1.0,
+                                  gaussian)
+        paths = [generate(spec, 3, i) for i in range(50)]
+        events = [EventSpec(kind="sup_level", gamma=g) for g in (1.5, 2.0)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validate, "_CHUNK_ELEMENTS", 1)   # 16-row chunks
+            reps = sweep(spec, events, 50, seed=3, threads=1)
+        pair = RegionPair(inner=ContinuityRegion.constant(0.8, 1.25, 3.0),
+                          outer=ContinuityRegion.constant(0.5, 2.0, 3.0))
+        verify_optional_stopping(spec, pair, 50, seed=3)
+        assert calls == [1.0]
+        # the tilt is the one generate applies
+        assert [r.n_crossed for r in reps] == [
+            sum(bool(p.values.max() >= g) for p in paths) for g in (1.5, 2.0)]
+
+
 class TestSweep:
     def test_empty_events(self):
         assert sweep(Brownian(0.01, 1.0), [], 100, seed=1) == []
@@ -273,7 +367,9 @@ class TestSweep:
         ev = EventSpec(kind="line", side="upper", gamma=1.0, v_tau=1.0,
                        slope=0.5, bound=0.61, label="t")
         a = sweep(spec, [ev], 2000, seed=45, threads=1)[0]
-        b = sweep(spec, [ev], 2000, seed=45, threads=2, chunk_size=64)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validate, "_CHUNK_ELEMENTS", 64 * 1001)  # 64-row chunks
+            b = sweep(spec, [ev], 2000, seed=45, threads=2)[0]
         assert a.n_crossed == b.n_crossed
 
     def test_report_roundtrip_fields(self):
@@ -314,10 +410,11 @@ class TestSweep:
         ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, stride=2)
         with pytest.raises(InvalidParameter):
             sweep(PoissonCounting(1.0, 5.0), [ev], 10, seed=1)
-        for steps in (0, 51):
-            ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=steps)
-            with pytest.raises(InvalidParameter):
-                sweep(IidSum(UniformIncrements(), 50), [ev], 10, seed=1)
+        ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=51)
+        with pytest.raises(InvalidParameter):
+            sweep(IidSum(UniformIncrements(), 50), [ev], 10, seed=1)
+        with pytest.raises(InvalidParameter):
+            EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=0)
 
     @pytest.mark.parametrize("spec, ev", [
         (ExpSupermartingale(Brownian(0.01, 1.0), 1.0, make_phi(Gaussian(1.0))),
@@ -343,18 +440,6 @@ class TestSweep:
         with pytest.raises(InvalidParameter, match=ev.kind):
             sweep(spec, [ok, ev], 100, seed=1)
 
-    @pytest.mark.parametrize("chunk_size", [0, -5, 2.5, True])
-    def test_chunk_size_below_one_raises_before_drawing(self, monkeypatch,
-                                                        chunk_size):
-        def no_draws(*args):
-            raise AssertionError("a path was drawn")
-
-        monkeypatch.setattr("crossbound.validate.path_blocks", no_draws)
-        ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0)
-        for spec in (IidSum(UniformIncrements(), 50), PoissonCounting(1.0, 5.0)):
-            with pytest.raises(InvalidParameter, match="chunk_size"):
-                sweep(spec, [ev], 100, seed=1, chunk_size=chunk_size)
-
     def test_poisson_sweep_matches_per_path_loop(self):
         spec = PoissonCounting(lam=2.0, horizon=5.0, centered=True)
         events = [EventSpec(kind="line", side="upper", gamma=1.0, v_tau=1.0,
@@ -363,29 +448,33 @@ class TestSweep:
                             slope=0.3),
                   EventSpec(kind="vee", side="upper", gamma=0.8, v_tau=2.0),
                   EventSpec(kind="eta_ray", side="lower", gamma=0.4, eta=1.0)]
-        reps = sweep(spec, events, 300, seed=48, threads=2, chunk_size=50)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validate, "_CHUNK_ELEMENTS", 50 * 12)  # 50-row chunks
+            reps = sweep(spec, events, 300, seed=48, threads=2)
         want = [0] * len(events)
         for i in range(300):
             path = generate(spec, 48, i)
             stats = _RowStats(path.values[None, :], path.vproxy[None, :])
             for j, ev in enumerate(events):
-                want[j] += bool(_event_rows(ev, stats, None)[0])
+                want[j] += bool(_event_rows(ev.ray(None), stats)[0])
         assert [r.n_crossed for r in reps] == want
         assert all(0 < k < 300 for k in want)
 
     @settings(max_examples=12, deadline=None)
     @given(spec=st.sampled_from([IidSum(UniformIncrements(), 60),
                                  PoissonCounting(1.5, 8.0, centered=True)]),
-           threads=st.sampled_from([1, 2]), chunk=st.integers(1, 90),
+           threads=st.sampled_from([1, 2]), elements=st.integers(1, 5000),
            seed=st.integers(0, 2 ** 32))
     def test_counts_do_not_depend_on_threads_or_chunks(self, spec, threads,
-                                                       chunk, seed):
+                                                       elements, seed):
         events = [EventSpec(kind="line", side="two_sided", gamma=0.4,
                             v_tau=5.0, slope=0.2),
                   EventSpec(kind="vee", side="lower", gamma=0.3, v_tau=4.0)]
         ref = sweep(spec, events, 150, seed=seed, threads=1)
-        got = sweep(spec, events, 150, seed=seed, threads=threads,
-                    chunk_size=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            # chunks of 16 to 81 rows of 61 points, or 16 to 357 Poisson rows
+            mp.setattr(validate, "_CHUNK_ELEMENTS", elements)
+            got = sweep(spec, events, 150, seed=seed, threads=threads)
         assert [r.n_crossed for r in got] == [r.n_crossed for r in ref]
 
 
