@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainViolation, InvalidParameter
 from .mgf import MgfBound
 from .optimize import minimize_tail_exponent, solve_slope_root
+from .sim import check_whole
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -292,9 +293,8 @@ def expfam_bound(fam: ExpFamily, theta: float, gamma: float, m: int,
         raise DomainViolation(f"theta={theta} outside open domain of {fam.name}")
     if gamma < 0.0:
         raise InvalidParameter(f"gamma must be nonnegative, got {gamma}")
-    if not (isinstance(m, (int, np.integer)) and m > 0):
-        raise InvalidParameter(f"m must be a positive integer, got {m!r}")
-    params = {"theta": theta, "gamma": gamma, "m": int(m), "family": fam.name}
+    params = {"theta": theta, "gamma": gamma, "m": check_whole("m", m, 1),
+              "family": fam.name}
     if gamma == 0.0:
         return _report(ineq, 0.0, None, None, params)
     z = theta + gamma if side == "upper" else theta - gamma

@@ -236,6 +236,7 @@ def theorem9_groups():
 def run_theorem9_all(paths: int = 50_000, seed: int = 0, alpha: float = 0.01,
                      threads: Optional[int] = None) -> list:
     """Every group's sweep at seed + 7919 i, its chunks on one pool."""
+    check_whole("seed", seed)
     groups = theorem9_groups()
     per_group = _sweep_groups(
         [(spec, events, seed + 7919 * i)
@@ -267,6 +268,7 @@ def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
     width for every gamma; the T crossings are a prefix event on the same 2T
     pilot paths."""
     check_whole("paths", paths, 1)
+    check_whole("seed", seed)
     from scipy.special import ndtri  # loaded at the first horizon rule
     z = float(ndtri(1.0 - alpha / 2.0))
     T = t0

@@ -8,10 +8,13 @@ canonical: generating a path in blocks consumes the identical stream.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -41,13 +44,15 @@ def _typed(spec):
                               f"{f.type}, got {val!r}")
 
 
-def check_whole(name: str, value, least: int) -> None:
-    """Raise InvalidParameter unless value is a whole number (an int or a
-    numpy integer, no bool) of at least ``least``."""
+def check_whole(name: str, value, least: Optional[int] = None) -> int:
+    """value as an int; InvalidParameter unless it is a whole number (an int
+    or a numpy integer, no bool) of at least ``least`` (None: any)."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < least):
-        raise InvalidParameter(f"{name} must be a whole number of at least "
-                               f"{least}, got {value!r}")
+            or least is not None and value < least):
+        at_least = "" if least is None else f" of at least {least}"
+        raise InvalidParameter(f"{name} must be a whole number{at_least}, "
+                               f"got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -198,9 +203,9 @@ class ExpSupermartingale:
 
     def __post_init__(self):
         _typed(self)
-        if not self.phi.contains(self.s):
-            raise InvalidSpec(
-                f"s={self.s} outside the domain of phi {self.phi.label}")
+        if self.s == 0 or not self.phi.contains(self.s):   # s = 0: Y is 1
+            raise InvalidSpec(f"s={self.s} is 0 or outside the domain of "
+                              f"phi {self.phi.label}")
         object.__setattr__(self, "tilt", Tilt(self.s, float(np.asarray(
             self.phi.phi(self.s)))))
 
@@ -239,36 +244,26 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Per-path generator derived from (seed, path_index); order-independent."""
     if path_index < 0:
         raise InvalidParameter("path_index must be nonnegative")
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed) & (2 ** 64 - 1), int(path_index)))
-    )
+    return np.random.default_rng(np.random.SeedSequence(
+        (check_whole("seed", seed) & _MASK64, int(path_index))))
 
 
 # numpy's SeedSequence hash (pool size 4) and the PCG64 seeding step
 # (O'Neill 2014, pcg_setseq_128_srandom_r), restated so that path_streams
 # can seed a block of paths in one vectorized pass.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK32, _MASK64 = 0xFFFFFFFF, 2 ** 64 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _STREAM_SLICE = 1024     # indices hashed per vectorized pass
 
 
-def _seed_words(n: int) -> list:
-    """The little-endian uint32 words SeedSequence takes from an int."""
-    words = []
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words or [0]
-
-
-def _pcg64_states(seed_words: list, idx: np.ndarray) -> list:
-    """(state, inc) of default_rng(SeedSequence((seed, i))) for each uint32
-    index i, where seed_words are the seed's words.
+def _pcg64_states(seed: int, idx: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64 rows [state_lo, state_hi, inc_lo, inc_hi] of
+    default_rng(SeedSequence((seed, i))) for a seed below 2**64 and each
+    uint32 index i.
 
     Each hash step works alike on Python ints (words shared by every row)
     and on uint32 arrays (one entry per row).  At most 3 entropy words fit
@@ -283,7 +278,8 @@ def _pcg64_states(seed_words: list, idx: np.ndarray) -> list:
         value = value * const & _MASK32
         return value ^ value >> 16
 
-    words = seed_words + [idx]
+    # SeedSequence takes an int as its little-endian uint32 words, 0 as [0]
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [idx]
     pool = [hashmix(words[i] if i < len(words) else 0)
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -301,14 +297,47 @@ def _pcg64_states(seed_words: list, idx: np.ndarray) -> list:
         value = value * const & _MASK32
         out.append((value ^ value >> 16).astype(np.uint64))
     seed_hi, seed_lo, seq_hi, seq_lo = (
-        (out[2 * q] | out[2 * q + 1] << 32).tolist() for q in range(4))
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        # state = 0, inc = 2 seq + 1; step; state += seed; step
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+        out[2 * q] | out[2 * q + 1] << 32 for q in range(4))
+    # state = 0, inc = 2 seq + 1; step; state += seed; step, in uint64 limbs
+    inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
+
+    def plus_inc(lo, hi):
+        """(lo, hi) + inc mod 2**128, carrying bitwise: the first uint64
+        comparison in a process raises numpy's peak RSS by about 0.25 MB."""
+        total = lo + inc_lo
+        carry = (lo & inc_lo | (lo | inc_lo) & ~total) >> 63
+        return total, hi + inc_hi + carry
+
+    a_lo, a_hi = plus_inc(seed_lo, seed_hi)
+    # the high word of a_lo * _PCG_MULT_LO from 32-bit halves
+    (x0, x1), (m0, m1) = ((w & _MASK32, w >> 32) for w in (a_lo, _PCG_MULT_LO))
+    cross = (x0 * m0 >> 32) + (x1 * m0 & _MASK32) + x0 * m1     # < 2**64
+    s_lo, s_hi = plus_inc(a_lo * _PCG_MULT_LO, x1 * m1 + (x1 * m0 >> 32)
+                          + (cross >> 32) + a_lo * _PCG_MULT_HI
+                          + a_hi * _PCG_MULT_LO)
+    return np.stack([s_lo, s_hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_view(gen: np.random.Generator) -> tuple:
+    """(gen, state, flags): uint64 views on gen's pcg64_random_t and on the
+    int has_uint32 and uint32 uinteger after its pointer in pcg64_state."""
+    addr = gen.bit_generator.ctypes.state_address
+    ptr = ctypes.c_void_p.from_address(addr).value
+    flags = addr + ctypes.sizeof(ctypes.c_void_p)
+    return gen, *(np.frombuffer((ctypes.c_uint64 * n).from_address(at),
+                                np.uint64) for at, n in ((ptr, 4), (flags, 1)))
+
+
+@functools.cache
+def _state_layout_ok() -> bool:
+    """Whether a state written through _state_view is path_rng's, dict and
+    draws: numpy's layout is no contract (an emulated 128-bit int is hi-lo)."""
+    gen, state, flags = _state_view(np.random.default_rng(0))
+    gen.integers(0, 2 ** 32, dtype=np.uint32)        # sets has_uint32
+    state[:], flags[0] = _pcg64_states(2012, np.array([7], np.uint32))[0], 0
+    ref = path_rng(2012, 7)
+    return (gen.bit_generator.state == ref.bit_generator.state
+            and np.array_equal(gen.random(4), ref.random(4)))
 
 
 def path_streams(seed: int, indices, gens: list):
@@ -316,28 +345,25 @@ def path_streams(seed: int, indices, gens: list):
     path_rng(seed, i)'s, bit for bit.
 
     The PCG64 states of up to _STREAM_SLICE indices are computed in one
-    vectorized pass of the SeedSequence hash, and each is set into the next
-    generator of ``gens`` in turn, so a yielded generator is re-stated once
-    len(gens) more have been yielded.  An index the hash does not cover
-    (2**32 or more, or negative) gets path_rng(seed, i) itself.
+    vectorized pass, each written into the state struct of the next of
+    ``gens`` in turn, so a yielded generator is re-stated once len(gens)
+    more have been yielded.  If that write is unlike path_rng in this
+    process (_state_layout_ok), and for an index of 2**32 or more (or
+    negative), the stream is path_rng(seed, i) itself.
     """
-    words = _seed_words(int(seed) & (2 ** 64 - 1))
-    turn = 0
+    seed = check_whole("seed", seed) & _MASK64
+    views = [_state_view(gen) for gen in gens] if _state_layout_ok() else []
+    pool = itertools.cycle(views)
     for s0 in range(0, len(indices), _STREAM_SLICE):
         part = [int(i) for i in indices[s0:s0 + _STREAM_SLICE]]
-        idx = np.array([i for i in part if 0 <= i <= _MASK32], dtype=np.uint32)
-        states = iter(_pcg64_states(words, idx))
+        rows = iter(_pcg64_states(seed, np.array(
+            [i for i in part if 0 <= i <= _MASK32], dtype=np.uint32)))
         for i in part:
-            if not 0 <= i <= _MASK32:
+            if not (views and 0 <= i <= _MASK32):
                 yield path_rng(seed, i)
                 continue
-            state, inc = next(states)
-            gen = gens[turn % len(gens)]
-            turn += 1
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
+            gen, state, flags = next(pool)
+            state[:], flags[0] = next(rows), 0
             yield gen
 
 

@@ -309,7 +309,8 @@ def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
     each.  Every group is checked before any path is drawn, and the chunks
     of all groups share one pool, largest first.  A row's runtime_seconds is
     its group's summed chunk seconds over the group's event count."""
-    n_workers = _check_run(n_paths, alpha, threads)
+    n_workers = _check_run(n_paths, alpha, threads,
+                           [seed for _, _, seed in groups])
     jobs = sorted(((size, g, work) for g, (spec, events, seed)
                    in enumerate(groups) for size, work
                    in _chunk_jobs(spec, events, n_paths, seed)),
@@ -343,15 +344,18 @@ def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
                 verdict=_verdict(lo, hi, ev.bound),
                 truncation_fraction=1.0 - p_hat,
                 runtime_seconds=secs / len(events),
-                alpha=alpha, seed=seed))
+                alpha=alpha, seed=int(seed)))
         out.append(reps)
     return out
 
 
-def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1) -> int:
+def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1,
+               seeds: Sequence = ()) -> int:
     """Check the run settings before any path is drawn; return the worker
     thread count (threads None: one per CPU)."""
     check_whole("n_paths", n_paths, 1)
+    for seed in seeds:
+        check_whole("seed", seed)
     if not (0 < alpha < 1):
         raise DomainViolation(f"alpha must lie in (0, 1), got {alpha}")
     n_workers = (os.cpu_count() or 1) if threads is None else threads
@@ -371,7 +375,7 @@ def stopping_rows(rows: Sequence[tuple], pair: RegionPair, n_paths: int,
     OsReport.  runtime_seconds is the whole pass's measured time, in
     every row, not a share of it.
     """
-    _check_run(n_paths, alpha)
+    _check_run(n_paths, alpha, seeds=[seed])
     t0 = time.perf_counter()
     reps = verify_shared_stopping([(spec, kind) for spec, kind, _ in rows],
                                   pair, n_paths, seed)
@@ -384,7 +388,7 @@ def stopping_rows(rows: Sequence[tuple], pair: RegionPair, n_paths: int,
             label=label, n_paths=int(n_paths), n_crossed=k, p_hat=k / n_paths,
             ci_lo=lo, ci_hi=hi, bound=math.nan, verdict=rep.verdict,
             truncation_fraction=rep.truncated_outer, runtime_seconds=secs,
-            alpha=alpha, seed=seed, extra=rep.to_dict()))
+            alpha=alpha, seed=int(seed), extra=rep.to_dict()))
     return out
 
 

@@ -318,6 +318,10 @@ class TestExpFam:
         r = expfam_bound(fam, theta=0.5, gamma=0.3, m=1)
         assert r.bound == pytest.approx(2.5 * 4.0 ** -0.8, rel=1e-12)
         assert r.bound == pytest.approx(0.8246924442330589, rel=1e-12)
+        # m is a whole number of at least 1: True ran as m = 1
+        for m in (True, 2.5, 0):
+            with pytest.raises(InvalidParameter, match="whole number"):
+                expfam_bound(fam, theta=0.5, gamma=0.3, m=m)
 
     def test_rho_example(self):
         fam = bernoulli_family()

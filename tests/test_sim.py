@@ -154,6 +154,31 @@ class TestPathStreams:
             assert rng.bit_generator.state == \
                 path_rng(2 ** 40 + 3, i).bit_generator.state
 
+    def test_uint32_draws_after_restating(self):
+        # a uint32 draw leaves has_uint32 set, with half a word buffered;
+        # re-stating clears both, as the state dict setter does
+        gens = [np.random.default_rng(0)]
+        for i, rng in zip(range(4), path_streams(3, range(4), gens)):
+            ref = path_rng(3, i)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.integers(0, 2 ** 32, 5, dtype=np.uint32),
+                                  ref.integers(0, 2 ** 32, 5, dtype=np.uint32))
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_state_layout_check_reads_true(self):
+        assert sim._state_layout_ok()
+
+    def test_layout_mismatch_falls_back_to_path_rng(self, monkeypatch):
+        monkeypatch.setattr(sim, "_state_layout_ok", lambda: False)
+        gens = [np.random.default_rng(0)]
+        indices = [0, 5, 2 ** 32 - 1, 2 ** 32]
+        got = list(path_streams(9, indices, gens))
+        assert all(rng is not gens[0] for rng in got)
+        for i, rng in zip(indices, got):
+            ref = path_rng(9, i)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.random(50), ref.random(50))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(-2 ** 70, 2 ** 70),
            indices=st.lists(st.integers(0, 2 ** 33), min_size=1, max_size=20),
@@ -510,6 +535,9 @@ class TestValidation:
                                            phi=make_phi(PoissonCentered(1.0))),
                 lambda: ExpSupermartingale(Brownian(0.1, 1.0), s=5.0,
                                            phi=make_phi(Bernstein(1.0))),
+                # at s = 0, Y is identically 1 (its ray divided by s)
+                lambda: ExpSupermartingale(Brownian(0.01, 1.0), s=0.0,
+                                           phi=make_phi(Gaussian(1.0))),
                 lambda: dataclasses.replace(LazyWalk(1.0, 5), n=0),
                 # n is an integer >= 1: never a fraction, inf, nan or a bool
                 lambda: LazyWalk(1.0, 2.5), lambda: LazyWalk(1.0, math.inf),

@@ -33,6 +33,7 @@ from crossbound.presets import (
     choose_horizon_by_doubling,
     run_expexact_brownian,
     run_optional_stopping,
+    run_theorem9_all,
     walk_region_pair,
 )
 from crossbound.validate import (
@@ -305,6 +306,47 @@ class TestWholeCounts:
                             np.int64(20), seed=1)
         for rec in (row.to_dict(), stop.to_dict(), stop.extra):
             assert type(rec["n_paths"]) is int
+
+
+# each takes a seed, which must be a whole number, refused before drawing
+SEEDED_RUNS = {
+    "sweep": lambda seed: sweep(LazyWalk(1.0, 50), [WALK_EVENT], 20,
+                                seed=seed),
+    "stopping_row": lambda seed: [stopping_row(
+        LazyWalk(1.0, 50), walk_region_pair(), 20, seed=seed)],
+    "theorem9_all": lambda seed: run_theorem9_all(paths=20, seed=seed,
+                                                  threads=1),
+    "optional_stopping": lambda seed: run_optional_stopping(paths=20,
+                                                            seed=seed),
+    "horizon_seed": lambda seed: choose_horizon_by_doubling(
+        [2.0], 100, seed=seed, dt=0.1, t0=1.0, pilot_paths=20),
+    "generate": lambda seed: generate(LazyWalk(1.0, 50), seed),
+}
+
+
+class TestWholeSeeds:
+    @pytest.mark.parametrize("seed", [2.5, True, "7"])
+    @pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+    def test_bad_seed_raises_before_drawing(self, monkeypatch, run, seed):
+        # 2.5 drew seed 2's streams and True seed 1's, each reported as given
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        for module in (validate, stopping):
+            monkeypatch.setattr(module, "path_blocks", no_draws)
+        monkeypatch.setattr(stopping, "path_streams", no_draws)
+        with pytest.raises(InvalidParameter, match="whole number"):
+            SEEDED_RUNS[run](seed)
+
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    @pytest.mark.parametrize("run", ["sweep", "stopping_row", "theorem9_all",
+                                     "optional_stopping"])
+    def test_numpy_seed_runs_as_its_int(self, run):
+        # an np.int64 seed reached the JSON report as a string
+        got, want = SEEDED_RUNS[run](np.int64(7)), SEEDED_RUNS[run](7)
+        assert all(type(rep.to_dict()["seed"]) is int for rep in got)
+        assert [(r.seed, r.n_crossed, r.extra) for r in got] == \
+            [(r.seed, r.n_crossed, r.extra) for r in want]
 
 
 class TestTilt:
