@@ -13,7 +13,6 @@ from .bounds import (
     line_bound,
     optimized_line_bound,
     poisson_bounds,
-    rho_line,
     supermartingale_sup_bound,
     vee_bound,
 )
@@ -64,7 +63,6 @@ from .sim import (
     UniformIncrements,
     generate,
     path_rng,
-    transform_exp_martingale,
 )
 from .stopping import (
     ContinuityRegion,
@@ -79,7 +77,6 @@ from .validate import (
     ValidationReport,
     clopper_pearson,
     halving_allowance,
-    stopping_row,
     sweep,
 )
 

@@ -278,12 +278,6 @@ def bernoulli_family() -> ExpFamily:
     )
 
 
-def rho_line(fam: ExpFamily, z: float, theta: float, m: int, n: float) -> float:
-    """Stopping boundary rho(z, theta, m, n) = m z + (n - m)(v(z)-v(theta))/(u(z)-u(theta))."""
-    slope = (fam.v(z) - fam.v(theta)) / (fam.u(z) - fam.u(theta))
-    return m * z + (n - m) * slope
-
-
 def expfam_bound(fam: ExpFamily, theta: float, gamma: float, m: int,
                  side: str = "upper") -> BoundReport:
     """Bound [M(theta +- gamma, theta)]^m for raw-sum crossings of the envelope

@@ -122,11 +122,16 @@ class _SideTable:
         return float(r_last + (r_last - r_prev))
 
     @cached_property
+    def pow2_ratios(self) -> np.ndarray:
+        """phi(+-s)/s along s = 2^k, k <= 40, in one call of phi."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.g(_POW2[:41]) / _POW2[:41]
+
+    @cached_property
     def infinity_ratio(self) -> float:
         """lim_{s -> inf} phi(+-s)/s read along s = 2^k, k <= 40 (may be +inf)."""
-        s = _POW2[:41]
+        r = self.pow2_ratios
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self.g(s) / s
             settled = np.abs(np.diff(r)) <= 1e-12 * (1.0 + np.abs(r[1:]))
         return float(r[1:][settled][0] if settled.any() else r[-1])
 
@@ -143,13 +148,6 @@ class _SideTable:
         pts, rv = pts[keep], rv[keep]
         drops = np.nonzero(np.diff(rv) < -1e-9 * (1.0 + np.abs(rv[1:])))[0]
         return float(pts[drops[0] + 1]) if drops.size else math.nan
-
-    @cached_property
-    def doubling_ratios(self) -> np.ndarray:
-        """phi(+-s)/s along s = 2^k, k < 40, where an unbounded domain's
-        slope root looks for its bracket."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.g(_POW2[:40]) / _POW2[:40]
 
 
 def _side_table(phi: MgfBound, side: str) -> _SideTable:
@@ -346,7 +344,8 @@ def solve_slope_root(phi: MgfBound, gamma: float,
         while (f_hi := f(hi)) <= 0.0:  # push the bracket into the unchecked sliver
             hi = radius - (radius - hi) / 2.0
     else:
-        above = ~(table.doubling_ratios <= gamma)
+        # an unbounded domain's bracket: the first s = 2^k, k < 40, past gamma
+        above = ~(table.pow2_ratios[:40] <= gamma)
         if not above.any():
             return SlopeRoot(s_root=math.inf, side=side, is_boundary=True)
         hi = float(_POW2[np.argmax(above)])

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, InvalidParameter, InvalidSpec
+from .errors import ConfigError, InvalidParameter, InvalidSpec
 from .mgf import MgfBound, _from_record
 
 _EXP_BLOCK = 64          # block size for Poisson interarrival draws
@@ -96,7 +96,6 @@ class CustomIncrements:
     Its fill is its own, so it shares a harvest pass with no other spec."""
 
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    label: str = "custom"
 
 
 IncrementDist = Union[BernoulliIncrements, UniformIncrements,
@@ -421,6 +420,15 @@ def step_draws(spec: ProcessSpec):
     return V, _fill_uniform, steps
 
 
+def row_length(spec: ProcessSpec):
+    """The mean length of a base process's path_blocks row: its n + 1 points
+    on a uniform grid, or lam T + 2 for a Poisson path (t = 0, the mean
+    lam T jumps and the horizon)."""
+    if isinstance(spec, PoissonCounting):
+        return spec.lam * spec.horizon + 2.0
+    return step_draws(spec)[0].size
+
+
 def walk_increments(spec: LazyWalk, rng: np.random.Generator) -> np.ndarray:
     _, fill, steps = step_draws(spec)
     row = np.empty(spec.n)
@@ -457,16 +465,6 @@ def generate(spec: ProcessSpec, seed: int, path_index: int = 0) -> Path:
         return replace(path, values=spec.tilt(path.values, path.vproxy))
     X, V = path_blocks(spec, seed, [path_index])
     return Path(times=V[0], values=X[0], vproxy=V[0].copy())
-
-
-def transform_exp_martingale(path: Path, s: float, phi: MgfBound) -> Path:
-    """Pointwise transform exp(s X_t - phi(s) V_t) on the same grid."""
-    if not phi.contains(s):
-        raise DomainViolation(
-            f"s={s} outside the open domain (-{phi.a}, {phi.b}) of {phi.label}"
-        )
-    tilt = Tilt(s, float(np.asarray(phi.phi(s))))
-    return replace(path, values=tilt(path.values, path.vproxy))
 
 
 def increments_matrix(spec: ProcessSpec, seed: int,

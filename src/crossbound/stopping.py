@@ -27,6 +27,7 @@ from .sim import (
     path_blocks,
     path_rng,  # noqa: F401  (kept importable; benchmarks/tracing.py patches it)
     path_streams,
+    row_length,
     step_draws,
     walk_increments,  # noqa: F401  (likewise)
 )
@@ -115,7 +116,6 @@ class StopResult:
     tau: float
     value_at_stop: float
     truncated: bool
-    index: Optional[int] = None
 
 
 def first_exit(path: Path, region: ContinuityRegion) -> StopResult:
@@ -131,9 +131,9 @@ def first_exit(path: Path, region: ContinuityRegion) -> StopResult:
     if outside[idx]:
         return StopResult(tau=float(path.times[idx]),
                           value_at_stop=float(path.values[idx]),
-                          truncated=False, index=idx)
+                          truncated=False)
     return StopResult(tau=math.inf, value_at_stop=float(path.values[-1]),
-                      truncated=True, index=None)
+                      truncated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,7 @@ def _harvest_exits(specs, pair, n_paths, seed):
             raise InvalidParameter("a Poisson spec shares no harvest pass")
         base = bases[0]
         # as many rows as fill a grid block's elements at the mean length
-        group = max(1, int(HARVEST_ROWS * HARVEST_BLOCK
-                           // (base.lam * base.horizon + 2.0)))
+        group = max(1, int(HARVEST_ROWS * HARVEST_BLOCK // row_length(base)))
         for g0 in range(0, n_paths, group):
             rows = np.arange(g0, min(g0 + group, n_paths))
             X, V = path_blocks(base, seed, rows)

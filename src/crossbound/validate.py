@@ -29,7 +29,7 @@ from .sim import (
     increments_matrix,  # noqa: F401  (likewise)
     path_blocks,
     row_blocks,
-    step_draws,
+    row_length,
 )
 from .stopping import RegionPair, verify_shared_stopping
 from .stopping import verify_optional_stopping  # noqa: F401  (likewise)
@@ -151,16 +151,35 @@ class ValidationReport:
 
     @staticmethod
     def csv_header() -> str:
-        return ("schema_version,label,n_paths,n_crossed,p_hat,ci_lo,ci_hi,"
-                "bound,verdict,truncation_fraction,runtime_seconds,alpha,seed")
+        return ",".join(["schema_version", *(name for name, _ in _CSV_COLUMNS)])
 
     def csv_row(self) -> str:
-        return ",".join([
-            SCHEMA_VERSION, self.label, str(self.n_paths), str(self.n_crossed),
-            fmt17(self.p_hat), fmt17(self.ci_lo), fmt17(self.ci_hi),
-            fmt17(self.bound), self.verdict, fmt17(self.truncation_fraction),
-            f"{self.runtime_seconds:.3f}", fmt17(self.alpha), str(self.seed),
-        ])
+        return ",".join([SCHEMA_VERSION, *(
+            cell(getattr(self, name)) for name, cell in _CSV_COLUMNS)])
+
+
+# The CSV columns after schema_version: each report field but extra, in
+# order, with its cell format: a float to 17 significant digits but
+# runtime_seconds to 3 decimals, an int or a str as it is.
+_CSV_COLUMNS = [(f.name, "{:.3f}".format if f.name == "runtime_seconds"
+                 else fmt17 if f.type == "float" else str)
+                for f in dataclasses.fields(ValidationReport)
+                if f.name != "extra"]
+
+
+def _row(label: str, k: int, n_paths: int, alpha: float, seed: int,
+         bound: float, runtime_seconds: float, **given) -> ValidationReport:
+    """The report row of k crossings in n_paths paths: p_hat = k / n_paths
+    and its Clopper-Pearson interval, with _verdict's verdict and 1 - p_hat
+    as truncation_fraction unless ``given`` (which may also give extra)."""
+    lo, hi = clopper_pearson(k, n_paths, alpha)
+    p_hat = k / n_paths
+    given.setdefault("verdict", _verdict(lo, hi, bound))
+    given.setdefault("truncation_fraction", 1.0 - p_hat)
+    return ValidationReport(
+        label=label, n_paths=int(n_paths), n_crossed=k, p_hat=p_hat,
+        ci_lo=lo, ci_hi=hi, bound=bound, runtime_seconds=runtime_seconds,
+        alpha=alpha, seed=int(seed), **given)
 
 
 def _verdict(ci_lo: float, ci_hi: float, bound: float) -> str:
@@ -289,12 +308,11 @@ def _chunk_jobs(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     (elements, count function) pairs."""
     base, tilt = getattr(spec, "base", spec), getattr(spec, "tilt", None)
     rays = [ev.ray(tilt) for ev in events]
-    # rows of a chunk from the mean row length: n + 1, or lam T + 2 points
-    n_cols = None if isinstance(base, PoissonCounting) else step_draws(base)[0].size
-    row_len = n_cols or base.lam * base.horizon + 2.0
+    row_len = row_length(base)
     rows = max(16, min(8192, int(_CHUNK_ELEMENTS // row_len)))
-    if any((ev.steps, ev.stride) != (None, 1) and (n_cols is None or not (
-            ev.steps is None or ev.steps < n_cols)) for ev in events):
+    if any((ev.steps, ev.stride) != (None, 1) and (
+            isinstance(base, PoissonCounting) or not (
+                ev.steps is None or ev.steps < row_len)) for ev in events):
         raise InvalidParameter("steps/stride events need a uniform grid "
                                "and 1 <= steps <= its number of steps")
     return [(ix.size * row_len,
@@ -332,21 +350,9 @@ def _sweep_groups(groups: Sequence[tuple], n_paths: int, alpha: float,
         counts[g] += k
         seconds[g] += dt
 
-    out = []
-    for (_, events, seed), k_group, secs in zip(groups, counts, seconds):
-        reps = []
-        for ev, k in zip(events, k_group.tolist()):
-            lo, hi = clopper_pearson(k, n_paths, alpha)
-            p_hat = k / n_paths
-            reps.append(ValidationReport(
-                label=ev.label or ev.kind, n_paths=int(n_paths), n_crossed=k,
-                p_hat=p_hat, ci_lo=lo, ci_hi=hi, bound=ev.bound,
-                verdict=_verdict(lo, hi, ev.bound),
-                truncation_fraction=1.0 - p_hat,
-                runtime_seconds=secs / len(events),
-                alpha=alpha, seed=int(seed)))
-        out.append(reps)
-    return out
+    return [[_row(ev.label or ev.kind, k, n_paths, alpha, seed, ev.bound,
+                  secs / len(events)) for ev, k in zip(events, k_group.tolist())]
+            for (_, events, seed), k_group, secs in zip(groups, counts, seconds)]
 
 
 def _check_run(n_paths: int, alpha: float, threads: Optional[int] = 1,
@@ -380,23 +386,10 @@ def stopping_rows(rows: Sequence[tuple], pair: RegionPair, n_paths: int,
     reps = verify_shared_stopping([(spec, kind) for spec, kind, _ in rows],
                                   pair, n_paths, seed)
     secs = time.perf_counter() - t0
-    out = []
-    for (_, _, label), rep in zip(rows, reps):
-        k = int(round((1.0 - rep.truncated_outer) * n_paths))
-        lo, hi = clopper_pearson(k, n_paths, alpha)
-        out.append(ValidationReport(
-            label=label, n_paths=int(n_paths), n_crossed=k, p_hat=k / n_paths,
-            ci_lo=lo, ci_hi=hi, bound=math.nan, verdict=rep.verdict,
-            truncation_fraction=rep.truncated_outer, runtime_seconds=secs,
-            alpha=alpha, seed=int(seed), extra=rep.to_dict()))
-    return out
-
-
-def stopping_row(spec: ProcessSpec, pair: RegionPair, n_paths: int,
-                 seed: int, kind: str = "martingale", label: str = "stopping",
-                 alpha: float = 0.01) -> ValidationReport:
-    """One optional-stopping check as a report row: stopping_rows of one."""
-    return stopping_rows([(spec, kind, label)], pair, n_paths, seed, alpha)[0]
+    return [_row(label, int(round((1.0 - rep.truncated_outer) * n_paths)),
+                 n_paths, alpha, seed, math.nan, secs, verdict=rep.verdict,
+                 truncation_fraction=rep.truncated_outer, extra=rep.to_dict())
+            for (_, _, label), rep in zip(rows, reps)]
 
 
 def halving_allowance(p_fine: float, p_coarse: float) -> float:

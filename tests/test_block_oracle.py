@@ -30,7 +30,7 @@ from crossbound import (
     sweep,
     validate,
 )
-from crossbound.sim import path_blocks, path_rng, poisson_jump_times
+from crossbound.sim import path_blocks, path_rng, poisson_jump_times, row_length
 from crossbound.validate import EventSpec
 
 
@@ -333,6 +333,12 @@ def _recorder(monkeypatch, module):
 
 
 class TestBudget:
+    def test_row_length_is_the_mean_row(self):
+        # n + 1 grid points, or lam T + 2 Poisson points
+        assert row_length(LazyWalk(1.0, 400)) == 401
+        assert row_length(Brownian(1e-3, 30.0)) == 30_001
+        assert row_length(PoissonCounting(2.0, 60.0, centered=True)) == 122.0
+
     def test_sweep_chunks_hold_the_chunk_elements(self, monkeypatch):
         seen = _recorder(monkeypatch, validate)
         # rows of about a 30th of the budget: more than 16 fit in a chunk
@@ -340,9 +346,9 @@ class TestBudget:
                                centered=True)
         ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0)
         sweep(spec, [ev], 100, seed=1, threads=1)
-        row_len = spec.lam * spec.horizon + 2.0
         assert sum(seen) == 100
-        assert 16 <= max(seen) and max(seen) * row_len <= validate._CHUNK_ELEMENTS
+        assert 16 <= max(seen)
+        assert max(seen) * row_length(spec) <= validate._CHUNK_ELEMENTS
 
     def test_sweep_chunk_floor_is_16_rows(self, monkeypatch):
         seen = _recorder(monkeypatch, validate)
@@ -360,4 +366,4 @@ class TestBudget:
             stopping.verify_optional_stopping(spec, pair, 100, seed=1)
         budget = stopping.HARVEST_ROWS * stopping.HARVEST_BLOCK
         assert sum(seen) == 100 and len(seen) > 1
-        assert max(seen) * (spec.lam * spec.horizon + 2.0) <= budget
+        assert max(seen) * row_length(spec) <= budget

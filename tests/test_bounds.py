@@ -29,7 +29,6 @@ from crossbound import (
     make_phi,
     optimized_line_bound,
     poisson_bounds,
-    rho_line,
     supermartingale_sup_bound,
     vee_bound,
 )
@@ -324,8 +323,12 @@ class TestExpFam:
                 expfam_bound(fam, theta=0.5, gamma=0.3, m=m)
 
     def test_rho_example(self):
-        fam = bernoulli_family()
-        val = rho_line(fam, 0.8, 0.5, 2, 4)
+        # rho(z, theta, m, n) = m z + (n - m) slope at z = 0.8, theta = 0.5,
+        # m = 2, n = 4, from the params of the bound at gamma = 0.3
+        params = expfam_bound(bernoulli_family(), theta=0.5, gamma=0.3,
+                              m=2).params
+        assert params["z"] == pytest.approx(0.8, rel=1e-15)
+        val = params["rho_at_m"] + (4 - params["m"]) * params["rho_slope"]
         assert val == pytest.approx(1.6 + 2.0 * math.log(2.5) / math.log(4.0),
                                     rel=1e-12)
         assert val == pytest.approx(2.9219280948873623, rel=1e-12)

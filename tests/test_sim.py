@@ -12,7 +12,6 @@ from crossbound import (
     Bernstein,
     Brownian,
     CustomIncrements,
-    DomainViolation,
     ExpSupermartingale,
     Gaussian,
     IidSum,
@@ -28,7 +27,6 @@ from crossbound import (
     generate,
     make_phi,
     sim,
-    transform_exp_martingale,
     verify_optional_stopping,
 )
 from crossbound.presets import walk_region_pair
@@ -430,19 +428,6 @@ class TestExpSupermartingale:
         spec = ExpSupermartingale(Brownian(0.01, 1.0), s=0.7, phi=phi)
         path = generate(spec, seed=11)
         assert path.values[0] == 1.0
-
-    def test_transform_s_zero_constant_one(self):
-        phi = make_phi(Gaussian(1.0))
-        base = generate(Brownian(0.05, 1.0), seed=2)
-        y = transform_exp_martingale(base, 0.0, phi)
-        assert np.all(y.values == 1.0)
-
-    def test_transform_domain_violation(self):
-        from crossbound import Bernstein
-        phi = make_phi(Bernstein(1.0))
-        base = generate(Brownian(0.05, 1.0), seed=2)
-        with pytest.raises(DomainViolation):
-            transform_exp_martingale(base, 3.5, phi)
 
     def test_brownian_exponential_is_mean_one(self):
         # E[exp(W_t - t/2)] = 1 at every checkpoint

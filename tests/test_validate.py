@@ -41,7 +41,6 @@ from crossbound.validate import (
     _event_rows,
     _RowStats,
     _verdict,
-    stopping_row,
     stopping_rows,
 )
 
@@ -113,7 +112,7 @@ class TestEventSpec:
         with pytest.raises(InvalidParameter):
             EventSpec(kind="vee", side="two_sided")
         with pytest.raises(InvalidParameter):
-            EventSpec(kind="stopping")   # stopping_row builds those rows
+            EventSpec(kind="stopping")   # stopping_rows builds those rows
         with pytest.raises(InvalidParameter):
             EventSpec(kind="line", stride=3)
 
@@ -228,8 +227,8 @@ class TestStoppingRow:
                   (LazyWalk(1.0, 300, drift=-0.1), "supermartingale", "b")]
         shared = stopping_rows(checks, pair, 500, seed=5, alpha=0.05)
         for row, (spec, kind, label) in zip(shared, checks):
-            one = stopping_row(spec, pair, 500, seed=5, kind=kind,
-                               label=label, alpha=0.05)
+            (one,) = stopping_rows([(spec, kind, label)], pair, 500, seed=5,
+                                   alpha=0.05)
             assert (dataclasses.replace(row, runtime_seconds=0.0)
                     == dataclasses.replace(one, runtime_seconds=0.0))
 
@@ -239,8 +238,8 @@ class TestStoppingRow:
 
     @pytest.mark.filterwarnings("ignore:truncation fraction")
     def test_counts_outer_exits(self):
-        row = stopping_row(LazyWalk(1.0, 30), walk_region_pair(), 500,
-                           seed=3, label="short", alpha=0.05)
+        (row,) = stopping_rows([(LazyWalk(1.0, 30), "martingale", "short")],
+                               walk_region_pair(), 500, seed=3, alpha=0.05)
         k = round(500 * (1.0 - row.extra["truncated_outer"]))
         assert 0 < k < 500 and row.n_crossed == k and row.p_hat == k / 500
         assert (row.ci_lo, row.ci_hi) == clopper_pearson(k, 500, 0.05)
@@ -256,18 +255,19 @@ class TestStoppingRow:
 
         monkeypatch.setattr(stopping, "path_streams", no_draws)
         with pytest.raises(exc):
-            stopping_row(LazyWalk(1.0, 100), walk_region_pair(), n_paths,
-                         seed=1, alpha=alpha)
+            stopping_rows([(LazyWalk(1.0, 100), "martingale", "walk")],
+                          walk_region_pair(), n_paths, seed=1, alpha=alpha)
 
 
 WALK_EVENT = EventSpec(kind="line", gamma=1.0, v_tau=1.0)
+WALK_ROW = [(LazyWalk(1.0, 50), "martingale", "walk")]   # one stopping row
 # each takes a path or thread count and must refuse a bad one before drawing
 COUNTED_RUNS = {
     "sweep_n_paths": lambda n: sweep(LazyWalk(1.0, 50), [WALK_EVENT], n),
     "sweep_threads": lambda n: sweep(LazyWalk(1.0, 50), [WALK_EVENT], 100,
                                      threads=n),
-    "stopping_row": lambda n: stopping_row(LazyWalk(1.0, 50),
-                                           walk_region_pair(), n, seed=1),
+    "stopping_row": lambda n: stopping_rows(WALK_ROW, walk_region_pair(), n,
+                                            seed=1),
     "stopping_threads": lambda n: run_optional_stopping(paths=100, threads=n),
     "verify_optional_stopping": lambda n: verify_optional_stopping(
         LazyWalk(1.0, 50), walk_region_pair(), n, seed=1),
@@ -302,8 +302,8 @@ class TestWholeCounts:
     def test_numpy_count_is_reported_as_an_int(self):
         # an np.int64 count would reach the JSON report as a string
         row = sweep(LazyWalk(1.0, 50), [WALK_EVENT], np.int64(20))[0]
-        stop = stopping_row(LazyWalk(1.0, 50), walk_region_pair(),
-                            np.int64(20), seed=1)
+        (stop,) = stopping_rows(WALK_ROW, walk_region_pair(), np.int64(20),
+                                seed=1)
         for rec in (row.to_dict(), stop.to_dict(), stop.extra):
             assert type(rec["n_paths"]) is int
 
@@ -312,8 +312,8 @@ class TestWholeCounts:
 SEEDED_RUNS = {
     "sweep": lambda seed: sweep(LazyWalk(1.0, 50), [WALK_EVENT], 20,
                                 seed=seed),
-    "stopping_row": lambda seed: [stopping_row(
-        LazyWalk(1.0, 50), walk_region_pair(), 20, seed=seed)],
+    "stopping_row": lambda seed: stopping_rows(WALK_ROW, walk_region_pair(),
+                                               20, seed=seed),
     "theorem9_all": lambda seed: run_theorem9_all(paths=20, seed=seed,
                                                   threads=1),
     "optional_stopping": lambda seed: run_optional_stopping(paths=20,
@@ -425,6 +425,24 @@ class TestSweep:
         row = rep.csv_row()
         assert row.split(",")[1] == "v"
 
+    @pytest.mark.filterwarnings("ignore:truncation fraction")
+    def test_csv_bytes(self):
+        # a sweep row with a nan bound and a stopping row, each field but
+        # extra in order: floats to 17 significant digits, runtime_seconds
+        # to 3 decimals
+        ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, label="walk_line")
+        (row,) = sweep(LazyWalk(1.0, 50), [ev], 30, seed=5, alpha=0.1)
+        (stop,) = stopping_rows(WALK_ROW, walk_region_pair(), 30, seed=1)
+        assert validate.ValidationReport.csv_header() == (
+            "schema_version,label,n_paths,n_crossed,p_hat,ci_lo,ci_hi,bound,"
+            "verdict,truncation_fraction,runtime_seconds,alpha,seed")
+        assert dataclasses.replace(row, runtime_seconds=2.5).csv_row() == (
+            "1,walk_line,30,26,0.8666666666666667,0.72038483410651788,"
+            "0.95314517308539926,nan,holds,0.1333333333333333,2.500,"
+            "0.10000000000000001,5")
+        assert dataclasses.replace(stop, runtime_seconds=0.0123).csv_row() == (
+            "1,walk,30,29,0.96666666666666667,0.77724893497556624,"
+            "0.99983292923042422,nan,holds,0.033333333333333333,0.012,0.01,1")
 
     def test_prefix_and_stride_events_match_sliced_paths(self):
         # 60 rows of 10 001 grid points: every view but the 3-step prefix
