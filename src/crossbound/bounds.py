@@ -21,7 +21,9 @@ from .sim import check_whole
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A computed bound: clamped value, raw value, optimizing s and slope."""
+    """A computed bound: clamped value, raw value, optimizing s and slope, and
+    the crossing event it bounds as validate.EventSpec fields (None for the
+    cbb bounds, whose events live on a step-count V grid)."""
 
     inequality: str
     bound: float
@@ -29,6 +31,7 @@ class BoundReport:
     s_used: Optional[float]
     slope_used: Optional[float]
     params: dict = field(default_factory=dict)
+    event: Optional[dict] = None
     vacuous: bool = False
     exact: bool = False
 
@@ -46,12 +49,12 @@ def _clamp(raw: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def _report(inequality, exponent, s_used, slope_used, params,
+def _report(inequality, exponent, s_used, slope_used, params, event,
             vacuous=False, exact=False, factor=1.0) -> BoundReport:
     raw = factor * _exp(exponent)
     return BoundReport(inequality=inequality, bound=_clamp(raw), raw=raw,
                        s_used=s_used, slope_used=slope_used, params=params,
-                       vacuous=vacuous, exact=exact)
+                       event=event, vacuous=vacuous, exact=exact)
 
 
 def _check_positive(**kwargs):
@@ -95,7 +98,9 @@ def line_bound(phi: MgfBound, s: float, gamma: float, v_tau: float,
             f"phi is {ph} at s={s} for side={side}: no finite bound there")
     exponent = v_tau * (ph - gamma * s)
     return _report(ineq, exponent, s, ph / s,
-                   {"gamma": gamma, "v_tau": v_tau, "s": s, **phi.describe()})
+                   {"gamma": gamma, "v_tau": v_tau, "s": s, **phi.describe()},
+                   dict(kind="line", side=side, gamma=gamma, v_tau=v_tau,
+                        slope=ph / s))
 
 
 def optimized_line_bound(phi: MgfBound, gamma: float, v_tau: float,
@@ -107,7 +112,9 @@ def optimized_line_bound(phi: MgfBound, gamma: float, v_tau: float,
     exponent = v_tau * opt.value
     return _report(_side_id("opt_line", side), exponent, opt.s_opt, opt.slope,
                    {"gamma": gamma, "v_tau": v_tau, "location": opt.location,
-                    **phi.describe()})
+                    **phi.describe()},
+                   dict(kind="line", side=side, gamma=gamma, v_tau=v_tau,
+                        slope=opt.slope))
 
 
 def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
@@ -123,11 +130,12 @@ def vee_bound(phi: MgfBound, gamma: float, v_tau: float,
     _check_positive(gamma=gamma, v_tau=v_tau)
     ineq = _side_id("vee", side)
     params = {"gamma": gamma, "v_tau": v_tau, **phi.describe()}
+    event = dict(kind="vee", side=side, gamma=gamma, v_tau=v_tau)
     opt = minimize_tail_exponent(phi, gamma, side=side)
     if opt.value >= 0.0:
-        return _report(ineq, 0.0, None, None, params, vacuous=True)
+        return _report(ineq, 0.0, None, None, params, event, vacuous=True)
     exponent = v_tau * opt.value
-    return _report(ineq, exponent, opt.s_opt, opt.slope, params)
+    return _report(ineq, exponent, opt.s_opt, opt.slope, params, event)
 
 
 def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
@@ -150,27 +158,29 @@ def eta_bound(phi: MgfBound, gamma: float, eta: float, v_tau: float = 0.0,
         raise InvalidParameter(f"variant must be 'ray' or 'vee', got {variant!r}")
     ineq = _side_id("eta_" + variant, side)
     params = {"gamma": gamma, "eta": eta, **phi.describe()}
+    event = dict(kind="vee" if variant == "vee" else "eta_ray", side=side,
+                 gamma=gamma, eta=eta)
     if variant == "vee":
         if not v_tau >= 0.0:
             raise InvalidParameter(f"v_tau must be nonnegative, got {v_tau}")
-        params["v_tau"] = v_tau
+        params["v_tau"] = event["v_tau"] = v_tau
 
     root = solve_slope_root(phi, gamma, side=side)
     if root.empty:
-        return _report(ineq, 0.0, None, None, params, vacuous=True)
+        return _report(ineq, 0.0, None, None, params, event, vacuous=True)
     params["s_star"] = s_star = root.s_root
 
     if variant == "ray" or v_tau == 0.0:
         # e^{-eta s*}: 0 at s* = inf unless eta = 0, where the event is certain
         return _report(ineq, -eta * s_star if eta > 0.0 else 0.0, s_star, None,
-                       params)
+                       params, event)
     shifted = minimize_tail_exponent(phi, gamma + eta / v_tau, side=side)
     s_c = min(shifted.s_opt, s_star)
     if not math.isfinite(s_c):
-        return _report(ineq, -math.inf, s_c, None, params)
+        return _report(ineq, -math.inf, s_c, None, params, event)
     ph = _phi_side(phi, s_c, side)
     exponent = -eta * s_c + v_tau * (ph - gamma * s_c)
-    return _report(ineq, exponent, s_c, ph / s_c, params)
+    return _report(ineq, exponent, s_c, ph / s_c, params, event)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +202,11 @@ def azuma_bound(gamma: float, v_tau: float, kind: str = "upper") -> BoundReport:
     params = {"gamma": gamma, "v_tau": v_tau,
               "envelope_intercept": gamma / 2.0,
               "envelope_slope": gamma / (2.0 * v_tau)}
+    # the envelope reaches gamma at V_tau: gamma/V_tau per unit of V there
     return _report(f"azuma_{kind}", exponent, gamma / v_tau, gamma / (2.0 * v_tau),
-                   params, factor=factor)
+                   params, dict(kind="line", side=kind, gamma=gamma / v_tau,
+                                v_tau=v_tau, slope=gamma / (2.0 * v_tau)),
+                   factor=factor)
 
 
 def cbb_bounds(gamma: float, v_m: float, b: float,
@@ -209,11 +222,11 @@ def cbb_bounds(gamma: float, v_m: float, b: float,
         lg = math.log1p(b * gamma)
         exponent = v_m * (gamma / b - (1.0 + b * gamma) * lg / (b * b))
         slope = gamma / lg - 1.0 / b
-        return _report("bennett_cbb", exponent, lg / b, slope, params)
+        return _report("bennett_cbb", exponent, lg / b, slope, params, event=None)
     if which == "bernstein":
         exponent = -gamma * gamma / (2.0 * (v_m + b * gamma / 3.0))
         return _report("bernstein_cbb", exponent, 1.0 / (1.0 / gamma + b / 3.0),
-                       None, envelope)
+                       None, envelope, event=None)
     if which == "chernoff_sub":
         if b != 1.0:
             raise DomainViolation("chernoff_sub requires b = 1")
@@ -223,7 +236,7 @@ def cbb_bounds(gamma: float, v_m: float, b: float,
             )
         exponent = -gamma * gamma / (4.0 * v_m)
         return _report("chernoff_sub", exponent, gamma / (2.0 * v_m), None,
-                       envelope)
+                       envelope, event=None)
     raise InvalidParameter(f"which must be bennett|bernstein|chernoff_sub, got {which!r}")
 
 
@@ -289,8 +302,9 @@ def expfam_bound(fam: ExpFamily, theta: float, gamma: float, m: int,
         raise InvalidParameter(f"gamma must be nonnegative, got {gamma}")
     params = {"theta": theta, "gamma": gamma, "m": check_whole("m", m, 1),
               "family": fam.name}
+    event = dict(kind="vee", side=side, gamma=gamma, v_tau=float(params["m"]))
     if gamma == 0.0:
-        return _report(ineq, 0.0, None, None, params)
+        return _report(ineq, 0.0, None, None, params, event)
     z = theta + gamma if side == "upper" else theta - gamma
     if not fam.contains(z):
         raise DomainViolation(
@@ -303,7 +317,7 @@ def expfam_bound(fam: ExpFamily, theta: float, gamma: float, m: int,
     params.update({"z": z, "rho_at_m": m * z, "rho_slope": rho_slope})
     # Continuation slope of the centered process X_n - n theta.
     centered_slope = rho_slope - theta if side == "upper" else theta - rho_slope
-    return _report(ineq, m * ln_m_factor, s_star, centered_slope, params)
+    return _report(ineq, m * ln_m_factor, s_star, centered_slope, params, event)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +331,23 @@ def poisson_bounds(lam: float, gamma: float, tau: float,
     [(lam/(lam+gamma))^{lam+gamma} e^gamma]^tau and the lower-side twin."""
     _check_positive(lam=lam, gamma=gamma, tau=tau)
     ineq = _side_id("poisson", side)
-    params = {"lam": lam, "gamma": gamma, "tau": tau}
     if side == "upper":
         lg = math.log1p(gamma / lam)
         exponent = tau * (gamma - (lam + gamma) * lg)
-        slope = gamma / lg
-        params["centered_slope"] = slope - lam
-        return _report(ineq, exponent, lg, slope, params)
-    if gamma >= lam:
+    elif gamma >= lam:
         raise DomainViolation(
             f"lower side requires gamma < lam, got gamma={gamma}, lam={lam}"
         )
-    lg = math.log(1.0 - gamma / lam)  # negative
-    exponent = tau * ((lam - gamma) * math.log(lam / (lam - gamma)) - gamma)
+    else:
+        lg = math.log(1.0 - gamma / lam)  # negative
+        exponent = tau * ((lam - gamma) * math.log(lam / (lam - gamma)) - gamma)
     slope = gamma / lg
-    params["centered_slope"] = lam + slope  # alpha(gamma) of the centered path
-    return _report(ineq, exponent, -lg, slope, params)
+    # continuation slope of the centered path N_t - lam t (alpha(gamma) below)
+    centered = slope - lam if side == "upper" else lam + slope
+    return _report(ineq, exponent, lg if side == "upper" else -lg, slope,
+                   {"lam": lam, "gamma": gamma, "tau": tau},
+                   dict(kind="line", side=side, gamma=gamma, v_tau=tau,
+                        slope=centered))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +367,7 @@ def supermartingale_sup_bound(mean0: float, c: float, gamma: float,
             f"gamma must be finite and exceed c, got gamma={gamma}, c={c}")
     return _report("supermartingale_sup", 0.0, None, None,
                    {"mean0": mean0, "c": c, "gamma": gamma},
+                   dict(kind="sup_level", gamma=gamma),
                    exact=continuous_martingale, factor=(mean0 - c) / (gamma - c))
 
 
@@ -364,5 +380,6 @@ def doob_exp_bound(gamma: float, phi: Optional[MgfBound] = None) -> BoundReport:
     params = {"gamma": gamma}
     if phi is not None:
         params.update(phi.describe())
-    return _report("doob_exp", 0.0, None, None, params, exact=exact,
+    return _report("doob_exp", 0.0, None, None, params,
+                   dict(kind="sup_level", gamma=gamma), exact=exact,
                    factor=1.0 / gamma)

@@ -66,39 +66,14 @@ class Preset:
 
 
 def _event(report, label, **override):
-    """The crossing event whose probability ``report.bound`` bounds.
-
-    The event is read off the report alone: its inequality id, its params and
-    its continuation slope.  ``override`` replaces fields of the derived
-    event (the rho line of an exponential family is a line, not a vee).
+    """The crossing event whose probability ``report.bound`` bounds, as the
+    report states it.  ``override`` replaces fields of that event (the rho
+    line of an exponential family is a line, not a vee).
     """
-    ineq, p = report.inequality, report.params
-    family, fields = ineq, {}
-    for side in ("upper", "lower", "two_sided"):
-        if ineq.endswith("_" + side):
-            family, fields = ineq[:-len(side) - 1], {"side": side}
-    if family in ("gen_line", "opt_line"):
-        fields.update(kind="line", gamma=p["gamma"], v_tau=p["v_tau"],
-                      slope=report.slope_used)
-    elif family == "azuma":
-        # the envelope (gamma/2)(1 + V_t/V_tau) reaches gamma at V_tau
-        fields.update(kind="line", gamma=p["gamma"] / p["v_tau"],
-                      v_tau=p["v_tau"], slope=report.slope_used)
-    elif family in ("vee", "eta_vee"):
-        fields.update(kind="vee", gamma=p["gamma"], v_tau=p["v_tau"],
-                      eta=p.get("eta", 0.0))
-    elif family == "eta_ray":
-        fields.update(kind="eta_ray", gamma=p["gamma"], eta=p["eta"])
-    elif family == "poisson":
-        fields.update(kind="line", gamma=p["gamma"], v_tau=p["tau"],
-                      slope=p["centered_slope"])
-    elif family == "expfam":
-        fields.update(kind="vee", gamma=p["gamma"], v_tau=float(p["m"]))
-    elif family in ("doob_exp", "supermartingale_sup"):
-        fields.update(kind="sup_level", gamma=p["gamma"])
-    else:
-        raise InvalidParameter(f"no crossing event is derived for {ineq!r}")
-    return EventSpec(**{**fields, **override}, bound=report.bound, label=label)
+    if report.event is None:
+        raise InvalidParameter(f"{report.inequality!r} states no crossing event")
+    return EventSpec(**{**report.event, **override}, bound=report.bound,
+                     label=label)
 
 
 def _events(*rows):
@@ -190,8 +165,8 @@ def theorem9_groups():
 
     # -- bounded-increment martingale corollaries (Bernoulli(1/2) steps) ----
     # Steps +-1/2: variance 1/4 per step, b = 1, a_n = 0, V_n = n/4.  Event
-    # parameters are rescaled to the step-count vproxy grid, so these events
-    # are stated here rather than derived by _event.
+    # parameters are rescaled to the step-count vproxy grid, so these reports
+    # state no event and the events are stated here.
     v_m, b_inc = 10.0, 1.0
     m_steps = v_m / 0.25
     r = B.cbb_bounds(gamma=0.6, v_m=v_m, b=b_inc, which="bennett")

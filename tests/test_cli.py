@@ -9,6 +9,7 @@ from crossbound.cli import (_BOUNDS, _compute_bound, _merge_config,
 from crossbound.mgf import Gaussian, make_phi
 from crossbound.sim import (BernoulliIncrements, Brownian, IidSum, LazyWalk,
                             PoissonCounting, UniformIncrements, spec_from_dict)
+from crossbound.validate import EventSpec
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,17 @@ class TestBoundCommand:
         rec = json.loads(out)
         assert rec["bound"] == pytest.approx(0.25)
         assert rec["schema_version"] == "1"
+
+    def test_json_carries_the_event(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--ineq", "poisson_upper",
+                               "--lambda", "1", "--gamma", "1", "--tau", "1",
+                               "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        # the line of the centered path N_t - t, as the domination sweep counts it
+        assert rec["event"] == {"kind": "line", "side": "upper", "gamma": 1.0,
+                                "v_tau": 1.0, "slope": 0.4426950408889634}
+        assert "centered_slope" not in rec["params"]
 
     def test_missing_key_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--ineq", "poisson_upper",
@@ -276,6 +288,18 @@ def test_bound_table_covers_every_id():
         _G, gamma=2.0, eta=0.5, v_tau=1.5, variant="vee")
     assert _compute_bound({"ineq": "doob_exp", "gamma": 4.0, **phi}) == \
         B.doob_exp_bound(gamma=4.0, phi=_G)
+
+
+def test_every_report_but_cbb_states_its_event():
+    # the cbb events live on the step-count V grid, so presets states them
+    no_event = {"bennett_cbb", "bernstein_cbb", "chernoff_sub"}
+    for ineq, (_, call) in BOUND_CASES.items():
+        report = call()
+        assert (report.event is None) == (ineq in no_event), ineq
+        if report.event is not None:
+            side = next((side for side in ("two_sided", "upper", "lower")
+                         if ineq.endswith(side)), "upper")
+            assert EventSpec(**report.event).side == side, ineq
 
 
 class TestConfigHandling:
