@@ -304,7 +304,7 @@ def expfam_bound(fam: ExpFamily, theta: float, gamma: float, m: int,
               "family": fam.name}
     event = dict(kind="vee", side=side, gamma=gamma, v_tau=float(params["m"]))
     if gamma == 0.0:
-        return _report(ineq, 0.0, None, None, params, event)
+        return _report(ineq, 0.0, None, None, params, event, vacuous=True)
     z = theta + gamma if side == "upper" else theta - gamma
     if not fam.contains(z):
         raise DomainViolation(

@@ -44,10 +44,10 @@ HARVEST_BLOCK = 128
 class ContinuityRegion:
     """Piecewise-constant interval (L(t), U(t)) on declared breakpoints.
 
-    Requirement: -C <= L(t) < U(t) <= C at every breakpoint; the piecewise
-    constant representation makes the dyadic-approximation condition hold
-    automatically against step-interpolated paths, so it is not re-checked at
-    runtime.
+    Requirement: -C <= L(t) < U(t) <= C at every breakpoint, so a NaN bound
+    is refused; the piecewise constant representation makes the
+    dyadic-approximation condition hold automatically against
+    step-interpolated paths, so it is not re-checked at runtime.
     """
 
     breakpoints: np.ndarray
@@ -68,7 +68,7 @@ class ContinuityRegion:
         C = float(self.envelope)
         if not (C > 0.0) or not math.isfinite(C):
             raise InvalidParameter("envelope C must be positive and finite")
-        if np.any(lo < -C) or np.any(up > C) or np.any(lo >= up):
+        if not np.all((-C <= lo) & (lo < up) & (up <= C)):
             raise InvalidParameter("need -C <= L(t) < U(t) <= C at every breakpoint")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "lower", lo)
@@ -124,16 +124,9 @@ def first_exit(path: Path, region: ContinuityRegion) -> StopResult:
     A path that never leaves within its grid is truncated: tau is the +inf
     marker and the terminal value stands in for X_tau = lim X_{tau ^ t}.
     """
-    lo = region.lower_at(path.times)
-    up = region.upper_at(path.times)
-    outside = (path.values <= lo) | (path.values >= up)
-    idx = int(np.argmax(outside))
-    if outside[idx]:
-        return StopResult(tau=float(path.times[idx]),
-                          value_at_stop=float(path.values[idx]),
-                          truncated=False)
-    return StopResult(tau=math.inf, value_at_stop=float(path.values[-1]),
-                      truncated=True)
+    (j,), (hit,) = _first_out(path.values[None], path.times, region)
+    return StopResult(tau=float(path.times[j]) if hit else math.inf,
+                      value_at_stop=float(path.values[j]), truncated=not hit)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +157,19 @@ class OsReport:
 
 def _first_out(vals, t, region):
     """Per row of vals (one column per grid time in t): the first column
-    outside the region, and whether there is one."""
+    outside the region, else the last column, and whether it is outside."""
     out = (vals <= region.lower_at(t)) | (vals >= region.upper_at(t))
     j = out.argmax(axis=1)
-    return j, out[np.arange(j.size), j]
+    hit = out[np.arange(j.size), j]
+    return np.where(hit, j, out.shape[1] - 1), hit
 
 
 def _harvest_exits(specs, pair, n_paths, seed):
     """(t1, v1, t2, v2) of each spec: the first exits of every path from
-    both regions of ``pair`` within the horizon, with early exit.  The
-    specs share one pass, so they must draw one stream (the same fill on
-    equal grids; a Poisson spec goes alone): else InvalidParameter.
+    both regions of ``pair`` within the horizon, with early exit.  An exit
+    not reached has time inf and the path's terminal value.  The specs
+    share one pass, so they must draw one stream (the same fill on equal
+    grids; a Poisson spec goes alone): else InvalidParameter.
 
     On a uniform grid the paths go HARVEST_ROWS at a time: path i draws the
     stream of generate(spec, seed, i) through sim.step_draws, HARVEST_BLOCK
@@ -191,30 +186,24 @@ def _harvest_exits(specs, pair, n_paths, seed):
     # the regions test X, or an ExpSupermartingale's tilt of its base's X
     bases = [getattr(spec, "base", spec) for spec in specs]
     tests = [getattr(spec, "tilt", lambda X, V: X) for spec in specs]
-    # per spec: t1, v1, t2, v2, the value at the last time searched, and
-    # whether the inner exit is pending
+    # per spec: t1, v1, t2, v2; an exit is pending while its time is inf
     exits = [(np.full(n_paths, math.inf), np.empty(n_paths),
-              np.full(n_paths, math.inf), np.empty(n_paths),
-              np.empty(n_paths), np.ones(n_paths, dtype=bool))
-             for _ in specs]
+              np.full(n_paths, math.inf), np.empty(n_paths)) for _ in specs]
 
     def search(k, rows, t, vals):
         """Record spec k's exits in vals (paths ``rows``, grid times t shared
-        by every row or one row each); True where the outer exit was found."""
-        t1, v1, t2, v2, last, open1 = exits[k]
+        or one row each): a pending row takes its exit in each region, else
+        its last column; True where the outer exit was found."""
+        t1, v1, t2, v2 = exits[k]
         times = np.broadcast_to(t, vals.shape)
-        pending = open1[rows]
-        if pending.any():
-            j, hit = _first_out(vals, t, pair.inner)
-            hit &= pending
-            t1[rows[hit]] = times[hit, j[hit]]
-            v1[rows[hit]] = vals[hit, j[hit]]
-            open1[rows[hit]] = False
-        j, hit = _first_out(vals, t, pair.outer)
-        t2[rows[hit]] = times[hit, j[hit]]
-        v2[rows[hit]] = vals[hit, j[hit]]
-        last[rows] = vals[:, -1]
-        return hit
+        for tau, val, region in ((t1, v1, pair.inner), (t2, v2, pair.outer)):
+            pending = np.isinf(tau[rows])
+            if pending.any():
+                j, hit = _first_out(vals, t, region)
+                val[rows[pending]] = vals[pending, j[pending]]
+                hit &= pending
+                tau[rows[hit]] = times[hit, j[hit]]
+        return np.isfinite(t2[rows])
 
     if any(isinstance(base, PoissonCounting) for base in bases):
         if len(specs) > 1:
@@ -267,12 +256,7 @@ def _harvest_exits(specs, pair, n_paths, seed):
                     live[k] = own[~hit]
                 drawn = functools.reduce(np.union1d, live)
                 step += m
-    for t1, v1, t2, v2, last, open1 in exits:
-        # truncated: the last value stands in for X_tau
-        trunc = np.isinf(t2)
-        v2[trunc] = last[trunc]
-        v1[open1] = last[open1]
-    return [e[:4] for e in exits]
+    return exits
 
 
 def verify_optional_stopping(spec: ProcessSpec, pair: RegionPair,

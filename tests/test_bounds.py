@@ -336,6 +336,7 @@ class TestExpFam:
     def test_gamma_zero_gives_one(self):
         r = expfam_bound(bernoulli_family(), theta=0.5, gamma=0.0, m=3)
         assert r.bound == 1.0
+        assert r.vacuous and r.s_used is None
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):

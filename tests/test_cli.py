@@ -46,6 +46,12 @@ class TestBoundCommand:
         assert float(out.strip().split(",")[2]) == pytest.approx(
             math.e / 4.0, rel=1e-12)
 
+    def test_expfam_gamma_zero_is_vacuous(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--ineq", "expfam_upper",
+                               "--gamma", "0", "--theta", "0.3", "--m", "5")
+        assert code == 0
+        assert out.strip().split(",")[-1] == "true"
+
     def test_phi_json_flag(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--ineq", "opt_line_upper",
                                "--gamma", "2", "--vtau", "1",

@@ -48,6 +48,15 @@ class TestRegions:
         with pytest.raises(InvalidParameter):
             ContinuityRegion.constant(2.0, -2.0, envelope=5.0)
 
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (-1.0, math.nan)])
+    def test_nan_bound_refused(self, lower, upper):
+        with pytest.raises(InvalidParameter):
+            ContinuityRegion.constant(lower, upper, envelope=2.0)
+        with pytest.raises(InvalidParameter):
+            ContinuityRegion(breakpoints=np.array([0.0]),
+                             lower=np.array([lower]), upper=np.array([upper]),
+                             envelope=2.0)
+
     def test_nesting_enforced(self):
         with pytest.raises(InvalidParameter):
             RegionPair(inner=ContinuityRegion.constant(-5.0, 5.0, envelope=5.0),
