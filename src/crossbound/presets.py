@@ -5,9 +5,9 @@ Three suites ship with the package:
 * ``theorem9_all``       - the full domination sweep (~40 rows, all verdicts
                            expected "holds");
 * ``expexact_brownian``  - exactness of sup-level probabilities 1/gamma for
-                           the Brownian exponential martingale, with the
-                           horizon-doubling rule and the dt-halving grid
-                           allowance;
+                           the Brownian exponential martingale, with a
+                           horizon-doubling rule read from the exact
+                           truncation and the dt-halving grid allowance;
 * ``optional_stopping``  - nested first-exit expectations for the symmetric
                            walk and its drifted supermartingale variant.
 """
@@ -15,10 +15,9 @@ Three suites ship with the package:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import bounds as B
 from .errors import InvalidParameter
@@ -229,34 +228,36 @@ def run_theorem9_all(paths: int = 50_000, seed: int = 0, alpha: float = 0.01,
 # ---------------------------------------------------------------------------
 
 
-def _exp_brownian(dt: float, horizon: float) -> ExpSupermartingale:
-    """Y_t = exp(W_t - t/2); sweep counts sup Y >= g as max(W - t/2) >= log g."""
-    return ExpSupermartingale(Brownian(dt=dt, horizon=horizon), s=1.0,
-                              phi=make_phi(Gaussian(1.0)))
+def exact_sup_probability(gamma: float, T: float) -> float:
+    """P{sup_{t <= T} exp(W_t - t/2) >= gamma}: 1 for gamma <= 1, else, by
+    the reflection principle for W_t - t/2 at a = log gamma (Borodin &
+    Salminen 2002), Phi-bar((a + T/2)/sqrt T) + Phi-bar((a - T/2)/sqrt T)
+    / gamma, which tends to 1/gamma as T grows."""
+    if gamma <= 1.0:
+        return 1.0
+    a, r = math.log(gamma), math.sqrt(2.0 * T)   # Phi-bar(x) = erfc(x/sqrt 2)/2
+    return 0.5 * (math.erfc((a + T / 2) / r)
+                  + math.erfc((a - T / 2) / r) / gamma)
 
 
-def choose_horizon_by_doubling(gammas, paths, seed, dt=1e-3, t0=30.0,
-                               alpha: float = 0.01, pilot_paths: int = 10_000,
-                               threads: Optional[int] = None):
-    """Double the horizon, at most three times, until the paired
-    crossing-probability change from T to 2T is below half the main run's CI
-    width for every gamma; the T crossings are a prefix event on the same 2T
-    pilot paths."""
-    check_whole("paths", paths, 1)
-    check_whole("seed", seed)
+def choose_horizon_by_doubling(gammas, paths, t0=30.0, alpha: float = 0.01):
+    """The first of t0, 2 t0 and 4 t0 at which, for every gamma, the
+    crossing mass beyond T, min(1, 1/gamma) - p_T (exact_sup_probability),
+    is below the main run's CI half-width z sqrt(p_T (1 - p_T) / paths);
+    otherwise 8 t0.  No path is drawn."""
+    _check_run(paths, alpha)
+    for name, x in (("t0", t0), *(("gamma", g) for g in gammas)):
+        if not 0.0 < x < math.inf:
+            raise InvalidParameter(
+                f"{name} must be positive and finite, got {x}")
     from scipy.special import ndtri  # loaded at the first horizon rule
     z = float(ndtri(1.0 - alpha / 2.0))
     T = t0
     for _ in range(3):
-        events = [EventSpec(kind="sup_level", gamma=g, steps=steps)
-                  for steps in (int(round(T / dt)), None) for g in gammas]
-        reps = sweep(_exp_brownian(dt, 2 * T), events, pilot_paths,
-                     seed=seed + 911, alpha=alpha, threads=threads)
-        k = np.array([r.n_crossed for r in reps]).reshape(2, len(gammas))
-        p_t = k[0] / pilot_paths
-        deltas = (k[1] - k[0]) / pilot_paths
-        half_width = z * np.sqrt(np.maximum(p_t * (1 - p_t), 1e-12) / paths)
-        if np.all(deltas < half_width):
+        p_t = [exact_sup_probability(g, T) for g in gammas]
+        if all(min(1.0, 1.0 / g) - p
+               < z * math.sqrt(max(p * (1 - p), 1e-12) / paths)
+               for g, p in zip(gammas, p_t)):
             return T
         T *= 2.0
     return T
@@ -271,17 +272,19 @@ def run_expexact_brownian(paths: int = 200_000, seed: int = 0,
     The grid supremum under-counts continuous crossings; the report carries a
     dt-halving grid allowance (Richardson-extrapolated from the paired 2dt
     coarsening of the same paths, a stride-2 event, sqrt(dt) bias order) and
-    the verdict-style flags used by the acceptance suite.
+    the verdict-style flags used by the acceptance suite.  No rule reads
+    pilot_paths: it is kept, checked, for the benchmark's call.
     """
+    check_whole("pilot_paths", pilot_paths, 1)
     t_start = time.perf_counter()
-    T = choose_horizon_by_doubling(gammas, paths, seed, dt=dt, t0=t0,
-                                   alpha=alpha, pilot_paths=pilot_paths,
-                                   threads=threads)
+    T = choose_horizon_by_doubling(gammas, paths, t0=t0, alpha=alpha)
     events = [EventSpec(kind="sup_level", gamma=g, bound=1.0 / g,
                         label=f"expexact_g{g:g}", stride=stride)
               for stride in (1, 2) for g in gammas]
-    reps = sweep(_exp_brownian(dt, T), events, paths, seed=seed, alpha=alpha,
-                 threads=threads)
+    # Y_t = exp(W_t - t/2): sweep counts sup Y >= g as max(W - t/2) >= log g
+    y = ExpSupermartingale(Brownian(dt=dt, horizon=T), s=1.0,
+                           phi=make_phi(Gaussian(1.0)))
+    reps = sweep(y, events, paths, seed=seed, alpha=alpha, threads=threads)
     elapsed = time.perf_counter() - t_start
     out = []
     for fine, coarse in zip(reps, reps[len(gammas):]):

@@ -74,9 +74,8 @@ class EventSpec:
     (V_tau v V_t)) and "eta_ray" (eta + gamma V_t) on a plain process, and
     "sup_level" (sup Y_t >= gamma) on an ExpSupermartingale Y.
 
-    On a uniform grid an event may see part of each path: its first
-    ``steps`` grid steps (None: all), and with stride=2 only every second
-    grid point of those, the 2 dt subgrid of the same paths.
+    On a uniform grid an event with stride=2 sees only every second grid
+    point of each path, the 2 dt subgrid of the same paths.
     """
 
     kind: str
@@ -87,7 +86,6 @@ class EventSpec:
     eta: float = 0.0
     bound: float = math.nan
     label: str = ""
-    steps: Optional[int] = None
     stride: int = 1
 
     def __post_init__(self):
@@ -97,8 +95,6 @@ class EventSpec:
             raise InvalidParameter(f"unknown side {self.side!r}")
         if self.side == "two_sided" and self.kind != "line":
             raise InvalidParameter("two_sided applies to line events only")
-        if self.steps is not None:
-            check_whole("steps", self.steps, 1)
         check_whole("stride", self.stride, 1)
         if self.stride > 2:
             raise InvalidParameter(f"stride must be 1 or 2, got {self.stride}")
@@ -278,13 +274,9 @@ def _event_rows(ray: tuple, st: _RowStats) -> np.ndarray:
 def _count_chunk(base, events, rays, seed, indices) -> np.ndarray:
     """Crossing counts of each event's ray over the paths ``indices``."""
     X, V = path_blocks(base, seed, indices)
-    views = {}   # one cache of passes per (steps, stride) view
-    for ev in events:
-        if (ev.steps, ev.stride) not in views:
-            cols = slice(None, None if ev.steps is None else ev.steps + 1,
-                         ev.stride)
-            views[ev.steps, ev.stride] = _RowStats(X[:, cols], V[:, cols])
-    return np.array([_event_rows(ray, views[ev.steps, ev.stride]).sum()
+    views = {stride: _RowStats(X[:, ::stride], V[:, ::stride])
+             for stride in {ev.stride for ev in events}}   # a cache per view
+    return np.array([_event_rows(ray, views[ev.stride]).sum()
                      for ev, ray in zip(events, rays)], dtype=np.int64)
 
 
@@ -310,11 +302,9 @@ def _chunk_jobs(spec: ProcessSpec, events: Sequence[EventSpec], n_paths: int,
     rays = [ev.ray(tilt) for ev in events]
     row_len = row_length(base)
     rows = max(16, min(8192, int(_CHUNK_ELEMENTS // row_len)))
-    if any((ev.steps, ev.stride) != (None, 1) and (
-            isinstance(base, PoissonCounting) or not (
-                ev.steps is None or ev.steps < row_len)) for ev in events):
-        raise InvalidParameter("steps/stride events need a uniform grid "
-                               "and 1 <= steps <= its number of steps")
+    if isinstance(base, PoissonCounting) and any(ev.stride != 1
+                                                 for ev in events):
+        raise InvalidParameter("stride events need a uniform grid")
     return [(ix.size * row_len,
              functools.partial(_count_chunk, base, events, rays, seed, ix))
             for ix in (np.arange(s, min(s + rows, n_paths))

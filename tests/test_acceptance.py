@@ -40,8 +40,7 @@ def _report(num, name, ok, detail):
 def test_criterion_1_expexact_brownian():
     t0 = time.perf_counter()
     reps = run_expexact_brownian(paths=200_000, seed=20_240_808, alpha=0.01,
-                                 dt=1e-3, gammas=(1.5, 2.0, 4.0), t0=30.0,
-                                 pilot_paths=10_000)
+                                 dt=1e-3, gammas=(1.5, 2.0, 4.0), t0=30.0)
     elapsed = time.perf_counter() - t0
     ok = True
     details = []

@@ -28,9 +28,10 @@ from crossbound import (
     sweep,
     verify_optional_stopping,
 )
-from crossbound import stopping, validate
+from crossbound import presets, stopping, validate
 from crossbound.presets import (
     choose_horizon_by_doubling,
+    exact_sup_probability,
     run_expexact_brownian,
     run_optional_stopping,
     run_theorem9_all,
@@ -117,7 +118,6 @@ class TestEventSpec:
             EventSpec(kind="line", stride=3)
 
     @pytest.mark.parametrize("field, value", [
-        ("steps", 2.5), ("steps", 10.0), ("steps", True),
         ("stride", 2.0), ("stride", True)])
     def test_steps_and_stride_must_be_whole(self, field, value):
         # a float reached the chunk's slice only after its paths were
@@ -273,8 +273,7 @@ COUNTED_RUNS = {
         LazyWalk(1.0, 50), walk_region_pair(), n, seed=1),
     "verify_shared_stopping": lambda n: stopping.verify_shared_stopping(
         [(LazyWalk(1.0, 50), "martingale")], walk_region_pair(), n, seed=1),
-    "horizon_paths": lambda n: choose_horizon_by_doubling(
-        [2.0], n, seed=1, dt=0.1, t0=1.0, pilot_paths=20),
+    "horizon_paths": lambda n: choose_horizon_by_doubling([2.0], n, t0=1.0),
 }
 
 
@@ -318,8 +317,8 @@ SEEDED_RUNS = {
                                                   threads=1),
     "optional_stopping": lambda seed: run_optional_stopping(paths=20,
                                                             seed=seed),
-    "horizon_seed": lambda seed: choose_horizon_by_doubling(
-        [2.0], 100, seed=seed, dt=0.1, t0=1.0, pilot_paths=20),
+    "expexact_brownian": lambda seed: run_expexact_brownian(
+        paths=20, seed=seed, dt=0.1, t0=1.0, threads=1),
     "generate": lambda seed: generate(LazyWalk(1.0, 50), seed),
 }
 
@@ -340,7 +339,7 @@ class TestWholeSeeds:
 
     @pytest.mark.filterwarnings("ignore:truncation fraction")
     @pytest.mark.parametrize("run", ["sweep", "stopping_row", "theorem9_all",
-                                     "optional_stopping"])
+                                     "optional_stopping", "expexact_brownian"])
     def test_numpy_seed_runs_as_its_int(self, run):
         # an np.int64 seed reached the JSON report as a string
         got, want = SEEDED_RUNS[run](np.int64(7)), SEEDED_RUNS[run](7)
@@ -445,36 +444,30 @@ class TestSweep:
             "0.99983292923042422,nan,holds,0.033333333333333333,0.012,0.01,1")
 
     def test_prefix_and_stride_events_match_sliced_paths(self):
-        # 60 rows of 10 001 grid points: every view but the 3-step prefix
-        # is long enough for the blockwise row reduction
+        # 60 rows of 10 001 grid points: both views are long enough for the
+        # blockwise row reduction
         spec = Brownian(dt=1e-3, horizon=10.0)
-        cases = [(steps, stride, side) for steps in (None, 9000, 3)
-                 for stride in (1, 2) for side in ("upper", "lower")]
+        cases = [(stride, side) for stride in (1, 2)
+                 for side in ("upper", "lower")]
         events = [EventSpec(kind="line", side=side, gamma=1.5, v_tau=1.0,
-                            slope=0.2, steps=steps, stride=stride)
-                  for steps, stride, side in cases]
+                            slope=0.2, stride=stride)
+                  for stride, side in cases]
         reps = sweep(spec, events, 60, seed=47, threads=1)
         paths = [generate(spec, 47, i) for i in range(60)]
         c = (1.5 - 0.2) * 1.0
-        for (steps, stride, side), rep in zip(cases, reps):
-            stop = None if steps is None else steps + 1
+        for (stride, side), rep in zip(cases, reps):
             want = 0
             for p in paths:
-                x, v = p.values[:stop:stride], p.vproxy[:stop:stride]
+                x, v = p.values[::stride], p.vproxy[::stride]
                 want += (bool((x - 0.2 * v).max() >= c) if side == "upper"
                          else bool((x + 0.2 * v).min() <= -c))
-            assert rep.n_crossed == want, (steps, stride, side)
+            assert rep.n_crossed == want, (stride, side)
         assert 0 < reps[0].n_crossed < 60
 
     def test_steps_and_stride_need_a_uniform_grid(self):
         ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, stride=2)
         with pytest.raises(InvalidParameter):
             sweep(PoissonCounting(1.0, 5.0), [ev], 10, seed=1)
-        ev = EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=51)
-        with pytest.raises(InvalidParameter):
-            sweep(IidSum(UniformIncrements(), 50), [ev], 10, seed=1)
-        with pytest.raises(InvalidParameter):
-            EventSpec(kind="line", gamma=1.0, v_tau=1.0, steps=0)
 
     @pytest.mark.parametrize("spec, ev", [
         (ExpSupermartingale(Brownian(0.01, 1.0), 1.0, make_phi(Gaussian(1.0))),
@@ -541,15 +534,79 @@ class TestSweep:
 class TestExpexactBrownian:
     @pytest.mark.parametrize("t0, fine, coarse, horizon", [
         (30.0, [251, 190, 102], [243, 189, 101], 30.0),
-        (0.5, [216, 139, 47], [205, 136, 47], 2.0),   # doubles twice
+        # reaches the cap 8 t0: the mass beyond T = 2 is 0.091 at gamma = 2,
+        # against a half-width of 0.063
+        (0.5, [234, 167, 74], [225, 166, 72], 4.0),
     ])
     def test_counts_and_horizon_pinned(self, t0, fine, coarse, horizon):
         # pinned to the counts of the dedicated kernel that sweep replaced
         reps = run_expexact_brownian(paths=400, seed=5, dt=1e-2, t0=t0,
-                                     pilot_paths=40, threads=2)
+                                     threads=2)
         assert [r.n_crossed for r in reps] == fine
         assert [round(r.extra["p_coarse"] * 400) for r in reps] == coarse
         assert {r.extra["horizon"] for r in reps} == {horizon}
+
+
+class TestHorizonRule:
+    GAMMAS = (1.5, 2.0, 4.0)
+
+    def test_exact_sup_probability_at_30(self):
+        # p_T at criterion 1's horizon
+        got = [round(exact_sup_probability(g, 30.0), 5) for g in self.GAMMAS]
+        assert got == [0.66655, 0.49983, 0.24977]
+
+    def test_exact_sup_probability_limits_and_growth(self):
+        for g in self.GAMMAS:
+            assert abs(exact_sup_probability(g, 1e4) - 1.0 / g) <= 1e-12
+            p = [exact_sup_probability(g, T)
+                 for T in (0.01, 0.1, 1.0, 4.0, 30.0, 240.0)]
+            assert all(a < b for a, b in zip(p, p[1:])), (g, p)
+        for g in (0.5, 1.0):
+            assert exact_sup_probability(g, 30.0) == 1.0
+
+    @pytest.mark.parametrize("paths, t0, want", [
+        (200_000, 30.0, 30.0), (3000, 30.0, 30.0), (400, 0.5, 4.0)])
+    def test_rule_picks_the_run_horizons(self, paths, t0, want):
+        assert choose_horizon_by_doubling(self.GAMMAS, paths, t0=t0) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(paths=st.integers(1, 10 ** 9), t0=st.floats(1e-3, 1e3),
+           gamma=st.floats(1e-3, 1e3), alpha=st.floats(1e-6, 0.5))
+    def test_rule_returns_a_doubling_of_t0(self, paths, t0, gamma, alpha):
+        T = choose_horizon_by_doubling([gamma], paths, t0=t0, alpha=alpha)
+        assert T in (t0, 2 * t0, 4 * t0, 8 * t0)
+        # gamma <= 1 is crossed at t = 0, so no mass lies beyond t0
+        assert gamma > 1.0 or T == t0
+
+    def test_draws_no_path(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(validate, "path_blocks", no_draws)
+        assert choose_horizon_by_doubling(self.GAMMAS, 400, t0=0.5) == 4.0
+
+    @pytest.mark.parametrize("exc, kwargs", [
+        (DomainViolation, dict(alpha=0.0)),
+        (DomainViolation, dict(alpha=1.0)),
+        (DomainViolation, dict(alpha=math.nan)),
+        (InvalidParameter, dict(gammas=[2.0, 0.0])),
+        (InvalidParameter, dict(gammas=[-1.0])),
+        (InvalidParameter, dict(gammas=[math.nan])),
+        (InvalidParameter, dict(t0=0.0)),
+        (InvalidParameter, dict(t0=-1.0)),
+        (InvalidParameter, dict(t0=math.inf)),
+        (InvalidParameter, dict(t0=math.nan)),
+    ], ids=["alpha_0", "alpha_1", "alpha_nan", "gamma_0", "gamma_neg",
+            "gamma_nan", "t0_0", "t0_neg", "t0_inf", "t0_nan"])
+    def test_bad_input_raises_before_any_arithmetic(self, monkeypatch, exc,
+                                                    kwargs):
+        def no_arithmetic(*args):
+            raise AssertionError("p_T was computed")
+
+        monkeypatch.setattr(presets, "exact_sup_probability", no_arithmetic)
+        args = dict(gammas=self.GAMMAS, paths=400, t0=30.0, alpha=0.01)
+        with pytest.raises(exc):
+            choose_horizon_by_doubling(**{**args, **kwargs})
 
 
 class TestHalvingAllowance:
